@@ -1,0 +1,110 @@
+"""Byte-identity corpus: transcript and bundle files are pinned by SHA-256.
+
+Refactors of the message schedule, the provers or the codecs must leave
+these digests unchanged; a changed digest means a changed file format or a
+changed Fiat-Shamir challenge.  The formulas are true and n <= 6.
+"""
+
+import hashlib
+
+import pytest
+
+from seqproof.fiatshamir import (
+    TQBF_ORACLE,
+    FiatShamirChallenges,
+    InteractiveChallenges,
+    transcript_encode,
+)
+from seqproof.noninteractive import (
+    VdfBundle,
+    bundle_to_bytes,
+    fs_vdf_open,
+    transcript_to_bytes,
+    transcript_to_messages,
+)
+from seqproof.qbf import parse_qbf
+from seqproof.shvdf import VdfParams, vdf_eval, vdf_open, vdf_setup
+from seqproof.sumcheck import default_prime, sumcheck_prove
+
+CORPUS = (
+    "p cnf 1 1\ne 1 0\n-1 -1 -1 0\n",
+    "p cnf 2 2\ne 1 2 0\n-1 2 2 0\n1 1 -2 0\n",
+    "p cnf 2 3\ne 1 2 0\n-1 2 -2 0\n-1 -2 2 0\n1 -2 -1 0\n",
+    "p cnf 3 2\ne 1 2 0\na 3 0\n2 2 -3 0\n-2 1 -2 0\n",
+    "p cnf 3 3\na 1 2 3 0\n2 1 -1 0\n-3 3 3 0\n-2 2 3 0\n",
+    "p cnf 4 2\na 1 0\ne 2 0\na 3 4 0\n2 -2 -2 0\n4 -1 -2 0\n",
+    "p cnf 4 4\ne 1 2 3 4 0\n-3 3 -4 0\n3 -2 1 0\n-3 2 3 0\n3 -2 3 0\n",
+    "p cnf 5 3\na 1 0\ne 2 3 0\na 4 5 0\n-3 -4 1 0\n2 1 3 0\n-1 -3 -3 0\n",
+    "p cnf 5 4\ne 1 2 3 0\na 4 5 0\n-1 -3 5 0\n-3 4 -5 0\n-4 2 4 0\n1 5 -3 0\n",
+    "p cnf 6 2\ne 1 0\na 2 0\ne 3 0\na 4 0\ne 5 6 0\n3 -1 -4 0\n1 -3 1 0\n",
+    "p cnf 6 3\na 1 0\ne 2 3 0\na 4 5 6 0\n2 3 -3 0\n5 -2 -3 0\n-3 -4 6 0\n",
+    "p cnf 6 4\ne 1 2 3 0\na 4 5 6 0\n3 -2 1 0\n6 1 -1 0\n2 5 -2 0\n-3 -6 3 0\n",
+)
+
+# (interactive transcript with coin seed = corpus index, Fiat-Shamir transcript)
+TRANSCRIPT_DIGESTS = (
+    ("b40547e0117284801b73043d730e323dfb304883376b9b537615e4d9c3732d75",
+     "9d3c31e38ea1f1a9323c36685127dd9a99ba56489f7db0ea1edd2621e4393932"),
+    ("d12e648f9afb712f22ce8028a9534c1e429d57e7b425b4af1c4766345d18c2bf",
+     "51eda16190b0e67f71f82392014b5640cac8610cc55b890c5107159408c43775"),
+    ("c6bc5382d5af68fd123e4d182337231cd921880474301346d543a441bb375cb2",
+     "476d5b62301938740d6caac7b5150110817b5ee1070389952fcac142f9daa7b3"),
+    ("27ab666674f9ed299a52b61ea784eddb8e6957ec70370874ec8b7d17bd0b3728",
+     "64eaad5de87914c5fe60306fc2b9c7f24c29a2782d78d20d82ee1314f0595908"),
+    ("3f4382efdc6eacbebf854f2610f856a8c9ffc771627329ab16e90d4b33dff017",
+     "9e7bda92a40d12220a47a3b5d10de428428bbed362206cae3954ae126a8f9d41"),
+    ("2ba3dc17b14bcf828af829adae094ddeb7ca2464bce95cd2643aca7da88db4db",
+     "83e29ada65c17b792c7327c3b9fa07f61aed1338ca3adff47c29315d7439b92a"),
+    ("3058bec3a4c6130754fa81a05c9eff76e71928b8e53d6d8981c79bdf191d7445",
+     "84c69797e04167d2edb1160687eed47b8397f1d42e0d6f1954a273f577bc99fa"),
+    ("5346b521dc48434bfa3e170e0a95989a84f5c67b5688d429bf5f381c24d9ea92",
+     "5357dd925b8dba0b94f25d25aa1461280d8bdf38b824f4d172fbf67d8f7844df"),
+    ("0794043c046ecb13856c9eca3a862f819d91566cb308fcad5d2f228abfc9cc72",
+     "45e79e7f23b0ab1514d9a3dd047577da17d2d9fa096429f39009118a55b0c72a"),
+    ("e88cc967c6cb4aae357fa7f4699032d66671ca2175f0d83754e4721663812fd2",
+     "78d823df7b736d8de417a773703a659daef7e6c6659564c3d373872df1817752"),
+    ("c4a34e8f8826003295aefafb7f0907c3ce65c18a8d76a76a8268bb9232302b98",
+     "23c064a52b2103ddb910d4b58db3faee0187d94be16e7aefdd584224f4aec823"),
+    ("954eec36c4b676ebeeb7ccf2c81c30d9776df6d3b9c6feefea7ad91b8183ab46",
+     "4d7ba46eeef7b03a0b4df6c847f54de5192258a0551b9b643a89737f3ba4c913"),
+)
+
+GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
+LAMBDA16 = vdf_setup(16, 10, 32, "a1b2c3")
+
+# (parameters, input, explicit challenge, digest of the hashed-challenge
+# bundle, digest of the explicit-challenge bundle)
+BUNDLE_CASES = (
+    (GOLDEN, "101", 12,
+     "15a0309633ee5a977bb1027715d86c8450bebaa82d87ce03e115ceea85616622",
+     "24ade31190ab5f29395640fd6ff321f1666aed38e66de00342b178f23219e31d"),
+    (LAMBDA16, "1011", 1020,
+     "f25d5a51bbca511346193d153088ff755fb25278aa25400096bfc265021bf4e1",
+     "ac25603cb6b2a64cb9fc1853255170ea31223ca4349887c911540e22a1281741"),
+)
+
+
+def _digest(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_transcript_bytes_pinned(index):
+    formula = parse_qbf(CORPUS[index])
+    p = default_prime(formula)
+    interactive = sumcheck_prove(formula, p, InteractiveChallenges(index))
+    coins = FiatShamirChallenges(TQBF_ORACLE)
+    hashed = sumcheck_prove(formula, p, coins)
+    assert interactive.claimed_value != 0
+    # the hashed bytes are the file bytes after the mode message
+    assert coins.transcript_bytes() == transcript_encode(transcript_to_messages(hashed)[1:])
+    got = (_digest(transcript_to_bytes(interactive)), _digest(transcript_to_bytes(hashed)))
+    assert got == TRANSCRIPT_DIGESTS[index]
+
+
+@pytest.mark.parametrize("index", range(len(BUNDLE_CASES)))
+def test_bundle_bytes_pinned(index):
+    pp, x, t, fs_digest, explicit_digest = BUNDLE_CASES[index]
+    assert _digest(bundle_to_bytes(fs_vdf_open(pp, x))) == fs_digest
+    explicit = VdfBundle(pp, x, vdf_eval(pp, x).value, t, vdf_open(pp, x, t), "interactive")
+    assert _digest(bundle_to_bytes(explicit)) == explicit_digest
