@@ -46,14 +46,17 @@ def main():
 
     transcript = sumcheck_prove(formula, p, InteractiveChallenges(random.Random(7)))
     print(f"claimed value sent first: {transcript.claimed_value}")
-    for msg in transcript.rounds:
-        op = msg.operator
+    # round k belongs to the chain's k-th operator; the last challenge bound
+    # to each variable gives the point where the verifier evaluates the matrix
+    point = [None] * n
+    for k, (op, msg) in enumerate(zip(ops, transcript.rounds)):
+        point[op.var - 1] = msg.challenge
         print(
-            f"  round {msg.position:2d}: {op.kind.value:4s} over x{op.var}"
+            f"  round {k:2d}: {op.kind.value:4s} over x{op.var}"
             f"  degree {len(msg.poly.coeffs) - 1}"
             f"  coeffs {list(msg.poly.coeffs)}  challenge {msg.challenge}"
         )
-    print(f"final evaluation point: {transcript.final_point}\n")
+    print(f"final evaluation point: {tuple(point)}\n")
 
     # fresh coins for the verification run; the prover answers live
     verdict = sumcheck_verify(

@@ -12,7 +12,7 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import DecodeError, InteractiveChallenges
+from .fiatshamir import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, DecodeError, InteractiveChallenges
 from .harness import (
     exp_attack,
     exp_parallel_sum,
@@ -42,7 +42,7 @@ from .shvdf import (
     vdf_open,
     vdf_setup,
 )
-from .sumcheck import MODE_FIAT_SHAMIR, default_prime, sumcheck_prove, sumcheck_verify
+from .sumcheck import default_prime, sumcheck_prove, sumcheck_verify
 
 
 def _read_formula(path: str):
@@ -116,7 +116,7 @@ def _cmd_vdf_open(args) -> int:
     else:
         out = vdf_eval(pp, args.input)
         proof = vdf_open(pp, args.input, args.challenge)
-        bundle = VdfBundle(pp, args.input, out.value, args.challenge, proof, "interactive")
+        bundle = VdfBundle(pp, args.input, out.value, args.challenge, proof, MODE_INTERACTIVE)
     save_bundle(args.proof, bundle)
     print(f"mode {bundle.mode}")
     print(f"value {bundle.output_value}")
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prove = sub.add_parser("prove-tqbf", help="prove a quantified formula true")
     prove.add_argument("--in", required=True, help="formula file (qdimacs)")
-    prove.add_argument("--prime", type=int, default=None, help="field modulus (default: smallest admissible)")
+    prove.add_argument("--prime", type=int, default=None, help="field modulus (default: smallest admissible one at which a true formula's claim is nonzero)")
     prove.add_argument("--fs", action="store_true", help="derive challenges by hashing")
     prove.add_argument("--seed", type=int, default=0, help="verifier coin seed (interactive mode)")
     prove.add_argument("--out", default=None, help="transcript file to write")

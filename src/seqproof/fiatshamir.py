@@ -41,8 +41,9 @@ TAG_NAMES = {
     TAG_VDF_PROOF: "vdf-proof",
 }
 
-MODE_INTERACTIVE = b"interactive"
-MODE_FIAT_SHAMIR = b"fiat-shamir"
+# transcript and bundle mode labels; the mode message carries them UTF-8 encoded
+MODE_INTERACTIVE = "interactive"
+MODE_FIAT_SHAMIR = "fiat-shamir"
 
 # reducing a 256-bit digest mod sizes below this keeps the bias negligible
 MAX_CHALLENGE_RANGE = 1 << 128

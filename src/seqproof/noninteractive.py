@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fiatshamir import (
+    MODE_FIAT_SHAMIR,
+    MODE_INTERACTIVE,
     TAG_MODE,
     TAG_NAMES,
     TAG_SC_CHALLENGE,
@@ -31,16 +33,16 @@ from .fiatshamir import (
     DecodeError,
     FiatShamirChallenges,
     Message,
+    RecordedChallenges,
     decode_file,
     decode_poly,
     decode_u64,
     encode_file,
     encode_message,
-    encode_poly,
     encode_u64,
     ro_challenge,
 )
-from .qbf import Qbf, QbfParseError, parse_qbf, to_qdimacs
+from .qbf import Qbf, QbfParseError, parse_qbf
 from .shvdf import (
     VdfParams,
     VdfProof,
@@ -54,8 +56,8 @@ from .shvdf import (
     vdf_verify,
 )
 from .sumcheck import (
-    MODE_FIAT_SHAMIR,
-    MODE_INTERACTIVE,
+    MAX_PROTOCOL_VARS,
+    Conversation,
     RoundMessage,
     Transcript,
     Verdict,
@@ -111,20 +113,28 @@ def fs_verify_tqbf(formula: Qbf, transcript: Transcript, p: int | None = None) -
         return Verdict(False, "statement-mismatch")
 
 
+class _Transcriber(RecordedChallenges):
+    """Replays a transcript's challenges and keeps every message it absorbs."""
+
+    def __init__(self, transcript: Transcript):
+        super().__init__(rm.challenge for rm in transcript.rounds)
+        self.messages = [Message(TAG_MODE, transcript.mode.encode())]
+
+    def absorb(self, tag: int, payload: bytes) -> None:
+        self.messages.append(Message(tag, payload))
+
+
 def transcript_to_messages(transcript: Transcript) -> list[Message]:
-    msgs = [
-        Message(TAG_MODE, transcript.mode.encode()),
-        Message(TAG_SC_PRIME, encode_u64(transcript.p)),
-        Message(TAG_SC_FORMULA, to_qdimacs(transcript.formula).encode()),
-        Message(TAG_SC_CLAIM, encode_u64(transcript.claimed_value)),
-    ]
+    """The mode message, then what the conversation's challenge source absorbs."""
+    source = _Transcriber(transcript)
+    conversation = Conversation(source, transcript.formula, transcript.p, transcript.claimed_value)
     for rm in transcript.rounds:
-        msgs.append(Message(TAG_SC_POLY, encode_poly(rm.poly)))
-        msgs.append(Message(TAG_SC_CHALLENGE, encode_u64(rm.challenge)))
-    return msgs
+        conversation.exchange(rm.poly)
+    return source.messages
 
 
 def transcript_from_messages(msgs: list[Message]) -> Transcript:
+    """Inverse of transcript_to_messages, reading the schedule in its order."""
     mode = _decode_mode(_expect(msgs, 0, TAG_MODE).payload)
     p = decode_u64(_expect(msgs, 1, TAG_SC_PRIME).payload)
     if p < 2:
@@ -134,18 +144,23 @@ def transcript_from_messages(msgs: list[Message]) -> Transcript:
         formula = parse_qbf(raw.decode())
     except (UnicodeDecodeError, QbfParseError) as exc:
         raise DecodeError(f"bad formula payload: {exc}")
+    if formula.num_vars > MAX_PROTOCOL_VARS:
+        raise DecodeError(
+            f"formula has {formula.num_vars} variables; the protocol is capped at "
+            f"{MAX_PROTOCOL_VARS} variables"
+        )
     claim = decode_u64(_expect(msgs, 3, TAG_SC_CLAIM).payload)
-    ops = build_operator_chain(formula)
-    if len(msgs) != 4 + 2 * len(ops):
+    num_rounds = len(build_operator_chain(formula))
+    if len(msgs) != 4 + 2 * num_rounds:
         raise DecodeError("round count does not match the formula")
-    rounds = []
-    bindings: list[int | None] = [None] * formula.num_vars
-    for k, op in enumerate(ops):
-        poly = decode_poly(_expect(msgs, 4 + 2 * k, TAG_SC_POLY).payload, p)
-        r = decode_u64(_expect(msgs, 5 + 2 * k, TAG_SC_CHALLENGE).payload)
-        rounds.append(RoundMessage(k, op, poly, r))
-        bindings[op.var - 1] = r
-    return Transcript(formula, p, claim, tuple(rounds), tuple(bindings), mode)
+    rounds = tuple(
+        RoundMessage(
+            decode_poly(_expect(msgs, 4 + 2 * k, TAG_SC_POLY).payload, p),
+            decode_u64(_expect(msgs, 5 + 2 * k, TAG_SC_CHALLENGE).payload),
+        )
+        for k in range(num_rounds)
+    )
+    return Transcript(formula, p, claim, rounds, mode)
 
 
 def transcript_to_bytes(transcript: Transcript) -> bytes:

@@ -16,8 +16,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .field import PrimeField, UniPoly, lagrange_interpolate, sqrt_mod
+from .field import PrimeField, UniPoly, lagrange_interpolate, next_prime_at_least, sqrt_mod
 from .fiatshamir import (
+    MODE_FIAT_SHAMIR,
+    MODE_INTERACTIVE,
     TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
@@ -29,13 +31,10 @@ from .fiatshamir import (
     encode_poly,
     encode_u64,
 )
-from .qbf import Qbf, Quantifier, to_qdimacs
+from .qbf import Qbf, Quantifier, eval_qbf_bruteforce, to_qdimacs
 
 # reference evaluation is exponential in the quantifier count; keep it desk-scale
 MAX_PROTOCOL_VARS = 12
-
-MODE_INTERACTIVE = "interactive"
-MODE_FIAT_SHAMIR = "fiat-shamir"
 
 
 class OpKind(Enum):
@@ -158,8 +157,12 @@ def eval_chain(ops, bindings, f: ArithPoly, start: int = 0) -> int:
 
 
 def chain_value(formula: Qbf, p: int) -> int:
-    """Value of the full chain; nonzero exactly when the formula is true
-    (guaranteed for small formulas, where the integer value stays below p)."""
+    """Value of the full chain mod p.
+
+    Over the integers the chain is positive exactly when the formula is
+    true, but each universal quantifier squares it, so a true formula's
+    value can still be a multiple of p; `default_prime` steps past such p.
+    """
     f = arithmetize(formula, p)
     ops = build_operator_chain(formula)
     return eval_chain(ops, [None] * formula.num_vars, f)
@@ -185,8 +188,8 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
 
 @dataclass(frozen=True)
 class RoundMessage:
-    position: int
-    operator: Operator
+    """Round k's polynomial and challenge; the operator is the chain's k-th."""
+
     poly: UniPoly
     challenge: int
 
@@ -197,8 +200,31 @@ class Transcript:
     p: int
     claimed_value: int
     rounds: tuple[RoundMessage, ...]
-    final_point: tuple[int, ...]
     mode: str = MODE_INTERACTIVE
+
+
+class Conversation:
+    """The sum-check message schedule, the one place it is written down.
+
+    The prime, the formula and the claim open the conversation; then every
+    chain operator gets the prover's polynomial and the challenge drawn after
+    it.  The challenge source absorbs each message in this order, and a
+    transcript file stores exactly these messages after its mode message.
+    """
+
+    def __init__(self, challenges, formula: Qbf, p: int, claim: int):
+        self.challenges = challenges
+        self.p = p
+        challenges.absorb(TAG_SC_PRIME, encode_u64(p))
+        challenges.absorb(TAG_SC_FORMULA, to_qdimacs(formula).encode())
+        challenges.absorb(TAG_SC_CLAIM, encode_u64(claim))
+
+    def exchange(self, s: UniPoly) -> int:
+        """Send a round polynomial; return the challenge that answers it."""
+        self.challenges.absorb(TAG_SC_POLY, encode_poly(s))
+        r = self.challenges.challenge_mod(self.p)
+        self.challenges.absorb(TAG_SC_CHALLENGE, encode_u64(r))
+        return r
 
 
 @dataclass(frozen=True)
@@ -221,9 +247,13 @@ def _check_statement(formula: Qbf, p: int) -> PrimeField:
 
 
 def default_prime(formula: Qbf) -> int:
-    from .field import next_prime_at_least
-
-    return next_prime_at_least((1 << formula.num_vars) * 3**formula.num_clauses)
+    """Smallest admissible prime, unless the formula is true and its chain
+    value vanishes there: then the next prime at which it does not."""
+    p = next_prime_at_least((1 << formula.num_vars) * 3**formula.num_clauses)
+    # the truth test is what stops the search on a false formula
+    while chain_value(formula, p) == 0 and eval_qbf_bruteforce(formula):
+        p = next_prime_at_least(p + 1)
+    return p
 
 
 def _combine(op: Operator, s: UniPoly, bindings, p: int) -> int:
@@ -371,22 +401,15 @@ class _ConstantPolyProver(HonestProver):
 
 def _drive(session, formula: Qbf, p: int, challenges) -> Transcript:
     mode = MODE_FIAT_SHAMIR if isinstance(challenges, FiatShamirChallenges) else MODE_INTERACTIVE
-    challenges.absorb(TAG_SC_PRIME, encode_u64(p))
-    challenges.absorb(TAG_SC_FORMULA, to_qdimacs(formula).encode())
     y = session.claimed_value()
-    challenges.absorb(TAG_SC_CLAIM, encode_u64(y))
-    ops = build_operator_chain(formula)
-    bindings: list[int | None] = [None] * formula.num_vars
+    conversation = Conversation(challenges, formula, p, y)
     rounds = []
-    for k, op in enumerate(ops):
+    for k in range(len(session.ops)):
         s = session.round_poly(k)
-        challenges.absorb(TAG_SC_POLY, encode_poly(s))
-        r = challenges.challenge_mod(p)
-        challenges.absorb(TAG_SC_CHALLENGE, encode_u64(r))
+        r = conversation.exchange(s)
         session.receive_challenge(k, r)
-        bindings[op.var - 1] = r
-        rounds.append(RoundMessage(k, op, s, r))
-    return Transcript(formula, p, y, tuple(rounds), tuple(bindings), mode)
+        rounds.append(RoundMessage(s, r))
+    return Transcript(formula, p, y, tuple(rounds), mode)
 
 
 def sumcheck_prove(formula: Qbf, p: int, challenges) -> Transcript:
@@ -425,20 +448,6 @@ def cheat_prover(
     return _drive(session, formula, p, challenges)
 
 
-class _ReplaySession:
-    def __init__(self, transcript: Transcript):
-        self.transcript = transcript
-
-    def claimed_value(self) -> int:
-        return self.transcript.claimed_value
-
-    def round_poly(self, k: int) -> UniPoly:
-        return self.transcript.rounds[k].poly
-
-    def receive_challenge(self, k: int, r: int) -> None:
-        pass
-
-
 def sumcheck_verify(formula: Qbf, p: int, prover, challenges=None) -> Verdict:
     """Check a completed transcript or interrogate a live prover session.
 
@@ -449,7 +458,6 @@ def sumcheck_verify(formula: Qbf, p: int, prover, challenges=None) -> Verdict:
     """
     _check_statement(formula, p)
     ops = build_operator_chain(formula)
-    recorded = None
 
     if isinstance(prover, Transcript):
         t = prover
@@ -457,49 +465,43 @@ def sumcheck_verify(formula: Qbf, p: int, prover, challenges=None) -> Verdict:
             return Verdict(False, "statement-mismatch")
         if len(t.rounds) != len(ops) or not 0 <= t.claimed_value < p:
             return Verdict(False, "malformed-transcript")
-        for k, (rm, op) in enumerate(zip(t.rounds, ops)):
-            if rm.position != k or rm.operator != op:
-                return Verdict(False, "malformed-transcript")
-            if rm.poly.p != p or not 0 <= rm.challenge < p:
-                return Verdict(False, "malformed-transcript")
+        if any(rm.poly.p != p or not 0 <= rm.challenge < p for rm in t.rounds):
+            return Verdict(False, "malformed-transcript")
         recorded = [rm.challenge for rm in t.rounds]
-        session = _ReplaySession(t)
         if challenges is None:
             if t.mode == MODE_FIAT_SHAMIR:
                 challenges = FiatShamirChallenges(TQBF_ORACLE)
             else:
                 challenges = RecordedChallenges(recorded)
+        y = t.claimed_value
+        round_poly = lambda k: t.rounds[k].poly
     else:
-        session = prover
         if challenges is None:
             raise ValueError("a live prover session needs a challenge source")
+        recorded = None
+        y = prover.claimed_value()
+        round_poly = prover.round_poly
 
     f = arithmetize(formula, p)
-    challenges.absorb(TAG_SC_PRIME, encode_u64(p))
-    challenges.absorb(TAG_SC_FORMULA, to_qdimacs(formula).encode())
-    y = session.claimed_value()
-    challenges.absorb(TAG_SC_CLAIM, encode_u64(y))
+    conversation = Conversation(challenges, formula, p, y)
     if y % p == 0:
         return Verdict(False, "zero-claim")
 
     bindings: list[int | None] = [None] * formula.num_vars
     for k, op in enumerate(ops):
-        s = session.round_poly(k)
+        s = round_poly(k)
         if s.degree > round_degree_bound(op, formula):
             return Verdict(False, "degree-overflow")
         if _combine(op, s, bindings, p) != y % p:
             return Verdict(False, "round-check")
-        challenges.absorb(TAG_SC_POLY, encode_poly(s))
-        r = challenges.challenge_mod(p)
-        challenges.absorb(TAG_SC_CHALLENGE, encode_u64(r))
-        if recorded is not None and recorded[k] != r:
+        r = conversation.exchange(s)
+        if recorded is None:
+            prover.receive_challenge(k, r)
+        elif recorded[k] != r:
             return Verdict(False, "challenge-mismatch")
-        session.receive_challenge(k, r)
         bindings[op.var - 1] = r
         y = s.evaluate(r)
 
-    if recorded is not None and prover.final_point != tuple(bindings):
-        return Verdict(False, "malformed-transcript")
     if f.evaluate(bindings) != y:
         return Verdict(False, "final-check")
     return Verdict(True)

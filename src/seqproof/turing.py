@@ -138,16 +138,7 @@ def initial_configuration(x: str, space: int, initial_state: int = 0) -> TmConfi
 
 def tm_step(desc: TmDescription, config: TmConfiguration) -> TmConfiguration:
     """One step in place; a halting state absorbs (identical configuration)."""
-    if desc.is_halting(config.state):
-        return config
-    q2, w, d = desc.delta(config.state, config.tape[config.head])
-    if config.head:  # cell 0 keeps the mark
-        config.tape[config.head] = w
-    config.state = q2
-    head = config.head + d
-    last = len(config.tape) - 1
-    config.head = 0 if head < 0 else last if head > last else head
-    return config
+    return tm_run(desc, config, 1).config
 
 
 def tm_run(
@@ -212,23 +203,8 @@ def decide_spacehalt(desc: TmDescription, x: str, space: int) -> bool:
     if bound > MAX_DECIDER_BOUND:
         raise ValueError(f"configuration bound {bound} exceeds 2^28")
     config = initial_configuration(x, space, desc.initial_state)
-    delta = desc.delta
-    halting = desc.is_halting
-    state, tape, head = config.state, config.tape, config.head
-    last = len(tape) - 1
-    for _ in range(bound):
-        if halting(state):
-            return True
-        q2, w, d = delta(state, tape[head])
-        if head:
-            tape[head] = w
-        state = q2
-        head += d
-        if head < 0:
-            head = 0
-        elif head > last:
-            head = last
-    return halting(state)
+    # halting absorbs, so the state after `bound` steps halts iff some state did
+    return desc.is_halting(tm_run(desc, config, bound).config.state)
 
 
 # ── explicit machine text format ───────────────────────────────────────────

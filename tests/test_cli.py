@@ -42,6 +42,16 @@ def test_prove_false_formula_fails(tmp_path, capsys):
     assert "no membership proof" in capsys.readouterr().err
 
 
+def test_prove_true_formula_whose_chain_value_vanishes_at_the_smallest_prime(tmp_path, capsys):
+    path = tmp_path / "f.qdimacs"
+    path.write_text("p cnf 8 1\na 1 0\ne 2 3 0\na 4 0\ne 5 0\na 6 7 0\ne 8 0\n-8 -2 3 0\n")
+    transcript = str(tmp_path / "f.transcript")
+    assert main(["prove-tqbf", "--in", str(path), "--fs", "--out", transcript]) == 0
+    assert "prime 773" in capsys.readouterr().out
+    assert main(["verify-tqbf", "--in", str(path), "--transcript", transcript]) == 0
+    assert "accepted" in capsys.readouterr().out
+
+
 def test_custom_prime(formula_file, capsys):
     assert main(["prove-tqbf", "--in", formula_file, "--prime", "101"]) == 0
     assert "prime 101" in capsys.readouterr().out

@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from seqproof.fiatshamir import MAGIC, DecodeError, InteractiveChallenges, Message, TAG_MODE
+from seqproof.fiatshamir import (
+    MAGIC,
+    TAG_MODE,
+    TAG_SC_CLAIM,
+    TAG_SC_FORMULA,
+    TAG_SC_PRIME,
+    DecodeError,
+    InteractiveChallenges,
+    Message,
+    encode_file,
+)
 from seqproof.noninteractive import (
     VdfBundle,
     bundle_from_bytes,
@@ -92,6 +102,22 @@ def test_transcript_decode_errors():
     with pytest.raises(DecodeError, match="bad formula"):
         bad = msgs[:2] + [Message(msgs[2].tag, b"p cnf oops")] + msgs[3:]
         transcript_from_messages(bad)
+
+
+def test_transcript_decode_refuses_oversized_formula_before_building_its_chain():
+    # header only: the 3000-variable chain would have 4.5 million operators
+    n = 3000
+    text = f"p cnf {n} 1\ne " + " ".join(map(str, range(1, n + 1))) + " 0\n1 0\n"
+    blob = encode_file(
+        [
+            Message(TAG_MODE, b"fiat-shamir"),
+            Message(TAG_SC_PRIME, (1 << 39).to_bytes(8, "big")),
+            Message(TAG_SC_FORMULA, text.encode()),
+            Message(TAG_SC_CLAIM, (1).to_bytes(8, "big")),
+        ]
+    )
+    with pytest.raises(DecodeError, match="capped at 12 variables"):
+        transcript_from_bytes(blob)
 
 
 def test_fs_vdf_challenge_in_window_and_binding():

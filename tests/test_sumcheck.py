@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -156,6 +157,23 @@ def test_statement_guards():
     assert default_prime(EXISTS_TAUT) == 7
 
 
+# true, but its integer chain value 9461776 is a multiple of 769, the
+# smallest admissible prime
+CHAIN_VALUE_769 = parse_qbf(
+    "p cnf 8 1\na 1 0\ne 2 3 0\na 4 0\ne 5 0\na 6 7 0\ne 8 0\n-8 -2 3 0\n"
+)
+
+
+def test_default_prime_skips_primes_dividing_the_chain_value():
+    assert eval_qbf_bruteforce(CHAIN_VALUE_769)
+    assert chain_value(CHAIN_VALUE_769, 769) == 0
+    p = default_prime(CHAIN_VALUE_769)
+    assert p == 773
+    assert sumcheck_verify(CHAIN_VALUE_769, p, sumcheck_prove(CHAIN_VALUE_769, p, InteractiveChallenges(0)))
+    # a false formula keeps the smallest admissible prime
+    assert default_prime(FORALL_TAUT) == 7
+
+
 def test_completeness_interactive_and_fiat_shamir():
     rng = random.Random(31)
     done = 0
@@ -193,8 +211,8 @@ def _honest_transcript(seed=3):
 def _replace_round(t: Transcript, k: int, poly: UniPoly) -> Transcript:
     rounds = list(t.rounds)
     rm = rounds[k]
-    rounds[k] = type(rm)(rm.position, rm.operator, poly, rm.challenge)
-    return Transcript(t.formula, t.p, t.claimed_value, tuple(rounds), t.final_point, t.mode)
+    rounds[k] = dataclasses.replace(rm, poly=poly)
+    return dataclasses.replace(t, rounds=tuple(rounds))
 
 
 def test_reject_degree_overflow():
@@ -250,7 +268,7 @@ def test_reject_statement_mismatch():
 
 def test_reject_malformed_round_count():
     t = _honest_transcript()
-    short = Transcript(t.formula, t.p, t.claimed_value, t.rounds[:-1], t.final_point, t.mode)
+    short = dataclasses.replace(t, rounds=t.rounds[:-1])
     v = sumcheck_verify(ALT_TRUE, 37, short)
     assert not v.accepted and v.reason == "malformed-transcript"
 
@@ -259,8 +277,8 @@ def test_reject_fs_challenge_tamper():
     t = sumcheck_prove(ALT_TRUE, 37, FiatShamirChallenges(TQBF_ORACLE))
     rounds = list(t.rounds)
     rm = rounds[1]
-    rounds[1] = type(rm)(rm.position, rm.operator, rm.poly, (rm.challenge + 1) % 37)
-    bad = Transcript(t.formula, t.p, t.claimed_value, tuple(rounds), t.final_point, t.mode)
+    rounds[1] = dataclasses.replace(rm, challenge=(rm.challenge + 1) % 37)
+    bad = dataclasses.replace(t, rounds=tuple(rounds))
     v = sumcheck_verify(ALT_TRUE, 37, bad)
     assert not v.accepted and v.reason in ("challenge-mismatch", "malformed-transcript")
 
