@@ -42,7 +42,7 @@ from .shvdf import (
     vdf_open,
     vdf_setup,
 )
-from .sumcheck import default_prime, sumcheck_prove, sumcheck_verify
+from .sumcheck import sumcheck_prove, sumcheck_verify
 
 
 def _read_formula(path: str):
@@ -58,11 +58,10 @@ def _read_params(path: str):
 
 def _cmd_prove_tqbf(args) -> int:
     formula = _read_formula(getattr(args, "in"))
-    p = args.prime if args.prime else default_prime(formula)
     if args.fs:
-        transcript = fs_prove_tqbf(formula, p)
+        transcript = fs_prove_tqbf(formula, args.prime or None)
     else:
-        transcript = sumcheck_prove(formula, p, InteractiveChallenges(args.seed))
+        transcript = sumcheck_prove(formula, args.prime or None, InteractiveChallenges(args.seed))
     print(f"mode {transcript.mode}")
     print(f"prime {transcript.p}")
     print(f"rounds {len(transcript.rounds)}")

@@ -42,7 +42,7 @@ from .fiatshamir import (
     encode_u64,
     ro_challenge,
 )
-from .qbf import Qbf, QbfParseError, parse_qbf
+from .qbf import Qbf, QbfParseError, parse_qbf, to_qdimacs
 from .shvdf import (
     VdfParams,
     VdfProof,
@@ -62,7 +62,6 @@ from .sumcheck import (
     Transcript,
     Verdict,
     build_operator_chain,
-    default_prime,
     sumcheck_prove,
     sumcheck_verify,
 )
@@ -93,8 +92,6 @@ def _expect(msgs: list[Message], i: int, tag: int) -> Message:
 
 def fs_prove_tqbf(formula: Qbf, p: int | None = None) -> Transcript:
     """Prove membership with all challenges drawn from the hash oracle."""
-    if p is None:
-        p = default_prime(formula)
     return sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
 
 
@@ -149,6 +146,8 @@ def transcript_from_messages(msgs: list[Message]) -> Transcript:
             f"formula has {formula.num_vars} variables; the protocol is capped at "
             f"{MAX_PROTOCOL_VARS} variables"
         )
+    if to_qdimacs(formula).encode() != raw:
+        raise DecodeError("formula payload is not in canonical form")
     claim = decode_u64(_expect(msgs, 3, TAG_SC_CLAIM).payload)
     num_rounds = len(build_operator_chain(formula))
     if len(msgs) != 4 + 2 * num_rounds:

@@ -246,14 +246,20 @@ def _check_statement(formula: Qbf, p: int) -> PrimeField:
     return fld
 
 
-def default_prime(formula: Qbf) -> int:
-    """Smallest admissible prime, unless the formula is true and its chain
-    value vanishes there: then the next prime at which it does not."""
-    p = next_prime_at_least((1 << formula.num_vars) * 3**formula.num_clauses)
+def _default_prover(formula: Qbf) -> "HonestProver":
+    """Honest prover at the smallest admissible prime, unless the formula is
+    true and its chain value vanishes there: then at the next prime at which
+    it does not.  The chain is evaluated once per prime tried."""
+    prover = HonestProver(formula, next_prime_at_least((1 << formula.num_vars) * 3**formula.num_clauses))
     # the truth test is what stops the search on a false formula
-    while chain_value(formula, p) == 0 and eval_qbf_bruteforce(formula):
-        p = next_prime_at_least(p + 1)
-    return p
+    while prover.honest_value == 0 and eval_qbf_bruteforce(formula):
+        prover = HonestProver(formula, next_prime_at_least(prover.p + 1))
+    return prover
+
+
+def default_prime(formula: Qbf) -> int:
+    """The prime `sumcheck_prove` uses when given none."""
+    return _default_prover(formula).p
 
 
 def _combine(op: Operator, s: UniPoly, bindings, p: int) -> int:
@@ -412,11 +418,12 @@ def _drive(session, formula: Qbf, p: int, challenges) -> Transcript:
     return Transcript(formula, p, y, tuple(rounds), mode)
 
 
-def sumcheck_prove(formula: Qbf, p: int, challenges) -> Transcript:
-    """Honest prover against the given challenge source (verifier coins or a
-    hash of the conversation).  The claim may be 0 for a false formula, in
-    which case no verifier will accept the transcript."""
-    return _drive(HonestProver(formula, p), formula, p, challenges)
+def sumcheck_prove(formula: Qbf, p: int | None, challenges) -> Transcript:
+    """Honest prover, at `default_prime` if p is None, against the given
+    challenge source (verifier coins or a hash of the conversation).  A false
+    formula's claim is 0, and no verifier accepts its transcript."""
+    session = _default_prover(formula) if p is None else HonestProver(formula, p)
+    return _drive(session, formula, session.p, challenges)
 
 
 def cheat_prover(

@@ -52,6 +52,13 @@ def test_prove_true_formula_whose_chain_value_vanishes_at_the_smallest_prime(tmp
     assert "accepted" in capsys.readouterr().out
 
 
+def test_prove_refuses_formula_over_the_cap_without_a_prime(tmp_path, capsys):
+    path = tmp_path / "big.qdimacs"
+    path.write_text("p cnf 13 1\ne " + " ".join(map(str, range(1, 14))) + " 0\n1 0\n")
+    assert main(["prove-tqbf", "--in", str(path)]) == 1
+    assert "capped at 12 variables" in capsys.readouterr().err
+
+
 def test_custom_prime(formula_file, capsys):
     assert main(["prove-tqbf", "--in", formula_file, "--prime", "101"]) == 0
     assert "prime 101" in capsys.readouterr().out

@@ -29,7 +29,9 @@ from seqproof.noninteractive import (
     save_bundle,
     save_transcript,
     transcript_from_bytes,
+    transcript_from_messages,
     transcript_to_bytes,
+    transcript_to_messages,
 )
 from seqproof.qbf import parse_qbf
 from seqproof.shvdf import VdfParams, vdf_eval, vdf_open
@@ -118,6 +120,17 @@ def test_transcript_decode_refuses_oversized_formula_before_building_its_chain()
     )
     with pytest.raises(DecodeError, match="capped at 12 variables"):
         transcript_from_bytes(blob)
+
+
+def test_transcript_decode_requires_the_canonical_formula_text():
+    tr = fs_prove_tqbf(ALT_TRUE)
+    msgs = transcript_to_messages(tr)
+    assert transcript_from_messages(msgs) == tr
+    # same formula, but not the bytes the challenges hashed
+    for text in (b"c note\n" + msgs[2].payload, msgs[2].payload.replace(b"\n", b"\n\n")):
+        bad = msgs[:2] + [Message(msgs[2].tag, text)] + msgs[3:]
+        with pytest.raises(DecodeError, match="canonical"):
+            transcript_from_messages(bad)
 
 
 def test_fs_vdf_challenge_in_window_and_binding():

@@ -174,6 +174,14 @@ def test_default_prime_skips_primes_dividing_the_chain_value():
     assert default_prime(FORALL_TAUT) == 7
 
 
+def test_default_prime_refuses_formulas_over_the_cap_before_evaluating_them():
+    big = random_qbf(random.Random(0), 13, 1)
+    with pytest.raises(ValueError, match="capped at 12 variables"):
+        default_prime(big)
+    with pytest.raises(ValueError, match="capped at 12 variables"):
+        sumcheck_prove(big, None, InteractiveChallenges(0))
+
+
 def test_completeness_interactive_and_fiat_shamir():
     rng = random.Random(31)
     done = 0
