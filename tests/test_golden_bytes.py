@@ -6,6 +6,7 @@ changed Fiat-Shamir challenge.  The formulas are true and n <= 6.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -18,12 +19,14 @@ from seqproof.fiatshamir import (
 from seqproof.noninteractive import (
     VdfBundle,
     bundle_to_bytes,
+    fs_vdf_challenge,
     fs_vdf_open,
+    fs_vdf_verify,
     transcript_to_bytes,
     transcript_to_messages,
 )
 from seqproof.qbf import parse_qbf
-from seqproof.shvdf import VdfParams, vdf_eval, vdf_open, vdf_setup
+from seqproof.shvdf import VdfParams, vdf_attack, vdf_eval, vdf_open, vdf_setup
 from seqproof.sumcheck import default_prime, sumcheck_prove
 
 CORPUS = (
@@ -83,6 +86,13 @@ BUNDLE_CASES = (
      "ac25603cb6b2a64cb9fc1853255170ea31223ca4349887c911540e22a1281741"),
 )
 
+# (parameters, input, forger's rng seed, digest of the forged bundle with the
+# hashed challenge, built the way `vdf attack` builds it)
+FORGED_CASES = (
+    (GOLDEN, "101", 5, "7a71487765704d892dfa7ebf53c895a26b72da035c0ee6653300b67a285e3199"),
+    (LAMBDA16, "1011", 7, "c1614544fbc634e8664d4e482595e529f149bb3e79be213ba06cc239e6452eb3"),
+)
+
 
 def _digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
@@ -108,3 +118,13 @@ def test_bundle_bytes_pinned(index):
     assert _digest(bundle_to_bytes(fs_vdf_open(pp, x))) == fs_digest
     explicit = VdfBundle(pp, x, vdf_eval(pp, x).value, t, vdf_open(pp, x, t), "interactive")
     assert _digest(bundle_to_bytes(explicit)) == explicit_digest
+
+
+@pytest.mark.parametrize("index", range(len(FORGED_CASES)))
+def test_forged_bundle_bytes_pinned(index):
+    pp, x, seed, digest = FORGED_CASES[index]
+    forgery = vdf_attack(pp, x, random.Random(seed))
+    t = fs_vdf_challenge(pp, x, forgery.output.value)
+    bundle = VdfBundle(pp, x, forgery.output.value, t, forgery.respond(t))
+    assert fs_vdf_verify(bundle)
+    assert _digest(bundle_to_bytes(bundle)) == digest
