@@ -12,7 +12,8 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, DecodeError, InteractiveChallenges
+from .fiatshamir import MODE_FIAT_SHAMIR, VDF_ORACLE, DecodeError, FiatShamirChallenges
+from .fiatshamir import InteractiveChallenges, RecordedChallenges
 from .harness import (
     exp_attack,
     exp_parallel_sum,
@@ -21,14 +22,12 @@ from .harness import (
     min_formula_vars,
 )
 from .noninteractive import (
-    VdfBundle,
     fs_prove_tqbf,
-    fs_vdf_challenge,
-    fs_vdf_open,
     fs_vdf_verify,
     fs_verify_tqbf,
     load_bundle,
     load_transcript,
+    open_bundle,
     save_bundle,
     save_transcript,
     verify_bundle,
@@ -39,7 +38,7 @@ from .shvdf import (
     params_to_bytes,
     vdf_attack,
     vdf_eval,
-    vdf_open,
+    vdf_run,
     vdf_setup,
 )
 from .sumcheck import sumcheck_prove, sumcheck_verify
@@ -110,12 +109,9 @@ def _cmd_vdf_eval(args) -> int:
 
 def _cmd_vdf_open(args) -> int:
     pp = _read_params(args.pp)
-    if args.challenge is None:
-        bundle = fs_vdf_open(pp, args.input)
-    else:
-        out = vdf_eval(pp, args.input)
-        proof = vdf_open(pp, args.input, args.challenge)
-        bundle = VdfBundle(pp, args.input, out.value, args.challenge, proof, MODE_INTERACTIVE)
+    coin = args.challenge
+    challenges = FiatShamirChallenges(VDF_ORACLE) if coin is None else RecordedChallenges([coin])
+    bundle = open_bundle(vdf_run(pp, args.input), args.input, challenges)
     save_bundle(args.proof, bundle)
     print(f"mode {bundle.mode}")
     print(f"value {bundle.output_value}")
@@ -143,8 +139,7 @@ def _cmd_vdf_verify(args) -> int:
 def _cmd_vdf_attack(args) -> int:
     pp = _read_params(args.pp)
     forgery = vdf_attack(pp, args.input, random.Random(args.seed))
-    t = fs_vdf_challenge(pp, args.input, forgery.output.value)
-    bundle = VdfBundle(pp, args.input, forgery.output.value, t, forgery.respond(t))
+    bundle = open_bundle(forgery, args.input, FiatShamirChallenges(VDF_ORACLE))
     verdict = fs_vdf_verify(bundle)
     print(f"forged value {forgery.output.value}")
     print(f"forger steps {forgery.steps} (honest evaluation takes {pp.num_steps})")

@@ -38,21 +38,19 @@ from .fiatshamir import (
     decode_poly,
     decode_u64,
     encode_file,
-    encode_message,
     encode_u64,
-    ro_challenge,
 )
 from .qbf import Qbf, QbfParseError, parse_qbf, to_qdimacs
 from .shvdf import (
     VdfParams,
     VdfProof,
+    VdfRun,
     VdfVerdict,
     params_from_bytes,
     params_to_bytes,
     proof_from_bytes,
     proof_to_bytes,
-    vdf_eval,
-    vdf_open,
+    vdf_run,
     vdf_verify,
 )
 from .sumcheck import (
@@ -111,11 +109,11 @@ def fs_verify_tqbf(formula: Qbf, transcript: Transcript, p: int | None = None) -
 
 
 class _Transcriber(RecordedChallenges):
-    """Replays a transcript's challenges and keeps every message it absorbs."""
+    """Replays recorded challenges; keeps the mode message, then every message absorbed."""
 
-    def __init__(self, transcript: Transcript):
-        super().__init__(rm.challenge for rm in transcript.rounds)
-        self.messages = [Message(TAG_MODE, transcript.mode.encode())]
+    def __init__(self, mode: str, challenges):
+        super().__init__(challenges)
+        self.messages = [Message(TAG_MODE, mode.encode())]
 
     def absorb(self, tag: int, payload: bytes) -> None:
         self.messages.append(Message(tag, payload))
@@ -123,7 +121,7 @@ class _Transcriber(RecordedChallenges):
 
 def transcript_to_messages(transcript: Transcript) -> list[Message]:
     """The mode message, then what the conversation's challenge source absorbs."""
-    source = _Transcriber(transcript)
+    source = _Transcriber(transcript.mode, (rm.challenge for rm in transcript.rounds))
     conversation = Conversation(source, transcript.formula, transcript.p, transcript.claimed_value)
     for rm in transcript.rounds:
         conversation.exchange(rm.poly)
@@ -178,7 +176,7 @@ def load_transcript(path) -> Transcript:
     return transcript_from_bytes(Path(path).read_bytes())
 
 
-# ── hashed-challenge delay-function openings ───────────────────────────────
+# ── delay-function openings ────────────────────────────────────────────────
 
 
 @dataclass(frozen=True)
@@ -193,51 +191,55 @@ class VdfBundle:
     mode: str = MODE_FIAT_SHAMIR
 
 
+def vdf_challenge(challenges, pp: VdfParams, x: str, output_value: int) -> int:
+    """The opening schedule: parameters, input, output, then the challenge step drawn from them."""
+    challenges.absorb(TAG_VDF_PP, params_to_bytes(pp))
+    challenges.absorb(TAG_VDF_INPUT, x.encode())
+    challenges.absorb(TAG_VDF_OUTPUT, encode_u64(output_value))
+    t = challenges.challenge_interval(pp.num_steps - pp.lam, pp.lam)
+    challenges.absorb(TAG_VDF_CHALLENGE, encode_u64(t))
+    return t
+
+
 def fs_vdf_challenge(pp: VdfParams, x: str, output_value: int) -> int:
     """Hash parameters, input and output into a challenge step."""
-    transcript = (
-        encode_message(TAG_VDF_PP, params_to_bytes(pp))
-        + encode_message(TAG_VDF_INPUT, x.encode())
-        + encode_message(TAG_VDF_OUTPUT, encode_u64(output_value))
-    )
-    return ro_challenge(VDF_ORACLE, transcript, pp.lam, pp.num_steps - pp.lam)
+    return vdf_challenge(FiatShamirChallenges(VDF_ORACLE), pp, x, output_value)
+
+
+def open_bundle(run: VdfRun, x: str, challenges) -> VdfBundle:
+    """Draw the challenge through the opening schedule; answer from the run's window."""
+    mode = MODE_FIAT_SHAMIR if isinstance(challenges, FiatShamirChallenges) else MODE_INTERACTIVE
+    t = vdf_challenge(challenges, run.params, x, run.output.value)
+    return VdfBundle(run.params, x, run.output.value, t, run.respond(t), mode)
 
 
 def fs_vdf_open(pp: VdfParams, x: str) -> VdfBundle:
-    """Evaluate, derive the challenge from the hash, and open at it."""
-    out = vdf_eval(pp, x)
-    t = fs_vdf_challenge(pp, x, out.value)
-    return VdfBundle(pp, x, out.value, t, vdf_open(pp, x, t))
+    """Run once, derive the challenge from the hash, and open at it."""
+    return open_bundle(vdf_run(pp, x), x, FiatShamirChallenges(VDF_ORACLE))
 
 
-def fs_vdf_verify(bundle: VdfBundle) -> VdfVerdict:
-    """Check the recorded challenge against the hash, then replay."""
-    if bundle.mode != MODE_FIAT_SHAMIR:
-        return VdfVerdict(False, 0, "mode-mismatch")
-    t = fs_vdf_challenge(bundle.params, bundle.x, bundle.output_value)
+def verify_bundle(bundle: VdfBundle) -> VdfVerdict:
+    """Re-derive the challenge (hashed, or the interactive bundle's own coin), then replay."""
+    fs = bundle.mode == MODE_FIAT_SHAMIR
+    source = FiatShamirChallenges(VDF_ORACLE) if fs else RecordedChallenges([bundle.challenge])
+    t = vdf_challenge(source, bundle.params, bundle.x, bundle.output_value)
     if t != bundle.challenge:
         return VdfVerdict(False, 0, "challenge-mismatch")
     return vdf_verify(bundle.params, bundle.x, bundle.output_value, t, bundle.proof)
 
 
-def verify_bundle(bundle: VdfBundle) -> VdfVerdict:
-    """Dispatch on the bundle's mode; interactive bundles trust their coin."""
-    if bundle.mode == MODE_FIAT_SHAMIR:
-        return fs_vdf_verify(bundle)
-    return vdf_verify(
-        bundle.params, bundle.x, bundle.output_value, bundle.challenge, bundle.proof
-    )
+def fs_vdf_verify(bundle: VdfBundle) -> VdfVerdict:
+    """Refuse interactive bundles, then check as verify_bundle does."""
+    if bundle.mode != MODE_FIAT_SHAMIR:
+        return VdfVerdict(False, 0, "mode-mismatch")
+    return verify_bundle(bundle)
 
 
 def bundle_to_messages(bundle: VdfBundle) -> list[Message]:
-    return [
-        Message(TAG_MODE, bundle.mode.encode()),
-        Message(TAG_VDF_PP, params_to_bytes(bundle.params)),
-        Message(TAG_VDF_INPUT, bundle.x.encode()),
-        Message(TAG_VDF_OUTPUT, encode_u64(bundle.output_value)),
-        Message(TAG_VDF_CHALLENGE, encode_u64(bundle.challenge)),
-        Message(TAG_VDF_PROOF, proof_to_bytes(bundle.params, bundle.proof)),
-    ]
+    """The mode message, what the opening schedule absorbs, then the proof."""
+    source = _Transcriber(bundle.mode, [bundle.challenge])
+    vdf_challenge(source, bundle.params, bundle.x, bundle.output_value)
+    return source.messages + [Message(TAG_VDF_PROOF, proof_to_bytes(bundle.params, bundle.proof))]
 
 
 def bundle_from_messages(msgs: list[Message]) -> VdfBundle:

@@ -7,8 +7,8 @@ revealing the control state at the challenged step and the scanned symbols
 from there on.  Verify replays that suffix through the transition rule
 alone: it never re-derives the tape from the input, so the check costs at
 most `lam` steps - and nothing ties the revealed symbols to the input.
-vdf_attack exploits exactly that gap, forging accepting outputs after
-`lam` steps of work instead of `num_steps`.
+So an opening only needs a recorded window of the last `lam` steps (VdfRun),
+and vdf_attack records one after `lam` steps of work instead of `num_steps`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .fiatshamir import DecodeError, decode_u64, encode_u64
 from .turing import (
     SYM_MARK,
+    TmConfiguration,
     TmDescription,
     initial_configuration,
     tm_run,
@@ -88,6 +89,10 @@ class VdfParams:
 
     def challenge_window(self) -> range:
         return range(self.num_steps - self.lam, self.num_steps)
+
+    def check_challenge(self, t: int) -> None:
+        if t not in self.challenge_window():
+            raise ValueError(f"challenge {t} outside [{self.num_steps - self.lam}, {self.num_steps - 1}]")
 
     def machine(self) -> TmDescription:
         return TmDescription(
@@ -164,18 +169,8 @@ def vdf_eval(pp: VdfParams, x: str) -> VdfOutput:
 
 def vdf_open(pp: VdfParams, x: str, t: int) -> VdfProof:
     """Recompute the run and reveal the suffix the challenge asks for."""
-    if t not in pp.challenge_window():
-        raise ValueError(
-            f"challenge {t} outside [{pp.num_steps - pp.lam}, {pp.num_steps - 1}]"
-        )
-    desc = pp.machine()
-    config = initial_configuration(x, pp.space)
-    prefix = tm_run(desc, config, t)
-    state_at_t = config.state
-    suffix = tm_run(desc, config, pp.num_steps - t, record_trace=True)
-    return VdfProof(
-        state_at_t, tuple(suffix.trace.scanned), steps=prefix.steps + suffix.steps
-    )
+    pp.check_challenge(t)
+    return vdf_run(pp, x).respond(t)
 
 
 def vdf_verify(pp: VdfParams, x: str, y: int, t: int, proof: VdfProof) -> VdfVerdict:
@@ -212,12 +207,13 @@ def sample_challenge(pp: VdfParams, rng: random.Random) -> int:
     return rng.randrange(pp.num_steps - pp.lam, pp.num_steps)
 
 
-# ── the break ──────────────────────────────────────────────────────────────
+# ── recorded windows: the honest run and the break ────────────────────────
 
 
-@dataclass
-class VdfForgery:
-    """An accepting output built from a short run, plus its responder."""
+@dataclass(frozen=True)
+class VdfRun:
+    """A claimed run's last `lam` steps, recorded from `start_state` on
+    (entry j of `states` and `scanned` is j steps in), plus its responder."""
 
     params: VdfParams
     output: VdfOutput
@@ -227,29 +223,36 @@ class VdfForgery:
     steps: int
 
     def respond(self, t: int) -> VdfProof:
-        """Answer any in-window challenge from the recorded short run."""
-        pp = self.params
-        if t not in pp.challenge_window():
-            raise ValueError("challenge outside the window")
-        start = pp.lam - (pp.num_steps - t)
-        return VdfProof(self.states[start], self.scanned[start : pp.lam + 1])
+        """Answer any in-window challenge from the recorded window."""
+        self.params.check_challenge(t)
+        start = t - self.params.challenge_window().start
+        return VdfProof(self.states[start], self.scanned[start:], steps=self.steps)
 
 
-def vdf_attack(pp: VdfParams, x: str, rng: random.Random) -> VdfForgery:
+def _record_window(pp: VdfParams, config: TmConfiguration, unrecorded: int) -> VdfRun:
+    desc = pp.machine()
+    prefix = tm_run(desc, config, unrecorded)
+    window = tm_run(desc, config, pp.lam, record_trace=True)
+    steps = prefix.steps + window.steps
+    states, scanned = tuple(window.trace.states), tuple(window.trace.scanned)
+    return VdfRun(pp, VdfOutput(config.state, steps), states[0], states, scanned, steps)
+
+
+def vdf_run(pp: VdfParams, x: str) -> VdfRun:
+    """Run x for num_steps - lam steps, then record the last lam steps."""
+    return _record_window(pp, initial_configuration(x, pp.space), pp.num_steps - pp.lam)
+
+
+def vdf_attack(pp: VdfParams, x: str, rng: random.Random) -> VdfRun:
     """Forge an accepting output with lam instead of num_steps steps of work.
 
-    Start the machine in a random non-final state and run it for just lam
-    steps.  Every challenge points into the last lam steps of the claimed
-    run, so this short run already contains everything respond() must
-    reveal, and the verifier's input-blind replay accepts it.
+    Start the machine in a random non-final state and record just lam steps.
+    Every challenge points into the last lam steps of the claimed run, so
+    this window already contains everything respond() must reveal, and the
+    verifier's input-blind replay accepts it.
     """
     start = rng.randrange(pp.lam, pp.num_states)
-    config = initial_configuration(x, pp.space, initial_state=start)
-    res = tm_run(pp.machine(), config, pp.lam, record_trace=True)
-    forged = VdfOutput(res.config.state, res.steps)
-    return VdfForgery(
-        pp, forged, start, tuple(res.trace.states), tuple(res.trace.scanned), res.steps
-    )
+    return _record_window(pp, initial_configuration(x, pp.space, initial_state=start), 0)
 
 
 # ── wire formats ───────────────────────────────────────────────────────────
