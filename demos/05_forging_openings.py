@@ -12,8 +12,9 @@ whatever output that short run produced.
 
 import random
 
-from seqproof.noninteractive import fs_vdf_challenge
-from seqproof.shvdf import vdf_attack, vdf_eval, vdf_setup, vdf_verify
+from seqproof.fiatshamir import VDF_ORACLE, FiatShamirChallenges
+from seqproof.noninteractive import fs_vdf_verify, open_bundle
+from seqproof.shvdf import vdf_attack, vdf_eval, vdf_setup
 
 
 def main():
@@ -29,10 +30,11 @@ def main():
     print(f"forger precomputation: {forgery.steps} steps (budget lambda+1={pp.lam + 1})")
     print(f"forged output: y={forged_y} (differs: {forged_y != honest.value})\n")
 
-    # the forger answers the binding hash-derived challenge like anyone else
-    t = fs_vdf_challenge(pp, x, forged_y)
-    verdict = vdf_verify(pp, x, forged_y, t, forgery.respond(t))
-    print(f"hash-derived challenge t={t}")
+    # the forger's recorded window opens through the same bundle builder as
+    # an honest run, against the binding hash-derived challenge
+    bundle = open_bundle(forgery, x, FiatShamirChallenges(VDF_ORACLE))
+    verdict = fs_vdf_verify(bundle)
+    print(f"hash-derived challenge t={bundle.challenge}")
     print(f"verifier accepts the forgery: {verdict.accepted}")
 
     print("\nacceptance is no evidence that anyone spent T steps: the replay is")

@@ -70,10 +70,11 @@ class PrimeField:
     """Context for F_p; residues are plain ints in [0, p)."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        # the cap first: trial division on a hostile 64-bit modulus takes minutes
         if p > MAX_PRIME:
             raise ValueError(f"modulus {p} exceeds cap 2^40")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
 
     def element(self, x: int) -> int:

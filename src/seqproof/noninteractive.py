@@ -191,11 +191,16 @@ class VdfBundle:
     mode: str = MODE_FIAT_SHAMIR
 
 
+def _output_width(pp: VdfParams) -> int:
+    """Output bytes: eight (a u64) up to 64 state bits, the state width past that."""
+    return max(8, (pp.state_bits + 7) // 8)
+
+
 def vdf_challenge(challenges, pp: VdfParams, x: str, output_value: int) -> int:
     """The opening schedule: parameters, input, output, then the challenge step drawn from them."""
     challenges.absorb(TAG_VDF_PP, params_to_bytes(pp))
     challenges.absorb(TAG_VDF_INPUT, x.encode())
-    challenges.absorb(TAG_VDF_OUTPUT, encode_u64(output_value))
+    challenges.absorb(TAG_VDF_OUTPUT, output_value.to_bytes(_output_width(pp), "big"))
     t = challenges.challenge_interval(pp.num_steps - pp.lam, pp.lam)
     challenges.absorb(TAG_VDF_CHALLENGE, encode_u64(t))
     return t
@@ -255,7 +260,10 @@ def bundle_from_messages(msgs: list[Message]) -> VdfBundle:
         raise DecodeError("input must be a bit string")
     if len(x) > pp.space - 1:
         raise DecodeError("input does not fit on the tape")
-    y = decode_u64(_expect(msgs, 3, TAG_VDF_OUTPUT).payload)
+    raw = _expect(msgs, 3, TAG_VDF_OUTPUT).payload
+    if len(raw) != _output_width(pp):
+        raise DecodeError(f"expected {_output_width(pp)} output bytes, got {len(raw)}")
+    y = int.from_bytes(raw, "big")
     if y >= pp.num_states:
         raise DecodeError("output outside the machine")
     t = decode_u64(_expect(msgs, 4, TAG_VDF_CHALLENGE).payload)

@@ -30,6 +30,8 @@ FORMAT_VERSION = 1
 MIN_SECURITY = 8
 # state id plus write bit plus move bits must fit the 128-bit prf output
 MAX_STATE_BITS = 120
+# eval allocates one list entry per tape cell; tests and benchmarks use at most 32
+MAX_SPACE = 1 << 20
 DEFAULT_LOG2T_FACTOR = 1.0
 
 
@@ -77,6 +79,8 @@ class VdfParams:
             raise ValueError("step count must exceed the challenge window")
         if self.space < 2:
             raise ValueError("need at least one work cell beyond the mark")
+        if self.space > MAX_SPACE:
+            raise ValueError(f"space must be at most {MAX_SPACE} cells")
         if not isinstance(self.seed, bytes):
             raise ValueError("seed must be bytes")
 

@@ -1,6 +1,7 @@
 import pytest
 
 from seqproof.cli import main
+from seqproof.shvdf import VdfParams, params_to_bytes
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
 FALSE_FORMULA = "p cnf 1 1\na 1 0\n1 0\n"
@@ -129,6 +130,31 @@ def test_vdf_attack_cli(tmp_path, capsys):
     assert "forger steps 8 (honest evaluation takes 256)" in out
     assert "forged opening accepted" in out
     assert main(["vdf", "verify", "--proof", proof]) == 0
+
+
+def test_vdf_outputs_wider_than_64_bits(tmp_path, capsys):
+    # state bits default to lambda, so lambda=80 outputs take ten bytes
+    pp = str(tmp_path / "pp.bin")
+    proof = str(tmp_path / "opening.proof")
+    forged = str(tmp_path / "forged.proof")
+    assert main(["vdf", "setup", "--lambda", "80", "--log2t", "10", "--space", "16",
+                 "--seed", "wide", "--pp", pp]) == 0
+    assert main(["vdf", "open", "--pp", pp, "--input", "1011", "--proof", proof]) == 0
+    assert main(["vdf", "verify", "--proof", proof, "--pp", pp, "--input", "1011"]) == 0
+    assert main(["vdf", "attack", "--pp", pp, "--input", "1011", "--proof", forged]) == 0
+    assert main(["vdf", "verify", "--proof", forged]) == 0
+    assert "forged opening accepted" in capsys.readouterr().out
+
+
+def test_vdf_params_with_a_huge_tape_are_refused(tmp_path, capsys):
+    blob = params_to_bytes(VdfParams(8, 64, 8, 8, b"s"))
+    pp = tmp_path / "pp.bin"
+    # the space field is the fourth u64; 2^40 cells used to reach eval's allocation
+    pp.write_bytes(blob[:24] + (1 << 40).to_bytes(8, "big") + blob[32:])
+    assert main(["vdf", "eval", "--pp", str(pp), "--input", "1"]) == 1
+    assert "space must be at most" in capsys.readouterr().err
+    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", str(1 << 21),
+                 "--seed", "s", "--pp", str(pp)]) == 1
 
 
 def test_exp_min_vars(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqproof import field
 from seqproof.field import (
     PrimeField,
     UniPoly,
@@ -15,6 +16,16 @@ from seqproof.field import (
 
 F7 = PrimeField(7)
 F223 = PrimeField(223)
+
+
+def test_over_cap_modulus_is_refused_before_trial_division(monkeypatch):
+    # a transcript's prime is read from the file; trial division on 2^61 - 1
+    # would take minutes before the cap refused it
+    tested = []
+    monkeypatch.setattr(field, "is_prime", lambda n: tested.append(n) or True)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        PrimeField((1 << 61) - 1)
+    assert tested == []
 
 
 def test_basic_ops():

@@ -34,7 +34,8 @@ from seqproof.noninteractive import (
     transcript_to_messages,
 )
 from seqproof.qbf import parse_qbf
-from seqproof.shvdf import VdfParams, vdf_eval, vdf_open
+from seqproof import shvdf
+from seqproof.shvdf import VdfParams, vdf_eval, vdf_open, vdf_run
 from seqproof.sumcheck import sumcheck_prove
 
 ALT_TRUE = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
@@ -154,6 +155,28 @@ def test_fs_vdf_open_verify_roundtrip(tmp_path):
     save_bundle(path, bundle)
     assert load_bundle(path) == bundle
     assert bundle_from_bytes(bundle_to_bytes(bundle)) == bundle
+
+
+def test_an_opening_steps_the_machine_once(monkeypatch):
+    pp = VdfParams(16, 64, 8, 16, b"vdf-demo")
+    stepped = []
+    run = shvdf.tm_run
+
+    def counted(*args, **kwargs):
+        result = run(*args, **kwargs)
+        stepped.append(result.steps)
+        return result
+
+    monkeypatch.setattr(shvdf, "tm_run", counted)
+    openings = (
+        lambda: fs_vdf_open(pp, "1100"),
+        lambda: vdf_run(pp, "1100").respond(60),
+        lambda: vdf_open(pp, "1100", 60),
+    )
+    for opening in openings:
+        stepped.clear()
+        opening()
+        assert sum(stepped) == pp.num_steps
 
 
 def test_interactive_bundle_dispatch():
