@@ -1,7 +1,7 @@
 import pytest
 
 from seqproof.cli import main
-from seqproof.shvdf import VdfParams, params_to_bytes
+from seqproof.shvdf import MAX_SPACE, VdfParams, params_to_bytes
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
 FALSE_FORMULA = "p cnf 1 1\na 1 0\n1 0\n"
@@ -147,14 +147,16 @@ def test_vdf_outputs_wider_than_64_bits(tmp_path, capsys):
 
 
 def test_vdf_params_with_a_huge_tape_are_refused(tmp_path, capsys):
-    blob = params_to_bytes(VdfParams(8, 64, 8, 8, b"s"))
+    # a tape of 2^40 cells used to decode and end eval in MemoryError; setup
+    # writes no tape, and one cell past the cap keeps an uncapped eval small
     pp = tmp_path / "pp.bin"
-    # the space field is the fourth u64; 2^40 cells used to reach eval's allocation
-    pp.write_bytes(blob[:24] + (1 << 40).to_bytes(8, "big") + blob[32:])
+    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", str(1 << 40),
+                 "--seed", "s", "--pp", str(pp)]) == 1
+    blob = params_to_bytes(VdfParams(8, 64, 8, 8, b"s"))
+    # the space field is the fourth u64
+    pp.write_bytes(blob[:24] + (MAX_SPACE + 1).to_bytes(8, "big") + blob[32:])
     assert main(["vdf", "eval", "--pp", str(pp), "--input", "1"]) == 1
     assert "space must be at most" in capsys.readouterr().err
-    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", str(1 << 21),
-                 "--seed", "s", "--pp", str(pp)]) == 1
 
 
 def test_exp_min_vars(capsys):

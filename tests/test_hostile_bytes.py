@@ -43,10 +43,6 @@ def _transcript_verdict(transcript):
     return fs_verify_tqbf(transcript.formula, transcript)
 
 
-def _proof_decoder(pp):
-    return lambda data: proof_from_bytes(pp, data)
-
-
 # (decoder, verifier of what it decodes or None, golden files)
 CASES = {
     "transcript": (
@@ -68,7 +64,7 @@ CASES = {
     ),
     "params": (params_from_bytes, None, [params_to_bytes(GOLDEN), params_to_bytes(WIDE)]),
     "proof": (
-        _proof_decoder(GOLDEN),
+        lambda data: proof_from_bytes(GOLDEN, data),
         None,
         [proof_to_bytes(GOLDEN, vdf_open(GOLDEN, "101", 9))],
     ),
