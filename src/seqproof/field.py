@@ -1,8 +1,12 @@
-"""Exact arithmetic in prime fields F_p, univariate polynomials, interpolation."""
+"""Prime moduli, univariate polynomials over F_p, interpolation at 0..d.
+
+Residues are plain ints in [0, p); the modulus of a statement is checked once,
+by `check_prime`.
+"""
 
 from __future__ import annotations
 
-from math import isqrt
+from math import factorial, isqrt
 
 # products of two residues must stay exact; cap keeps everything desk-scale
 MAX_PRIME = 1 << 40
@@ -66,56 +70,13 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-class PrimeField:
-    """Context for F_p; residues are plain ints in [0, p)."""
-
-    def __init__(self, p: int):
-        # the cap first: trial division on a hostile 64-bit modulus takes minutes
-        if p > MAX_PRIME:
-            raise ValueError(f"modulus {p} exceeds cap 2^40")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    def element(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
-    def rand(self, rng) -> int:
-        return rng.randrange(self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
+def check_prime(p: int) -> None:
+    """Refuse a modulus that is not a prime at most 2^40."""
+    # the cap first: trial division on a hostile 64-bit modulus takes minutes
+    if p > MAX_PRIME:
+        raise ValueError(f"modulus {p} exceeds cap 2^40")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 class UniPoly:
@@ -134,20 +95,9 @@ class UniPoly:
         self.coeffs = tuple(cs)
         self.p = p
 
-    @classmethod
-    def zero(cls, p: int) -> UniPoly:
-        return cls((), p)
-
-    @classmethod
-    def constant(cls, c: int, p: int) -> UniPoly:
-        return cls((c,), p)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -171,29 +121,21 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)}, p={self.p})"
 
 
-def lagrange_interpolate(points, p: int) -> UniPoly:
-    """Unique polynomial of degree < len(points) through the given (x, y) pairs."""
-    field = PrimeField(p)
-    xs = [x % p for x, _ in points]
-    ys = [y % p for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct x values")
-    k = len(xs)
-    out = [0] * k
-    for i in range(k):
-        # basis polynomial prod_{j != i} (x - x_j), built by convolution
-        basis = [1]
-        denom = 1
-        for j in range(k):
-            if j == i:
-                continue
-            basis = [
-                (basis[t - 1] if t > 0 else 0) - (basis[t] if t < len(basis) else 0) * xs[j]
-                for t in range(len(basis) + 1)
-            ]
-            basis = [b % p for b in basis]
-            denom = denom * (xs[i] - xs[j]) % p
-        scale = field.mul(ys[i], field.inv(denom))
-        for t, b in enumerate(basis):
-            out[t] = (out[t] + scale * b) % p
-    return UniPoly(out, p)
+def lagrange_interpolate(values, p: int) -> UniPoly:
+    """Polynomial of degree < len(values) taking values[x] at x = 0, 1, 2, ...
+
+    Newton's forward differences give c_k = (Delta^k values)[0] / k! with
+    P = c_0 + x (c_1 + (x - 1) (c_2 + ...)); expanding that nested form
+    costs O(d^2).  The nodes collide mod p past p values, and then k! has no
+    inverse (ValueError).
+    """
+    diffs, newton = [v % p for v in values], []
+    while diffs:
+        newton.append(diffs[0])
+        diffs = [(b - a) % p for a, b in zip(diffs, diffs[1:])]
+    coeffs: list[int] = []
+    for k in reversed(range(len(newton))):
+        # coeffs := coeffs * (x - k) + c_k
+        coeffs = [(lo - k * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] = (coeffs[0] + newton[k] * pow(factorial(k), -1, p)) % p
+    return UniPoly(coeffs, p)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .field import PrimeField, UniPoly, lagrange_interpolate, next_prime_at_least, sqrt_mod
+from .field import UniPoly, check_prime, lagrange_interpolate, next_prime_at_least, sqrt_mod
 from .fiatshamir import (
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
@@ -67,7 +67,7 @@ class ArithPoly:
 
     def __init__(self, formula: Qbf, p: int):
         self.formula = formula
-        self.p = PrimeField(p).p
+        self.p = p
         self._clauses = tuple(
             tuple((lit.var - 1, lit.negated) for lit in cl.literals)
             for cl in formula.clauses
@@ -175,12 +175,12 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
     d = round_degree_bound(op, formula)
     i = op.var - 1
     saved = bindings[i]
-    points = []
+    values = []
     for t in range(d + 1):
         bindings[i] = t
-        points.append((t, eval_chain(ops, bindings, f, k + 1)))
+        values.append(eval_chain(ops, bindings, f, k + 1))
     bindings[i] = saved
-    return lagrange_interpolate(points, f.p)
+    return lagrange_interpolate(values, f.p)
 
 
 # ── transcripts ────────────────────────────────────────────────────────────
@@ -236,14 +236,15 @@ class Verdict:
         return self.accepted
 
 
-def _check_statement(formula: Qbf, p: int) -> PrimeField:
+def _check_statement(formula: Qbf, p: int) -> None:
+    """The one check of a statement's modulus; every prover and the verifier
+    call it, so the arithmetic after it works on plain ints mod p."""
     if formula.num_vars > MAX_PROTOCOL_VARS:
         raise ValueError(f"protocol capped at {MAX_PROTOCOL_VARS} variables")
-    fld = PrimeField(p)
+    check_prime(p)
     least = (1 << formula.num_vars) * 3**formula.num_clauses
     if p < least:
         raise ValueError(f"prime {p} below the required 2^n*3^m = {least}")
-    return fld
 
 
 def _default_prover(formula: Qbf) -> "HonestProver":
@@ -282,7 +283,6 @@ class HonestProver:
         _check_statement(formula, p)
         self.formula = formula
         self.p = p
-        self.field = PrimeField(p)
         self.f = arithmetize(formula, p)
         self.ops = build_operator_chain(formula)
         self.bindings: list[int | None] = [None] * formula.num_vars
@@ -328,26 +328,25 @@ class _WrongClaimProver(HonestProver):
         super().receive_challenge(k, r)
 
     def _bend(self, op: Operator, s: UniPoly) -> UniPoly:
-        fld = self.field
-        target = self.running
+        p, target = self.p, self.running
         d = round_degree_bound(op, self.formula)
         v = [s.evaluate(j) for j in range(d + 1)]
         if op.kind is OpKind.SUM:
-            v[0] = fld.sub(target, v[1])
+            v[0] = (target - v[1]) % p
         elif op.kind is OpKind.PROD:
             if v[1] != 0:
-                v[0] = fld.div(target, v[1])
+                v[0] = target * pow(v[1], -1, p) % p
             elif v[0] != 0:
-                v[1] = fld.div(target, v[0])
+                v[1] = target * pow(v[0], -1, p) % p
             else:
                 v[0], v[1] = 1, target
         else:
             r_i = self.bindings[op.var - 1]
             if r_i != 1:
-                v[0] = fld.div(fld.sub(target, fld.mul(r_i, v[1])), fld.sub(1, r_i))
+                v[0] = (target - r_i * v[1]) * pow(1 - r_i, -1, p) % p
             else:
                 v[1] = target
-        return lagrange_interpolate(list(enumerate(v)), self.p)
+        return lagrange_interpolate(v, p)
 
 
 class _RandomRoundProver(HonestProver):
@@ -388,7 +387,7 @@ class _ConstantPolyProver(HonestProver):
         op = self.ops[k]
         y = self.running
         if op.kind is OpKind.SUM:
-            c = self.field.div(y, 2)
+            c = y * pow(2, -1, self.p) % self.p  # p >= 6, so 2 is a unit
         elif op.kind is OpKind.PROD:
             root = sqrt_mod(y, self.p)
             c = y if root is None else root

@@ -263,7 +263,7 @@ def test_reject_final_check():
         vals[0] = ((target - r_prev * vals[1]) * pow((1 - r_prev) % p, p - 2, p)) % p
     else:
         vals[1] = target
-    poly = lagrange_interpolate(list(enumerate(vals)), p)
+    poly = lagrange_interpolate(vals, p)
     v = sumcheck_verify(ALT_TRUE, 37, _replace_round(t, k, poly))
     assert not v.accepted and v.reason in ("final-check", "round-check")
 
