@@ -180,9 +180,6 @@ class InteractiveChallenges:
     def absorb(self, tag: int, payload: bytes) -> None:
         pass
 
-    def challenge_mod(self, p: int) -> int:
-        return self.rng.randrange(p)
-
     def challenge_interval(self, lo: int, size: int) -> int:
         return lo + self.rng.randrange(size)
 
@@ -199,9 +196,6 @@ class FiatShamirChallenges:
 
     def transcript_bytes(self) -> bytes:
         return b"".join(self._parts)
-
-    def challenge_mod(self, p: int) -> int:
-        return ro_challenge(self.spec, self.transcript_bytes(), p)
 
     def challenge_interval(self, lo: int, size: int) -> int:
         return ro_challenge(self.spec, self.transcript_bytes(), size, lo)
@@ -223,9 +217,6 @@ class RecordedChallenges:
         r = self._queue[self._next]
         self._next += 1
         return r
-
-    def challenge_mod(self, p: int) -> int:
-        return self._pop()
 
     def challenge_interval(self, lo: int, size: int) -> int:
         return self._pop()

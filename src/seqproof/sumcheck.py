@@ -222,7 +222,7 @@ class Conversation:
     def exchange(self, s: UniPoly) -> int:
         """Send a round polynomial; return the challenge that answers it."""
         self.challenges.absorb(TAG_SC_POLY, encode_poly(s))
-        r = self.challenges.challenge_mod(self.p)
+        r = self.challenges.challenge_interval(0, self.p)
         self.challenges.absorb(TAG_SC_CHALLENGE, encode_u64(r))
         return r
 

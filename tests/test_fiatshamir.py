@@ -131,7 +131,7 @@ def test_fiat_shamir_source_is_deterministic_and_order_sensitive():
         src = FiatShamirChallenges(TQBF_ORACLE)
         for tag, payload in order:
             src.absorb(tag, payload)
-        return src.challenge_mod(1009)
+        return src.challenge_interval(0, 1009)
 
     a = [(TAG_SC_CLAIM, b"one"), (TAG_SC_POLY, b"two")]
     assert run(a) == run(a)
@@ -143,7 +143,7 @@ def test_fiat_shamir_source_is_deterministic_and_order_sensitive():
 def test_fiat_shamir_challenges_chain():
     src = FiatShamirChallenges(TQBF_ORACLE)
     src.absorb(TAG_SC_CLAIM, b"start")
-    first = src.challenge_mod(1009)
+    first = src.challenge_interval(0, 1009)
     src.absorb(TAG_SC_CHALLENGE, encode_u64(first))
     second = src.challenge_interval(10, 50)
     assert 10 <= second < 60
@@ -160,8 +160,8 @@ def test_interactive_source_ignores_absorbs():
     a = InteractiveChallenges(5)
     b = InteractiveChallenges(random.Random(5))
     a.absorb(TAG_SC_CLAIM, b"noise")
-    draws_a = [a.challenge_mod(101), a.challenge_interval(20, 10)]
-    draws_b = [b.challenge_mod(101), b.challenge_interval(20, 10)]
+    draws_a = [a.challenge_interval(0, 101), a.challenge_interval(20, 10)]
+    draws_b = [b.challenge_interval(0, 101), b.challenge_interval(20, 10)]
     assert draws_a == draws_b
     assert 20 <= draws_a[1] < 30
 
@@ -169,10 +169,10 @@ def test_interactive_source_ignores_absorbs():
 def test_recorded_source_replays_then_runs_dry():
     src = RecordedChallenges([4, 9])
     src.absorb(TAG_SC_POLY, b"ignored")
-    assert src.challenge_mod(101) == 4
+    assert src.challenge_interval(0, 101) == 4
     assert src.challenge_interval(0, 101) == 9
     with pytest.raises(DecodeError, match="ran out"):
-        src.challenge_mod(101)
+        src.challenge_interval(0, 101)
 
 
 def test_mode_labels_distinct():
