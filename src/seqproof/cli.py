@@ -110,6 +110,8 @@ def _cmd_vdf_eval(args) -> int:
 def _cmd_vdf_open(args) -> int:
     pp = _read_params(args.pp)
     coin = args.challenge
+    if coin is not None:
+        pp.check_challenge(coin)  # before the T steps of the run
     challenges = FiatShamirChallenges(VDF_ORACLE) if coin is None else RecordedChallenges([coin])
     bundle = open_bundle(vdf_run(pp, args.input), args.input, challenges)
     save_bundle(args.proof, bundle)

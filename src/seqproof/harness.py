@@ -226,8 +226,6 @@ def exp_vdf_growth(
     eval.steps + open.steps <= 2T + lam + 1, verify.steps <= lam, and the
     opening verifies.  Wall times ride along for the growth curve.
     """
-    if max(log2_steps_list) > 22:
-        raise ValueError("step counts past 2^22 are out of scope")
     rows = []
     passed = True
     for log2_steps in log2_steps_list:

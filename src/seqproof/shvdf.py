@@ -32,7 +32,8 @@ MIN_SECURITY = 8
 MAX_STATE_BITS = 120
 # eval allocates one list entry per tape cell; tests and benchmarks use at most 32
 MAX_SPACE = 1 << 20
-DEFAULT_LOG2T_FACTOR = 1.0
+# a params file fixes the run length; past this, eval and open would run for hours
+MAX_STEPS = 1 << 22
 
 
 # ── parameters and the seeded machine ──────────────────────────────────────
@@ -77,6 +78,8 @@ class VdfParams:
             raise ValueError("final states would cover the whole state space")
         if self.num_steps <= self.lam:
             raise ValueError("step count must exceed the challenge window")
+        if self.num_steps > MAX_STEPS:
+            raise ValueError("step count must be at most 2^22")
         if self.space < 2:
             raise ValueError("need at least one work cell beyond the mark")
         if self.space > MAX_SPACE:
@@ -112,22 +115,20 @@ def vdf_setup(
     space: int,
     seed: bytes | str,
     state_bits: int | None = None,
-    max_log2_factor: float = DEFAULT_LOG2T_FACTOR,
 ) -> VdfParams:
     """Fix parameters for runs of 2**log2_steps steps.
 
-    The exponent is capped at max_log2_factor * lam so the run length stays
-    polynomial in the window size; raise the factor to go past it.
+    The exponent is capped at lam so the run length stays polynomial in the
+    window size, and the step count at MAX_STEPS.
     """
     if isinstance(seed, str):
         seed = seed.encode()
-    if log2_steps > max_log2_factor * lam:
-        raise ValueError(
-            f"log2 step count {log2_steps} exceeds {max_log2_factor} * lam; "
-            "pass a larger max_log2_factor to override"
-        )
+    if log2_steps > lam:
+        raise ValueError(f"log2 step count {log2_steps} exceeds lam = {lam}")
     bits = lam if state_bits is None else state_bits
-    return VdfParams(lam, 1 << log2_steps, space, bits, seed)
+    # one bit past MAX_STEPS is enough for VdfParams to refuse the count
+    num_steps = 1 << min(log2_steps, MAX_STEPS.bit_length())
+    return VdfParams(lam, num_steps, space, bits, seed)
 
 
 # ── outputs, proofs, verdicts ──────────────────────────────────────────────

@@ -1,7 +1,8 @@
 import pytest
 
+from seqproof import shvdf
 from seqproof.cli import main
-from seqproof.shvdf import MAX_SPACE, VdfParams, params_to_bytes
+from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
 FALSE_FORMULA = "p cnf 1 1\na 1 0\n1 0\n"
@@ -119,6 +120,28 @@ def test_vdf_open_bad_challenge(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_vdf_open_refuses_an_out_of_window_challenge_before_running(tmp_path, capsys, monkeypatch):
+    pp = str(tmp_path / "pp.bin")
+    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", "8",
+                 "--seed", "cli-demo", "--pp", pp]) == 0
+    stepped = []
+    run = shvdf.tm_run
+
+    def counted(*args, **kwargs):
+        result = run(*args, **kwargs)
+        stepped.append(result.steps)
+        return result
+
+    monkeypatch.setattr(shvdf, "tm_run", counted)
+    proof = str(tmp_path / "x.proof")
+    for coin in ("55", "64", "-1"):
+        assert main(["vdf", "open", "--pp", pp, "--input", "1", "--challenge", coin, "--proof", proof]) == 1
+        assert "outside [56, 63]" in capsys.readouterr().err
+    assert stepped == []
+    assert main(["vdf", "open", "--pp", pp, "--input", "1", "--challenge", "60", "--proof", proof]) == 0
+    assert sum(stepped) == 64
+
+
 def test_vdf_attack_cli(tmp_path, capsys):
     pp = str(tmp_path / "pp.bin")
     proof = str(tmp_path / "forged.proof")
@@ -157,6 +180,19 @@ def test_vdf_params_with_a_huge_tape_are_refused(tmp_path, capsys):
     pp.write_bytes(blob[:24] + (MAX_SPACE + 1).to_bytes(8, "big") + blob[32:])
     assert main(["vdf", "eval", "--pp", str(pp), "--input", "1"]) == 1
     assert "space must be at most" in capsys.readouterr().err
+
+
+def test_vdf_params_with_too_many_steps_are_refused(tmp_path, capsys):
+    # 2^62 steps would run for years; one step past the cap keeps an
+    # uncapped eval to milliseconds (this machine halts early and absorbs)
+    pp = tmp_path / "pp.bin"
+    blob = params_to_bytes(VdfParams(8, 64, 8, 8, b"s"))
+    # the step count is the third u64
+    pp.write_bytes(blob[:16] + (MAX_STEPS + 1).to_bytes(8, "big") + blob[24:])
+    assert main(["vdf", "eval", "--pp", str(pp), "--input", "1"]) == 1
+    assert "2^22" in capsys.readouterr().err
+    assert main(["vdf", "setup", "--lambda", "24", "--log2t", "23", "--space", "8",
+                 "--seed", "s", "--pp", str(pp)]) == 1
 
 
 def test_exp_min_vars(capsys):

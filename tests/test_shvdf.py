@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqproof.fiatshamir import DecodeError
 from seqproof.shvdf import (
+    MAX_STEPS,
     VdfParams,
     VdfProof,
     params_from_bytes,
@@ -62,8 +63,6 @@ def test_setup_guards():
         vdf_setup(4, 3, 4, b"s")
     with pytest.raises(ValueError, match="exceeds"):
         vdf_setup(8, 9, 4, b"s")
-    # the factor cap is adjustable
-    assert vdf_setup(8, 9, 4, b"s", max_log2_factor=2.0).num_steps == 512
     with pytest.raises(ValueError, match="exceed the challenge window"):
         vdf_setup(8, 3, 4, b"s")
     with pytest.raises(ValueError, match="state_bits"):
@@ -221,6 +220,19 @@ def test_params_decode_errors():
     patched = blob[:8] + (4).to_bytes(8, "big") + blob[16:]
     with pytest.raises(DecodeError, match="at least 8"):
         params_from_bytes(patched)
+
+
+def test_params_step_count_is_capped():
+    assert VdfParams(8, MAX_STEPS, 4, 8, b"s").num_steps == MAX_STEPS
+    with pytest.raises(ValueError, match="2\\^22"):
+        VdfParams(8, MAX_STEPS + 1, 4, 8, b"s")
+    with pytest.raises(ValueError, match="2\\^22"):
+        vdf_setup(40, 40, 4, b"s")
+    # the count is the third u64 of a params file
+    blob = params_to_bytes(GOLDEN)
+    for steps in (MAX_STEPS + 1, 1 << 62, (1 << 64) - 1):
+        with pytest.raises(DecodeError, match="2\\^22"):
+            params_from_bytes(blob[:16] + steps.to_bytes(8, "big") + blob[24:])
 
 
 def test_proof_roundtrip_frozen():
