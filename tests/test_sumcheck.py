@@ -10,7 +10,8 @@ from seqproof.fiatshamir import (
     InteractiveChallenges,
     TQBF_ORACLE,
 )
-from seqproof.qbf import eval_qbf_bruteforce, parse_qbf, random_qbf, sample_distinct_qbfs
+from seqproof.noninteractive import fs_prove_tqbf, fs_verify_tqbf
+from seqproof.qbf import Quantifier, eval_qbf_bruteforce, parse_qbf, random_qbf, sample_distinct_qbfs
 from seqproof.sumcheck import (
     ArithPoly,
     OpKind,
@@ -335,3 +336,36 @@ def test_compute_round_poly_matches_protocol_degrees():
     s0 = compute_round_poly(ops, 0, bindings, f, ALT_TRUE)
     assert s0.degree <= 1
     assert bindings == [None, None]  # restored
+
+
+def _integer_chain_value(formula) -> int:
+    """The chain over the integers: on Boolean points every Lin is the
+    identity, so it is the 0/1 matrix summed over each existential and
+    multiplied over each universal variable's branches."""
+
+    def value(point):
+        i = len(point)
+        if i == formula.num_vars:
+            return int(all(any(point[lit.var - 1] != lit.negated for lit in cl.literals) for cl in formula.clauses))
+        g0, g1 = value(point + (0,)), value(point + (1,))
+        return g0 + g1 if formula.quantifiers[i] is Quantifier.EXISTS else g0 * g1
+
+    return value(())
+
+
+def test_chain_value_matches_the_exact_integer_chain():
+    rng = random.Random(20221)
+    proved = 0
+    for _ in range(120):
+        f = random_qbf(rng, rng.randint(1, 8), rng.randint(1, 4))
+        exact = _integer_chain_value(f)
+        truth = eval_qbf_bruteforce(f)
+        assert (exact > 0) == truth
+        p = default_prime(f)
+        for _ in range(3):
+            assert chain_value(f, p) == exact % p
+            p = next_prime_at_least(p + 1)
+        if truth:
+            assert fs_verify_tqbf(f, fs_prove_tqbf(f)).accepted
+            proved += 1
+    assert proved >= 30
