@@ -32,7 +32,7 @@ MIN_SECURITY = 8
 MAX_STATE_BITS = 120
 # eval allocates one list entry per tape cell; tests and benchmarks use at most 32
 MAX_SPACE = 1 << 20
-# a params file fixes the run length; past this, eval and open would run for hours
+# a params file fixes how long eval and open run; this bounds it as MAX_SPACE bounds the tape
 MAX_STEPS = 1 << 22
 
 
