@@ -3,12 +3,17 @@
 Every protocol message is a (tag, payload) pair encoded as tag byte, 4-byte
 big-endian length, payload.  The encoding is injective, so hashing the
 concatenation commits to the whole conversation so far.
+
+A challenge source absorbs each message as its tag and a zero-argument
+encoder, and calls the encoder only if it reads the bytes: hashed challenges
+do, rng coins and replayed challenges do not.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .field import UniPoly
@@ -177,7 +182,7 @@ class InteractiveChallenges:
     def __init__(self, rng: random.Random | int):
         self.rng = rng if isinstance(rng, random.Random) else random.Random(rng)
 
-    def absorb(self, tag: int, payload: bytes) -> None:
+    def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
         pass
 
     def challenge_interval(self, lo: int, size: int) -> int:
@@ -191,8 +196,8 @@ class FiatShamirChallenges:
         self.spec = spec
         self._parts: list[bytes] = []
 
-    def absorb(self, tag: int, payload: bytes) -> None:
-        self._parts.append(encode_message(tag, payload))
+    def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
+        self._parts.append(encode_message(tag, encode()))
 
     def transcript_bytes(self) -> bytes:
         return b"".join(self._parts)
@@ -208,7 +213,7 @@ class RecordedChallenges:
         self._queue = list(challenges)
         self._next = 0
 
-    def absorb(self, tag: int, payload: bytes) -> None:
+    def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
         pass
 
     def _pop(self) -> int:

@@ -138,15 +138,9 @@ def exp_soundness(
 
 
 def _sum_worker(args: tuple[str, int, int, int]) -> int:
-    """Partial sum of the arithmetization over an assignment-index range."""
+    """Sum of the prover's cube table T_n over the index range [lo, hi)."""
     text, p, lo, hi = args
-    formula = parse_qbf(text)
-    f = arithmetize(formula, p)
-    n = formula.num_vars
-    total = 0
-    for idx in range(lo, hi):
-        total += f.evaluate([(idx >> i) & 1 for i in range(n)])
-    return total % p
+    return sum(arithmetize(parse_qbf(text), p).cube_values(lo, hi)) % p
 
 
 def exp_parallel_sum(

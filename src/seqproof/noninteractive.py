@@ -10,6 +10,7 @@ semantically broken payloads all raise DecodeError.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,8 +116,8 @@ class _Transcriber(RecordedChallenges):
         super().__init__(challenges)
         self.messages = [Message(TAG_MODE, mode.encode())]
 
-    def absorb(self, tag: int, payload: bytes) -> None:
-        self.messages.append(Message(tag, payload))
+    def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
+        self.messages.append(Message(tag, encode()))
 
 
 def transcript_to_messages(transcript: Transcript) -> list[Message]:
@@ -198,11 +199,11 @@ def _output_width(pp: VdfParams) -> int:
 
 def vdf_challenge(challenges, pp: VdfParams, x: str, output_value: int) -> int:
     """The opening schedule: parameters, input, output, then the challenge step drawn from them."""
-    challenges.absorb(TAG_VDF_PP, params_to_bytes(pp))
-    challenges.absorb(TAG_VDF_INPUT, x.encode())
-    challenges.absorb(TAG_VDF_OUTPUT, output_value.to_bytes(_output_width(pp), "big"))
+    challenges.absorb(TAG_VDF_PP, lambda: params_to_bytes(pp))
+    challenges.absorb(TAG_VDF_INPUT, x.encode)
+    challenges.absorb(TAG_VDF_OUTPUT, lambda: output_value.to_bytes(_output_width(pp), "big"))
     t = challenges.challenge_interval(pp.num_steps - pp.lam, pp.lam)
-    challenges.absorb(TAG_VDF_CHALLENGE, encode_u64(t))
+    challenges.absorb(TAG_VDF_CHALLENGE, lambda: encode_u64(t))
     return t
 
 

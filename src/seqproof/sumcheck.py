@@ -8,6 +8,13 @@ univariate polynomial and the verifier's work stays polynomial.
 
 Soundness rests on random verifier challenges; completeness is exact.  Three
 cheating provers are included to measure the soundness error empirically.
+
+The honest prover never re-evaluates the chain.  After each block's
+linearization pass the chain is the multilinear extension of a Boolean
+table, so it keeps the tables T_n (f on the cube) down to T_0 (the chain
+value), 2^(n+1) residues, and reads every round polynomial off them: O(n*2^n)
+table work, plus (3m+1)*2^n evaluations of f in the final block, where the
+raw matrix shows through.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .fiatshamir import (
 )
 from .qbf import Qbf, Quantifier, eval_qbf_bruteforce, to_qdimacs
 
-# reference evaluation is exponential in the quantifier count; keep it desk-scale
+# the prover stores 2^(n+1) residues and evaluates f (3m+2)*2^n times; keep it desk-scale
 MAX_PROTOCOL_VARS = 12
 
 
@@ -72,6 +79,7 @@ class ArithPoly:
             tuple((lit.var - 1, lit.negated) for lit in cl.literals)
             for cl in formula.clauses
         )
+        self._tables: list[list[int]] | None = None
 
     def evaluate(self, point) -> int:
         """Value at a full point; point[i-1] is the value bound to x_i."""
@@ -85,6 +93,36 @@ class ArithPoly:
                 miss = miss * (1 - lv) % p
             acc = acc * (1 - miss) % p
         return acc
+
+    def cube_values(self, lo: int, hi: int) -> list[int]:
+        """Values at the Boolean points with index lo..hi-1; bit i-1 of an
+        index is x_i."""
+        n = self.formula.num_vars
+        return [self.evaluate([(idx >> i) & 1 for i in range(n)]) for idx in range(lo, hi)]
+
+    def chain_tables(self) -> list[list[int]]:
+        """[T_0, ..., T_n], built on first use and kept.
+
+        T_n is f on the 2^n cube, indexed as in `cube_values`; T_{i-1} joins
+        the two halves of T_i (x_i = 0, x_i = 1) by sum for an existential
+        x_i, by product for a universal one.  T_i[b] is the chain after
+        block i's linearization pass at the Boolean point b, and T_0[0] is
+        the chain value.
+        """
+        if self._tables is None:
+            p = self.p
+            table = self.cube_values(0, 1 << self.formula.num_vars)
+            tables = [table]
+            for q in reversed(self.formula.quantifiers):
+                half = len(table) // 2
+                if q is Quantifier.EXISTS:
+                    table = [(a + b) % p for a, b in zip(table[:half], table[half:])]
+                else:
+                    table = [a * b % p for a, b in zip(table[:half], table[half:])]
+                tables.append(table)
+            tables.reverse()
+            self._tables = tables
+        return self._tables
 
 
 def arithmetize(formula: Qbf, p: int) -> ArithPoly:
@@ -122,12 +160,14 @@ def round_degree_bound(op: Operator, formula: Qbf) -> int:
 def eval_chain(ops, bindings, f: ArithPoly, start: int = 0) -> int:
     """Reference value of the operator suffix ops[start:] under bindings.
 
-    bindings is a mutable list with bindings[i-1] holding the current value of
-    x_i (None if unbound); it is restored before returning.  Sum and Prod bind
-    their variable to both Booleans; Lin combines the two Boolean branches
-    weighted by the current binding, collapsing to a single branch when that
-    binding is itself Boolean.  Cost is 2^(remaining quantifiers) evaluations
-    of f.
+    The reference oracle the tests check the prover's tables against; the
+    prover never calls it.  bindings is a mutable list with bindings[i-1]
+    holding the current value of x_i (None if unbound); it is restored before
+    returning.  Sum and Prod bind their variable to both Booleans; Lin
+    combines the two Boolean branches weighted by the current binding,
+    collapsing to a single branch when that binding is itself Boolean.  Each
+    operator at most doubles the work, so the cost is up to 2^(len(ops) -
+    start) evaluations of f, where the tables cost O(n*2^n) once.
     """
     if start == len(ops):
         return f.evaluate(bindings)
@@ -157,30 +197,76 @@ def eval_chain(ops, bindings, f: ArithPoly, start: int = 0) -> int:
 
 
 def chain_value(formula: Qbf, p: int) -> int:
-    """Value of the full chain mod p.
+    """Value of the full chain mod p, T_0[0] of the chain tables.
 
     Over the integers the chain is positive exactly when the formula is
     true, but each universal quantifier squares it, so a true formula's
     value can still be a multiple of p; `default_prime` steps past such p.
     """
-    f = arithmetize(formula, p)
-    ops = build_operator_chain(formula)
-    return eval_chain(ops, [None] * formula.num_vars, f)
+    return arithmetize(formula, p).chain_tables()[0][0]
+
+
+def _fold(table: list[int], rs, p: int) -> list[int]:
+    """Bind the lowest coordinates of a table's multilinear extension to rs,
+    lowest first; each binding halves the table."""
+    for r in rs:
+        table = [(a + r * (b - a)) % p for a, b in zip(table[0::2], table[1::2])]
+    return table
+
+
+def _eq_weights(rs, p: int) -> list[int]:
+    """eq(rs; c) = prod_k (rs[k] if c_k else 1 - rs[k]) for every Boolean c,
+    with c_k at bit k of the index."""
+    weights = [1]
+    for r in rs:
+        weights = [w * (1 - r) % p for w in weights] + [w * r % p for w in weights]
+    return weights
 
 
 def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> UniPoly:
     """Honest message for round k: the suffix after ops[k] as a univariate
-    polynomial in ops[k]'s variable, built by interpolation at 0..degree."""
+    polynomial in ops[k]'s variable, interpolated from its values at
+    0..degree, which are read off f's chain tables.
+
+    ops must be the formula's chain and bindings hold the challenges it has
+    drawn so far; they are not modified.  With r the bindings:
+    - Q_i: T_i with x_1..x_{i-1} folded to r gives the values at x_i = 0, 1.
+    - Lin x_j in block i < n: fold x_1..x_{j-1} of T_{i+1} to r, extend x_j
+      linearly to t = 0, 1, 2, join the x_{i+1} halves by Q_{i+1}, and sum
+      over x_{j+1..i} weighted by eq(r_{j+1..i}; .).
+    - Lin x_j in the final block: sum f(r_1..r_{j-1}, t, c) weighted by
+      eq(r_{j+1..n}; c) over Boolean c, at t = 0..3m.
+    Table work is O(2^(i+1)) per round; past building T_n, f is evaluated
+    only in the final block, (3m+1)*2^(n-j) times in the round at x_j.
+    """
     op = ops[k]
     d = round_degree_bound(op, formula)
-    i = op.var - 1
-    saved = bindings[i]
-    values = []
-    for t in range(d + 1):
-        bindings[i] = t
-        values.append(eval_chain(ops, bindings, f, k + 1))
-    bindings[i] = saved
-    return lagrange_interpolate(values, f.p)
+    p = f.p
+    i, j = op.block, op.var
+    if op.kind is not OpKind.LIN:
+        values = _fold(f.chain_tables()[i], bindings[: i - 1], p)
+    elif i < formula.num_vars:
+        folded = _fold(f.chain_tables()[i + 1], bindings[: j - 1], p)
+        half = len(folded) // 2  # x_{i+1} = 0 | x_{i+1} = 1
+        exists = formula.quantifiers[i] is Quantifier.EXISTS
+        values = [0] * (d + 1)
+        for c, w in enumerate(_eq_weights(bindings[j:i], p)):
+            a0, a1 = folded[2 * c], folded[2 * c + 1]
+            b0, b1 = folded[half + 2 * c], folded[half + 2 * c + 1]
+            for t in range(d + 1):
+                u, v = a0 + t * (a1 - a0), b0 + t * (b1 - b0)
+                values[t] += w * (u + v if exists else u * v)
+    else:
+        n = formula.num_vars
+        point = list(bindings)
+        values = [0] * (d + 1)
+        for c, w in enumerate(_eq_weights(bindings[j:], p)):
+            for b in range(j, n):
+                point[b] = (c >> (b - j)) & 1
+            for t in range(d + 1):
+                point[j - 1] = t
+                values[t] += w * f.evaluate(point)
+    return lagrange_interpolate(values, p)  # reduces the sums mod p
 
 
 # ── transcripts ────────────────────────────────────────────────────────────
@@ -210,20 +296,21 @@ class Conversation:
     chain operator gets the prover's polynomial and the challenge drawn after
     it.  The challenge source absorbs each message in this order, and a
     transcript file stores exactly these messages after its mode message.
+    A message is encoded only if the source reads it.
     """
 
     def __init__(self, challenges, formula: Qbf, p: int, claim: int):
         self.challenges = challenges
         self.p = p
-        challenges.absorb(TAG_SC_PRIME, encode_u64(p))
-        challenges.absorb(TAG_SC_FORMULA, to_qdimacs(formula).encode())
-        challenges.absorb(TAG_SC_CLAIM, encode_u64(claim))
+        challenges.absorb(TAG_SC_PRIME, lambda: encode_u64(p))
+        challenges.absorb(TAG_SC_FORMULA, lambda: to_qdimacs(formula).encode())
+        challenges.absorb(TAG_SC_CLAIM, lambda: encode_u64(claim))
 
     def exchange(self, s: UniPoly) -> int:
         """Send a round polynomial; return the challenge that answers it."""
-        self.challenges.absorb(TAG_SC_POLY, encode_poly(s))
+        self.challenges.absorb(TAG_SC_POLY, lambda: encode_poly(s))
         r = self.challenges.challenge_interval(0, self.p)
-        self.challenges.absorb(TAG_SC_CHALLENGE, encode_u64(r))
+        self.challenges.absorb(TAG_SC_CHALLENGE, lambda: encode_u64(r))
         return r
 
 
@@ -286,7 +373,7 @@ class HonestProver:
         self.f = arithmetize(formula, p)
         self.ops = build_operator_chain(formula)
         self.bindings: list[int | None] = [None] * formula.num_vars
-        self.honest_value = eval_chain(self.ops, self.bindings, self.f)
+        self.honest_value = self.f.chain_tables()[0][0]
 
     def claimed_value(self) -> int:
         return self.honest_value

@@ -130,7 +130,7 @@ def test_fiat_shamir_source_is_deterministic_and_order_sensitive():
     def run(order):
         src = FiatShamirChallenges(TQBF_ORACLE)
         for tag, payload in order:
-            src.absorb(tag, payload)
+            src.absorb(tag, lambda: payload)
         return src.challenge_interval(0, 1009)
 
     a = [(TAG_SC_CLAIM, b"one"), (TAG_SC_POLY, b"two")]
@@ -142,9 +142,9 @@ def test_fiat_shamir_source_is_deterministic_and_order_sensitive():
 
 def test_fiat_shamir_challenges_chain():
     src = FiatShamirChallenges(TQBF_ORACLE)
-    src.absorb(TAG_SC_CLAIM, b"start")
+    src.absorb(TAG_SC_CLAIM, lambda: b"start")
     first = src.challenge_interval(0, 1009)
-    src.absorb(TAG_SC_CHALLENGE, encode_u64(first))
+    src.absorb(TAG_SC_CHALLENGE, lambda: encode_u64(first))
     second = src.challenge_interval(10, 50)
     assert 10 <= second < 60
     assert ro_challenge(
@@ -159,7 +159,7 @@ def test_fiat_shamir_challenges_chain():
 def test_interactive_source_ignores_absorbs():
     a = InteractiveChallenges(5)
     b = InteractiveChallenges(random.Random(5))
-    a.absorb(TAG_SC_CLAIM, b"noise")
+    a.absorb(TAG_SC_CLAIM, lambda: b"noise")
     draws_a = [a.challenge_interval(0, 101), a.challenge_interval(20, 10)]
     draws_b = [b.challenge_interval(0, 101), b.challenge_interval(20, 10)]
     assert draws_a == draws_b
@@ -168,7 +168,7 @@ def test_interactive_source_ignores_absorbs():
 
 def test_recorded_source_replays_then_runs_dry():
     src = RecordedChallenges([4, 9])
-    src.absorb(TAG_SC_POLY, b"ignored")
+    src.absorb(TAG_SC_POLY, lambda: b"ignored")
     assert src.challenge_interval(0, 101) == 4
     assert src.challenge_interval(0, 101) == 9
     with pytest.raises(DecodeError, match="ran out"):

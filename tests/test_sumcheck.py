@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from seqproof.field import UniPoly, next_prime_at_least
+from seqproof.field import UniPoly, lagrange_interpolate, next_prime_at_least
 from seqproof.fiatshamir import (
     FiatShamirChallenges,
     InteractiveChallenges,
@@ -28,6 +28,7 @@ from seqproof.sumcheck import (
     sumcheck_prove,
     sumcheck_verify,
     HonestProver,
+    _WrongClaimProver,
 )
 
 EXISTS_TAUT = parse_qbf("p cnf 1 1\ne 1 0\n1 0\n")
@@ -369,3 +370,80 @@ def test_chain_value_matches_the_exact_integer_chain():
             assert fs_verify_tqbf(f, fs_prove_tqbf(f)).accepted
             proved += 1
     assert proved >= 30
+
+
+def _reference_round_poly(ops, k, bindings, f, formula) -> UniPoly:
+    """The round polynomial interpolated from the recursive chain at 0..d."""
+    i = ops[k].var - 1
+    point = list(bindings)
+    values = []
+    for t in range(round_degree_bound(ops[k], formula) + 1):
+        point[i] = t
+        values.append(eval_chain(ops, point, f, k + 1))
+    return lagrange_interpolate(values, f.p)
+
+
+def test_round_polys_from_tables_match_the_recursive_chain():
+    rng = random.Random(5150)
+    rounds = 0
+    for n in [1, 2, 3, 4, 5, 6, 7] * 2:
+        formula = random_qbf(rng, n, rng.randint(1, 4))
+        ops = build_operator_chain(formula)
+        p = default_prime(formula)
+        for _ in range(3):
+            for session in (HonestProver(formula, p), _WrongClaimProver(formula, p)):
+                coins = InteractiveChallenges(rng.randrange(2**32))
+                for k in range(len(ops)):
+                    before = list(session.bindings)
+                    s = compute_round_poly(ops, k, session.bindings, session.f, formula)
+                    assert session.bindings == before
+                    assert s == _reference_round_poly(ops, k, before, session.f, formula), (formula, p, k)
+                    session.round_poly(k)
+                    session.receive_challenge(k, coins.challenge_interval(0, p))
+                    rounds += 1
+            p = next_prime_at_least(p + 1)
+    assert rounds > 1000
+
+
+def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
+    # T_n takes 2^n evaluations and the final block (3m+1)*(2^n - 1)
+    n, m = 10, 8
+    rng = random.Random(1010)
+    formula = random_qbf(rng, n, m)
+    while not eval_qbf_bruteforce(formula):
+        formula = random_qbf(rng, n, m)
+    p = next_prime_at_least((1 << n) * 3**m)
+    calls = 0
+    evaluate = ArithPoly.evaluate
+
+    def counted(self, point):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ArithPoly, "evaluate", counted)
+    t = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
+    assert calls <= (3 * m + 2) << n
+    monkeypatch.undo()
+    assert t.claimed_value != 0
+    assert sumcheck_verify(formula, p, t).accepted
+
+
+def test_coin_sources_never_render_the_conversation(monkeypatch):
+    import seqproof.sumcheck as sc
+
+    rendered = []
+    to_qdimacs = sc.to_qdimacs
+
+    def counted(formula):
+        rendered.append(formula)
+        return to_qdimacs(formula)
+
+    monkeypatch.setattr(sc, "to_qdimacs", counted)
+    t = sumcheck_prove(ALT_TRUE, 37, InteractiveChallenges(3))
+    assert sumcheck_verify(ALT_TRUE, 37, t).accepted
+    t = cheat_prover("wrong-claim", ALT_TRUE, 37, InteractiveChallenges(3))
+    sumcheck_verify(ALT_TRUE, 37, t)
+    assert rendered == []
+    assert sumcheck_verify(ALT_TRUE, 37, sumcheck_prove(ALT_TRUE, 37, FiatShamirChallenges(TQBF_ORACLE))).accepted
+    assert rendered == [ALT_TRUE, ALT_TRUE]
