@@ -13,8 +13,11 @@ The honest prover never re-evaluates the chain.  After each block's
 linearization pass the chain is the multilinear extension of a Boolean
 table, so it keeps the tables T_n (f on the cube) down to T_0 (the chain
 value), 2^(n+1) residues, and reads every round polynomial off them: O(n*2^n)
-table work, plus (3m+1)*2^n evaluations of f in the final block, where the
-raw matrix shows through.
+table work, plus clause products in the final block, where the raw matrix
+shows through.  Building T_n takes m*2^n clause products; the final-block
+round at x_j takes, for each Boolean suffix c, one product of the clauses
+without x_j and d_j+1 products of the clauses with it, where d_j is the
+number of literal occurrences of x_j and the round polynomial's true degree.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .fiatshamir import (
 )
 from .qbf import Qbf, Quantifier, eval_qbf_bruteforce, to_qdimacs
 
-# the prover stores 2^(n+1) residues and evaluates f (3m+2)*2^n times; keep it desk-scale
+# the prover stores 2^(n+1) residues and multiplies O(m^2*2^n) clauses; keep it desk-scale
 MAX_PROTOCOL_VARS = 12
 
 
@@ -79,20 +82,40 @@ class ArithPoly:
             tuple((lit.var - 1, lit.negated) for lit in cl.literals)
             for cl in formula.clauses
         )
+        self._splits: dict[int, tuple] = {}
         self._tables: list[list[int]] | None = None
 
-    def evaluate(self, point) -> int:
-        """Value at a full point; point[i-1] is the value bound to x_i."""
+    def product(self, clauses, point) -> int:
+        """Product of the given clauses' factors at a point; point[i-1] is
+        the value bound to x_i.  Stops at the first zero factor."""
         p = self.p
         acc = 1
-        for cl in self._clauses:
+        for cl in clauses:
             miss = 1
             for idx, neg in cl:
                 v = point[idx]
-                lv = (1 - v) if neg else v
-                miss = miss * (1 - lv) % p
+                miss = miss * (v if neg else 1 - v) % p
             acc = acc * (1 - miss) % p
+            if not acc:
+                return 0
         return acc
+
+    def evaluate(self, point) -> int:
+        """Value at a full point; point[i-1] is the value bound to x_i."""
+        return self.product(self._clauses, point)
+
+    def split(self, var: int) -> tuple:
+        """(clauses that contain x_var, the other clauses, degree in x_var),
+        built on first use per variable.  The degree bound counts every
+        literal occurrence of x_var, the repeats of a padded clause too."""
+        if var not in self._splits:
+            idx = var - 1
+            varying, fixed = [], []
+            for cl in self._clauses:
+                (varying if any(i == idx for i, _ in cl) else fixed).append(cl)
+            degree = sum(i == idx for cl in varying for i, _ in cl)
+            self._splits[var] = (tuple(varying), tuple(fixed), degree)
+        return self._splits[var]
 
     def cube_values(self, lo: int, hi: int) -> list[int]:
         """Values at the Boolean points with index lo..hi-1; bit i-1 of an
@@ -157,45 +180,6 @@ def round_degree_bound(op: Operator, formula: Qbf) -> int:
     return 2
 
 
-def eval_chain(ops, bindings, f: ArithPoly, start: int = 0) -> int:
-    """Reference value of the operator suffix ops[start:] under bindings.
-
-    The reference oracle the tests check the prover's tables against; the
-    prover never calls it.  bindings is a mutable list with bindings[i-1]
-    holding the current value of x_i (None if unbound); it is restored before
-    returning.  Sum and Prod bind their variable to both Booleans; Lin
-    combines the two Boolean branches weighted by the current binding,
-    collapsing to a single branch when that binding is itself Boolean.  Each
-    operator at most doubles the work, so the cost is up to 2^(len(ops) -
-    start) evaluations of f, where the tables cost O(n*2^n) once.
-    """
-    if start == len(ops):
-        return f.evaluate(bindings)
-    p = f.p
-    op = ops[start]
-    i = op.var - 1
-    saved = bindings[i]
-    if op.kind is OpKind.LIN:
-        if saved is None:
-            raise ValueError(f"Lin over unbound variable x{op.var}")
-        if saved == 0 or saved == 1:
-            return eval_chain(ops, bindings, f, start + 1)
-        bindings[i] = 0
-        g0 = eval_chain(ops, bindings, f, start + 1)
-        bindings[i] = 1
-        g1 = eval_chain(ops, bindings, f, start + 1)
-        bindings[i] = saved
-        return (saved * g1 + (1 - saved) * g0) % p
-    bindings[i] = 0
-    g0 = eval_chain(ops, bindings, f, start + 1)
-    bindings[i] = 1
-    g1 = eval_chain(ops, bindings, f, start + 1)
-    bindings[i] = saved
-    if op.kind is OpKind.SUM:
-        return (g0 + g1) % p
-    return g0 * g1 % p
-
-
 def chain_value(formula: Qbf, p: int) -> int:
     """Value of the full chain mod p, T_0[0] of the chain tables.
 
@@ -235,12 +219,16 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
       linearly to t = 0, 1, 2, join the x_{i+1} halves by Q_{i+1}, and sum
       over x_{j+1..i} weighted by eq(r_{j+1..i}; .).
     - Lin x_j in the final block: sum f(r_1..r_{j-1}, t, c) weighted by
-      eq(r_{j+1..n}; c) over Boolean c, at t = 0..3m.
-    Table work is O(2^(i+1)) per round; past building T_n, f is evaluated
-    only in the final block, (3m+1)*2^(n-j) times in the round at x_j.
+      eq(r_{j+1..n}; c) over Boolean c, at t = 0..d_j, where d_j counts the
+      literal occurrences of x_j (its true degree, at most 3m).  Only the
+      clauses that contain x_j vary with t: per c, the other clauses are
+      multiplied once, and c is skipped when their product is 0.
+    Table work is O(2^(i+1)) per round.  Past building T_n (m*2^n clause
+    products), clauses are multiplied only in the final block: in the round
+    at x_j, for each of the 2^(n-j) suffixes c, one product of the clauses
+    without x_j and d_j+1 products of the clauses with it.
     """
     op = ops[k]
-    d = round_degree_bound(op, formula)
     p = f.p
     i, j = op.block, op.var
     if op.kind is not OpKind.LIN:
@@ -249,6 +237,7 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
         folded = _fold(f.chain_tables()[i + 1], bindings[: j - 1], p)
         half = len(folded) // 2  # x_{i+1} = 0 | x_{i+1} = 1
         exists = formula.quantifiers[i] is Quantifier.EXISTS
+        d = round_degree_bound(op, formula)
         values = [0] * (d + 1)
         for c, w in enumerate(_eq_weights(bindings[j:i], p)):
             a0, a1 = folded[2 * c], folded[2 * c + 1]
@@ -258,14 +247,18 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
                 values[t] += w * (u + v if exists else u * v)
     else:
         n = formula.num_vars
+        varying, fixed, d = f.split(j)
         point = list(bindings)
         values = [0] * (d + 1)
         for c, w in enumerate(_eq_weights(bindings[j:], p)):
             for b in range(j, n):
                 point[b] = (c >> (b - j)) & 1
+            w = w * f.product(fixed, point) % p
+            if not w:
+                continue
             for t in range(d + 1):
                 point[j - 1] = t
-                values[t] += w * f.evaluate(point)
+                values[t] += w * f.product(varying, point)
     return lagrange_interpolate(values, p)  # reduces the sums mod p
 
 

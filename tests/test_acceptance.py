@@ -201,15 +201,13 @@ def test_criterion_07_vdf_cost_model(capsys):
     report = exp_vdf_growth(lam=16, log2_steps_list=(10, 11, 12, 13, 14), space=32, seed=707)
     rows = report.metrics["rows"]
     exact = all(r["eval_steps"] == 2 ** r["log2_steps"] for r in rows)
-    bounded = all(
-        r["eval_steps"] + r["open_steps"] <= 2 * 2 ** r["log2_steps"] + 16 + 1 for r in rows
-    )
-    ok = report.passed and exact and bounded
+    opened = all(r["open_steps"] == 2 ** r["log2_steps"] for r in rows)
+    ok = report.passed and exact and opened
     _report(
         capsys,
         7,
         ok,
-        f"eval counter == T exactly: {exact}; eval+open <= 2T+lam+1: {bounded} "
+        f"eval counter == T exactly: {exact}; open counter == T exactly: {opened} "
         f"(T=2^10..2^14)",
     )
 

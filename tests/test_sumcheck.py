@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chain_oracle import eval_chain
 from seqproof.field import UniPoly, lagrange_interpolate, next_prime_at_least
 from seqproof.fiatshamir import (
     FiatShamirChallenges,
@@ -23,7 +24,6 @@ from seqproof.sumcheck import (
     cheat_prover,
     compute_round_poly,
     default_prime,
-    eval_chain,
     round_degree_bound,
     sumcheck_prove,
     sumcheck_verify,
@@ -405,13 +405,50 @@ def test_round_polys_from_tables_match_the_recursive_chain():
     assert rounds > 1000
 
 
-def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
-    # T_n takes 2^n evaluations and the final block (3m+1)*(2^n - 1)
-    n, m = 10, 8
-    rng = random.Random(1010)
+NO_OCCURRENCE = parse_qbf("p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 3 0\n-1 3 0\n")  # x2 in no clause
+TAUTOLOGY = parse_qbf("p cnf 3 2\na 1 0\ne 2 0\ne 3 0\n1 -1 2 0\n-2 3 1 0\n")  # x1 and not x1 in clause 1
+PADDED = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n2 0\n-1 2 0\n")  # clauses (x2, x2, x2), (not x1, x2, x2)
+
+
+@pytest.mark.parametrize(
+    "formula, var, degree",
+    [(NO_OCCURRENCE, 2, 0), (TAUTOLOGY, 1, 3), (PADDED, 2, 5)],
+    ids=["no-occurrence", "tautology", "padded"],
+)
+def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
+    # the final block interpolates at 0..d_j, d_j counting every literal
+    # occurrence of x_j; the reference interpolates the chain at 0..3m
+    n = formula.num_vars
+    ops = build_operator_chain(formula)
+    p = default_prime(formula)
+    assert ArithPoly(formula, p).split(var)[2] == degree
+    rounds = 0
+    for seed in range(4):
+        session = HonestProver(formula, p)
+        coins = InteractiveChallenges(seed)
+        for k, op in enumerate(ops):
+            if op.kind is OpKind.LIN and op.block == n:
+                s = compute_round_poly(ops, k, session.bindings, session.f, formula)
+                assert s.degree <= session.f.split(op.var)[2]
+                assert s == _reference_round_poly(ops, k, session.bindings, session.f, formula), (seed, k)
+                rounds += 1
+            session.round_poly(k)
+            session.receive_challenge(k, coins.challenge_interval(0, p))
+    assert rounds == 4 * n
+
+
+def _true_formula(n, m, seed):
+    rng = random.Random(seed)
     formula = random_qbf(rng, n, m)
     while not eval_qbf_bruteforce(formula):
         formula = random_qbf(rng, n, m)
+    return formula
+
+
+def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
+    # T_n takes 2^n evaluations; the final block multiplies clauses directly
+    n, m = 10, 8
+    formula = _true_formula(n, m, 1010)
     p = next_prime_at_least((1 << n) * 3**m)
     calls = 0
     evaluate = ArithPoly.evaluate
@@ -423,9 +460,30 @@ def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
 
     monkeypatch.setattr(ArithPoly, "evaluate", counted)
     t = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
-    assert calls <= (3 * m + 2) << n
+    assert calls <= 1 << n
     monkeypatch.undo()
     assert t.claimed_value != 0
+    assert sumcheck_verify(formula, p, t).accepted
+
+
+def test_prover_multiplies_clauses_within_budget(monkeypatch):
+    # T_n multiplies m*2^n clauses; per suffix c, the final block multiplies
+    # the clauses without x_j once and the few with x_j at d_j+1 nodes
+    n, m = 10, 8
+    formula = _true_formula(n, m, 1010)
+    p = next_prime_at_least((1 << n) * 3**m)
+    clauses = 0
+    product = ArithPoly.product
+
+    def counted(self, cls, point):
+        nonlocal clauses
+        clauses += len(cls)
+        return product(self, cls, point)
+
+    monkeypatch.setattr(ArithPoly, "product", counted)
+    t = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
+    assert clauses <= 3 * m << n
+    monkeypatch.undo()
     assert sumcheck_verify(formula, p, t).accepted
 
 
