@@ -16,8 +16,8 @@ value), 2^(n+1) residues, and reads every round polynomial off them: O(n*2^n)
 table work, plus clause products in the final block, where the raw matrix
 shows through.  Building T_n takes m*2^n clause products; the final-block
 round at x_j takes, for each Boolean suffix c, one product of the clauses
-without x_j and d_j+1 products of the clauses with it, where d_j is the
-number of literal occurrences of x_j and the round polynomial's true degree.
+without x_j and d_j+1 products of the clauses with it, where d_j, the
+number of literal occurrences of x_j, bounds the round polynomial's degree.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
       over x_{j+1..i} weighted by eq(r_{j+1..i}; .).
     - Lin x_j in the final block: sum f(r_1..r_{j-1}, t, c) weighted by
       eq(r_{j+1..n}; c) over Boolean c, at t = 0..d_j, where d_j counts the
-      literal occurrences of x_j (its true degree, at most 3m).  Only the
+      literal occurrences of x_j (a degree bound, at most 3m).  Only the
       clauses that contain x_j vary with t: per c, the other clauses are
       multiplied once, and c is skipped when their product is 0.
     Table work is O(2^(i+1)) per round.  Past building T_n (m*2^n clause
