@@ -12,7 +12,7 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import MODE_FIAT_SHAMIR, VDF_ORACLE, DecodeError, FiatShamirChallenges
+from .fiatshamir import VDF_ORACLE, DecodeError, FiatShamirChallenges
 from .fiatshamir import InteractiveChallenges, RecordedChallenges
 from .harness import (
     exp_attack,
@@ -24,7 +24,6 @@ from .harness import (
 from .noninteractive import (
     fs_prove_tqbf,
     fs_vdf_verify,
-    fs_verify_tqbf,
     load_bundle,
     load_transcript,
     open_bundle,
@@ -77,10 +76,7 @@ def _cmd_prove_tqbf(args) -> int:
 def _cmd_verify_tqbf(args) -> int:
     formula = _read_formula(getattr(args, "in"))
     transcript = load_transcript(args.transcript)
-    if transcript.mode == MODE_FIAT_SHAMIR:
-        verdict = fs_verify_tqbf(formula, transcript)
-    else:
-        verdict = sumcheck_verify(formula, transcript.p, transcript)
+    verdict = sumcheck_verify(formula, transcript.p, transcript)
     if verdict.accepted:
         print("accepted")
         return 0

@@ -141,34 +141,25 @@ def decode_poly(data: bytes, p: int) -> UniPoly:
     return UniPoly(coeffs, p)
 
 
-def decode_residue(data: bytes, p: int) -> int:
-    v = decode_u64(data)
-    if v >= p:
-        raise DecodeError("residue outside the field")
-    return v
-
-
 # ── random oracle ──────────────────────────────────────────────────────────
 
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Hash algorithm plus domain separator; distinct protocols never share one."""
+    """SHA-256 under a domain separator; distinct protocols never share one."""
 
-    algorithm: str = "sha256"
-    domain_separator: bytes = b""
+    domain_separator: bytes
 
 
-TQBF_ORACLE = OracleSpec("sha256", b"TQBF-SC-v1")
-VDF_ORACLE = OracleSpec("sha256", b"SHVDF-v1")
+TQBF_ORACLE = OracleSpec(b"TQBF-SC-v1")
+VDF_ORACLE = OracleSpec(b"SHVDF-v1")
 
 
 def ro_challenge(spec: OracleSpec, transcript: bytes, size: int, lo: int = 0) -> int:
     """Deterministic challenge in [lo, lo+size) from the transcript so far."""
     if not 1 <= size < MAX_CHALLENGE_RANGE:
         raise ValueError(f"challenge range size {size} out of bounds")
-    h = hashlib.new(spec.algorithm)
-    h.update(spec.domain_separator)
+    h = hashlib.sha256(spec.domain_separator)
     h.update(transcript)
     return lo + int.from_bytes(h.digest(), "big") % size
 

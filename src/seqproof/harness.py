@@ -26,14 +26,17 @@ from .shvdf import (
     vdf_verify,
 )
 from .sumcheck import (
-    arithmetize,
+    ArithPoly,
     chain_value,
+    check_statement,
     cheat_prover,
     sumcheck_prove,
     sumcheck_verify,
 )
 
 DEFAULT_STRATEGIES = ("wrong-claim", "constant-poly", "random-round")
+# exp_parallel_sum starts one process pool of each size it is given
+MAX_WORKERS = 64
 
 
 @dataclass
@@ -77,8 +80,7 @@ def exp_soundness(
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful rate")
-    if isinstance(strategies, str):
-        strategies = (strategies,)
+    check_statement(n, m, p)  # before any m-clause formula is drawn
     bound = soundness_bound(n, m, p)
     sigma = math.sqrt(bound * (1 - bound) / trials)
     threshold = bound + 3 * sigma
@@ -140,7 +142,7 @@ def exp_soundness(
 def _sum_worker(args: tuple[str, int, int, int]) -> int:
     """Sum of the prover's cube table T_n over the index range [lo, hi)."""
     text, p, lo, hi = args
-    return sum(arithmetize(parse_qbf(text), p).cube_values(lo, hi)) % p
+    return sum(ArithPoly(parse_qbf(text), p).cube_values(lo, hi)) % p
 
 
 def exp_parallel_sum(
@@ -148,28 +150,21 @@ def exp_parallel_sum(
     num_clauses: int = 12,
     workers_list=(1, 2, 4, 8),
     seed: int = 0,
-    p: int | None = None,
-    poly=None,
 ) -> ExperimentReport:
     """The prover's cube sums split across processes without changing a bit.
 
-    Sums the arithmetized formula over all 2^num_vars Boolean points with
-    each worker count and checks the results agree exactly; the wall-clock
-    speedup is reported but not gated, since it depends on the host.  Pass
-    an ArithPoly as `poly` to sum a specific formula instead of a seeded
-    random one.
+    Sums a seeded random formula's arithmetization over all 2^num_vars
+    Boolean points with each worker count and checks the results agree
+    exactly; the wall-clock speedup is reported but not gated, since it
+    depends on the host.  Every worker count is checked before any pool
+    starts.
     """
-    if poly is not None:
-        num_vars = poly.formula.num_vars
-        num_clauses = poly.formula.num_clauses
-        p = poly.p
-        text = to_qdimacs(poly.formula)
-    else:
-        if p is None:
-            p = next_prime_at_least(1 << 30)
-        text = to_qdimacs(random_qbf(random.Random(seed), num_vars, num_clauses))
     if num_vars > 20:
         raise ValueError("cube sums past 2^20 points are out of scope")
+    if any(not 1 <= w <= MAX_WORKERS for w in workers_list):
+        raise ValueError(f"worker counts must be in 1..{MAX_WORKERS}")
+    p = next_prime_at_least(1 << 30)
+    text = to_qdimacs(random_qbf(random.Random(seed), num_vars, num_clauses))
     total_points = 1 << num_vars
     sums: dict[int, int] = {}
     seconds: dict[int, float] = {}

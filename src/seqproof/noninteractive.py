@@ -94,19 +94,14 @@ def fs_prove_tqbf(formula: Qbf, p: int | None = None) -> Transcript:
     return sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
 
 
-def fs_verify_tqbf(formula: Qbf, transcript: Transcript, p: int | None = None) -> Verdict:
+def fs_verify_tqbf(formula: Qbf, transcript: Transcript) -> Verdict:
     """Re-derive every challenge from the hash and check the transcript.
 
     The prime travels with the transcript; an inadmissible one (wrong size,
-    composite) rejects rather than raising.  Recorded challenges that do not
-    match the re-derived ones reject, so interactive transcripts fail here.
+    composite) rejects.  Recorded challenges that do not match the
+    re-derived ones reject, so interactive transcripts fail here.
     """
-    if p is None:
-        p = transcript.p
-    try:
-        return sumcheck_verify(formula, p, transcript, FiatShamirChallenges(TQBF_ORACLE))
-    except ValueError:
-        return Verdict(False, "statement-mismatch")
+    return sumcheck_verify(formula, transcript.p, transcript, FiatShamirChallenges(TQBF_ORACLE))
 
 
 class _Transcriber(RecordedChallenges):
@@ -205,11 +200,6 @@ def vdf_challenge(challenges, pp: VdfParams, x: str, output_value: int) -> int:
     t = challenges.challenge_interval(pp.num_steps - pp.lam, pp.lam)
     challenges.absorb(TAG_VDF_CHALLENGE, lambda: encode_u64(t))
     return t
-
-
-def fs_vdf_challenge(pp: VdfParams, x: str, output_value: int) -> int:
-    """Hash parameters, input and output into a challenge step."""
-    return vdf_challenge(FiatShamirChallenges(VDF_ORACLE), pp, x, output_value)
 
 
 def open_bundle(run: VdfRun, x: str, challenges) -> VdfBundle:

@@ -167,9 +167,7 @@ class VdfVerdict:
 
 def vdf_eval(pp: VdfParams, x: str) -> VdfOutput:
     """Run the machine on input x for the full step count."""
-    config = initial_configuration(x, pp.space)
-    res = tm_run(pp.machine(), config, pp.num_steps)
-    return VdfOutput(res.config.state, res.steps)
+    return vdf_run(pp, x).output
 
 
 def vdf_open(pp: VdfParams, x: str, t: int) -> VdfProof:
@@ -217,12 +215,11 @@ def sample_challenge(pp: VdfParams, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class VdfRun:
-    """A claimed run's last `lam` steps, recorded from `start_state` on
-    (entry j of `states` and `scanned` is j steps in), plus its responder."""
+    """A claimed run's last `lam` steps (entry j of `states` and `scanned` is
+    j steps into the window, entry 0 its start), plus its responder."""
 
     params: VdfParams
     output: VdfOutput
-    start_state: int
     states: tuple[int, ...]
     scanned: tuple[int, ...]
     steps: int
@@ -235,12 +232,16 @@ class VdfRun:
 
 
 def _record_window(pp: VdfParams, config: TmConfiguration, unrecorded: int) -> VdfRun:
+    """Run `unrecorded` steps, then lam single steps, reading the state and
+    the scanned symbol before the first and after each one."""
     desc = pp.machine()
-    prefix = tm_run(desc, config, unrecorded)
-    window = tm_run(desc, config, pp.lam, record_trace=True)
-    steps = prefix.steps + window.steps
-    states, scanned = tuple(window.trace.states), tuple(window.trace.scanned)
-    return VdfRun(pp, VdfOutput(config.state, steps), states[0], states, scanned, steps)
+    steps = tm_run(desc, config, unrecorded).steps
+    states, scanned = [config.state], [config.tape[config.head]]
+    for _ in range(pp.lam):
+        steps += tm_run(desc, config, 1).steps
+        states.append(config.state)
+        scanned.append(config.tape[config.head])
+    return VdfRun(pp, VdfOutput(config.state, steps), tuple(states), tuple(scanned), steps)
 
 
 def vdf_run(pp: VdfParams, x: str) -> VdfRun:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .field import UniPoly, check_prime, lagrange_interpolate, next_prime_at_least, sqrt_mod
+from .field import MAX_PRIME, UniPoly, check_prime, lagrange_interpolate, next_prime_at_least, sqrt_mod
 from .fiatshamir import (
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
@@ -148,10 +148,6 @@ class ArithPoly:
         return self._tables
 
 
-def arithmetize(formula: Qbf, p: int) -> ArithPoly:
-    return ArithPoly(formula, p)
-
-
 def build_operator_chain(formula: Qbf) -> tuple[Operator, ...]:
     """Quantifier for x_i, then re-linearization of x_1..x_i, for each i.
 
@@ -187,7 +183,7 @@ def chain_value(formula: Qbf, p: int) -> int:
     true, but each universal quantifier squares it, so a true formula's
     value can still be a multiple of p; `default_prime` steps past such p.
     """
-    return arithmetize(formula, p).chain_tables()[0][0]
+    return ArithPoly(formula, p).chain_tables()[0][0]
 
 
 def _fold(table: list[int], rs, p: int) -> list[int]:
@@ -316,22 +312,33 @@ class Verdict:
         return self.accepted
 
 
-def _check_statement(formula: Qbf, p: int) -> None:
-    """The one check of a statement's modulus; every prover and the verifier
-    call it, so the arithmetic after it works on plain ints mod p."""
-    if formula.num_vars > MAX_PROTOCOL_VARS:
+def check_statement(n: int, m: int, p: int | None = None) -> int:
+    """The one size check of a statement with n variables and m clauses;
+    returns 2^n*3^m, the least admissible prime.
+
+    n is capped at MAX_PROTOCOL_VARS and 2^n*3^m at the 2^40 prime cap;
+    3^m > 2^m, so an m past the cap's bit length is refused before 3^m is
+    formed.  Given p, also refuses a p that is not an admissible prime.
+    Every prover and the verifier call it, so the arithmetic after it works
+    on plain ints mod p.
+    """
+    if n > MAX_PROTOCOL_VARS:
         raise ValueError(f"protocol capped at {MAX_PROTOCOL_VARS} variables")
-    check_prime(p)
-    least = (1 << formula.num_vars) * 3**formula.num_clauses
-    if p < least:
-        raise ValueError(f"prime {p} below the required 2^n*3^m = {least}")
+    if m > MAX_PRIME.bit_length() or (1 << n) * 3**m > MAX_PRIME:
+        raise ValueError(f"2^n*3^m for n = {n}, m = {m} exceeds the 2^40 prime cap")
+    least = (1 << n) * 3**m
+    if p is not None:
+        check_prime(p)
+        if p < least:
+            raise ValueError(f"prime {p} below the required 2^n*3^m = {least}")
+    return least
 
 
 def _default_prover(formula: Qbf) -> "HonestProver":
     """Honest prover at the smallest admissible prime, unless the formula is
     true and its chain value vanishes there: then at the next prime at which
     it does not.  The chain is evaluated once per prime tried."""
-    prover = HonestProver(formula, next_prime_at_least((1 << formula.num_vars) * 3**formula.num_clauses))
+    prover = HonestProver(formula, next_prime_at_least(check_statement(formula.num_vars, formula.num_clauses)))
     # the truth test is what stops the search on a false formula
     while prover.honest_value == 0 and eval_qbf_bruteforce(formula):
         prover = HonestProver(formula, next_prime_at_least(prover.p + 1))
@@ -360,10 +367,10 @@ class HonestProver:
     """Round-by-round prover; subclasses override messages to cheat."""
 
     def __init__(self, formula: Qbf, p: int):
-        _check_statement(formula, p)
+        check_statement(formula.num_vars, formula.num_clauses, p)
         self.formula = formula
         self.p = p
-        self.f = arithmetize(formula, p)
+        self.f = ArithPoly(formula, p)
         self.ops = build_operator_chain(formula)
         self.bindings: list[int | None] = [None] * formula.num_vars
         self.honest_value = self.f.chain_tables()[0][0]
@@ -540,9 +547,15 @@ def sumcheck_verify(formula: Qbf, p: int, prover, challenges=None) -> Verdict:
     For a transcript, challenges defaults to the recorded coins (interactive
     mode) or to re-derivation from the conversation hash (Fiat-Shamir mode,
     where any mismatch with the recorded challenge rejects).  For a live
-    session a challenge source must be supplied.
+    session a challenge source must be supplied.  An inadmissible statement
+    rejects a transcript and raises for a live session.
     """
-    _check_statement(formula, p)
+    try:
+        check_statement(formula.num_vars, formula.num_clauses, p)
+    except ValueError:
+        if not isinstance(prover, Transcript):
+            raise
+        return Verdict(False, "statement-mismatch")
     ops = build_operator_chain(formula)
 
     if isinstance(prover, Transcript):
@@ -568,7 +581,7 @@ def sumcheck_verify(formula: Qbf, p: int, prover, challenges=None) -> Verdict:
         y = prover.claimed_value()
         round_poly = prover.round_poly
 
-    f = arithmetize(formula, p)
+    f = ArithPoly(formula, p)
     conversation = Conversation(challenges, formula, p, y)
     if y % p == 0:
         return Verdict(False, "zero-claim")

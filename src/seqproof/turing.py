@@ -1,4 +1,4 @@
-"""Single-tape bounded-space Turing machines with step-exact execution traces.
+"""Single-tape bounded-space Turing machines with step-exact execution.
 
 The tape alphabet is {0, 1, left-end mark}; cell 0 always holds the mark and
 is never overwritten, the head is clamped to [0, space).  Halting states are
@@ -25,7 +25,8 @@ MAX_DECIDER_BOUND = 1 << 28
 
 
 class TmDescription:
-    """A machine: state count, transition rule, halting predicate.
+    """A machine: state count, transition rule, halting predicate; runs
+    start in state 0.
 
     `delta(q, sym) -> (q', sym', direction)` with direction in {-1, 0, +1};
     it is only consulted on non-halting states.  `table` and `halt_states`
@@ -37,18 +38,14 @@ class TmDescription:
         num_states: int,
         delta: Callable[[int, int], tuple[int, int, int]],
         is_halting: Callable[[int], bool],
-        initial_state: int = 0,
         table: dict | None = None,
         halt_states: frozenset[int] | None = None,
     ):
         if num_states < 1:
             raise ValueError("need at least one state")
-        if not 0 <= initial_state < num_states:
-            raise ValueError("initial state out of range")
         self.num_states = num_states
         self.delta = delta
         self.is_halting = is_halting
-        self.initial_state = initial_state
         self.table = table
         self.halt_states = halt_states
 
@@ -58,7 +55,6 @@ class TmDescription:
         num_states: int,
         rules: dict[tuple[int, int], tuple[int, int, int]],
         halt_states,
-        initial_state: int = 0,
     ) -> TmDescription:
         halt = frozenset(halt_states)
         for q in halt:
@@ -81,14 +77,7 @@ class TmDescription:
             except KeyError:
                 raise ValueError(f"machine has no rule for state {q} reading {_SYM_TEXT[sym]}")
 
-        return cls(
-            num_states,
-            delta,
-            lambda q: q in halt,
-            initial_state,
-            table=table,
-            halt_states=halt,
-        )
+        return cls(num_states, delta, lambda q: q in halt, table=table, halt_states=halt)
 
 
 @dataclass
@@ -105,22 +94,10 @@ class TmConfiguration:
         if not 0 <= self.head < len(self.tape):
             raise ValueError("head outside the tape")
 
-    def copy(self) -> TmConfiguration:
-        return TmConfiguration(self.state, list(self.tape), self.head)
-
-
-@dataclass
-class StepTrace:
-    """Per-step record: entry j is the value after j steps (entry 0 initial)."""
-
-    states: list[int]
-    scanned: list[int]
-
 
 @dataclass
 class RunResult:
     config: TmConfiguration
-    trace: StepTrace | None
     steps: int
 
 
@@ -136,22 +113,8 @@ def initial_configuration(x: str, space: int, initial_state: int = 0) -> TmConfi
     return TmConfiguration(initial_state, tape, 0)
 
 
-def tm_step(desc: TmDescription, config: TmConfiguration) -> TmConfiguration:
-    """One step in place; a halting state absorbs (identical configuration)."""
-    return tm_run(desc, config, 1).config
-
-
-def tm_run(
-    desc: TmDescription,
-    config: TmConfiguration,
-    steps: int,
-    record_trace: bool = False,
-) -> RunResult:
-    """Exactly `steps` steps (absorbing steps included), mutating `config`.
-
-    With record_trace the result carries the state and the scanned symbol at
-    every time offset 0..steps, which is what proof openings replay.
-    """
+def tm_run(desc: TmDescription, config: TmConfiguration, steps: int) -> RunResult:
+    """Exactly `steps` steps (absorbing steps included), mutating `config`."""
     if steps < 0:
         raise ValueError("negative step count")
     delta = desc.delta
@@ -160,17 +123,11 @@ def tm_run(
     tape = config.tape
     head = config.head
     last = len(tape) - 1
-    states = [state] if record_trace else None
-    scanned = [tape[head]] if record_trace else None
     executed = 0
     while executed < steps:
         if halting(state):
             # absorbing: burn the remaining steps in one go
-            remaining = steps - executed
             executed = steps
-            if record_trace:
-                states.extend([state] * remaining)
-                scanned.extend([tape[head]] * remaining)
             break
         q2, w, d = delta(state, tape[head])
         if head:
@@ -182,13 +139,9 @@ def tm_run(
         elif head > last:
             head = last
         executed += 1
-        if record_trace:
-            states.append(state)
-            scanned.append(tape[head])
     config.state = state
     config.head = head
-    trace = StepTrace(states, scanned) if record_trace else None
-    return RunResult(config, trace, executed)
+    return RunResult(config, executed)
 
 
 def decide_spacehalt(desc: TmDescription, x: str, space: int) -> bool:
@@ -202,7 +155,7 @@ def decide_spacehalt(desc: TmDescription, x: str, space: int) -> bool:
     bound = desc.num_states * space * (1 << space)
     if bound > MAX_DECIDER_BOUND:
         raise ValueError(f"configuration bound {bound} exceeds 2^28")
-    config = initial_configuration(x, space, desc.initial_state)
+    config = initial_configuration(x, space)
     # halting absorbs, so the state after `bound` steps halts iff some state did
     return desc.is_halting(tm_run(desc, config, bound).config.state)
 

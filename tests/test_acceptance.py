@@ -13,6 +13,7 @@ budgets are asserted too, so a pathological slowdown fails loudly.
 import random
 import time
 
+from qbf_sampler import sample_distinct_qbfs
 from seqproof.field import next_prime_at_least
 from seqproof.harness import (
     exp_attack,
@@ -35,7 +36,6 @@ from seqproof.qbf import (
     QbfParseError,
     eval_qbf_bruteforce,
     random_qbf,
-    sample_distinct_qbfs,
 )
 from seqproof.shvdf import (
     sample_challenge,
@@ -57,7 +57,7 @@ from seqproof.turing import (
     decide_spacehalt,
     initial_configuration,
     parse_machine,
-    tm_step,
+    tm_run,
 )
 
 
@@ -272,14 +272,14 @@ def test_criterion_09_tamper_rejection(capsys):
 
 def _reference_halts(desc: TmDescription, x: str, space: int) -> bool:
     """Independent oracle: exact cycle detection over full configurations."""
-    config = initial_configuration(x, space, desc.initial_state)
+    config = initial_configuration(x, space)
     seen = set()
     while not desc.is_halting(config.state):
         key = (config.state, config.head, tuple(config.tape))
         if key in seen:
             return False
         seen.add(key)
-        config = tm_step(desc, config)
+        config = tm_run(desc, config, 1).config
     return True
 
 

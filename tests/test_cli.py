@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from seqproof import shvdf
 from seqproof.cli import main
+from seqproof.noninteractive import load_transcript, save_transcript
 from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
@@ -59,6 +62,27 @@ def test_prove_refuses_formula_over_the_cap_without_a_prime(tmp_path, capsys):
     path.write_text("p cnf 13 1\ne " + " ".join(map(str, range(1, 14))) + " 0\n1 0\n")
     assert main(["prove-tqbf", "--in", str(path)]) == 1
     assert "capped at 12 variables" in capsys.readouterr().err
+
+
+def test_prove_refuses_a_statement_over_the_prime_cap_by_name(tmp_path, capsys):
+    path = tmp_path / "big.qdimacs"
+    path.write_text("p cnf 3 10000\ne 1 2 3 0\n" + "1 -2 3 0\n" * 10000)
+    for extra in ([], ["--prime", "1009"]):
+        assert main(["prove-tqbf", "--in", str(path)] + extra) == 1
+        err = capsys.readouterr().err
+        assert "2^n*3^m for n = 3, m = 10000 exceeds the 2^40 prime cap" in err
+
+
+@pytest.mark.parametrize("fs", [False, True])
+def test_verify_rejects_a_composite_prime_with_a_verdict(tmp_path, formula_file, capsys, fs):
+    # 38 is composite and larger than every coefficient of the p = 37 transcript
+    transcript = str(tmp_path / "alt.transcript")
+    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript] + ["--fs"] * fs) == 0
+    save_transcript(transcript, dataclasses.replace(load_transcript(transcript), p=38))
+    capsys.readouterr()
+    assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "rejected (statement-mismatch)\n" and captured.err == ""
 
 
 def test_custom_prime(formula_file, capsys):

@@ -23,7 +23,6 @@ from seqproof.fiatshamir import (
     RecordedChallenges,
     decode_file,
     decode_poly,
-    decode_residue,
     decode_u64,
     encode_file,
     encode_message,
@@ -93,12 +92,6 @@ def test_poly_codec_is_canonical():
         decode_poly(b"\x00\x00\x00\x02" + encode_u64(1), 7)
     with pytest.raises(DecodeError, match="truncated"):
         decode_poly(b"\x00\x00", 7)
-
-
-def test_residue_codec_checks_range():
-    assert decode_residue(encode_u64(6), 7) == 6
-    with pytest.raises(DecodeError, match="outside the field"):
-        decode_residue(encode_u64(7), 7)
 
 
 def test_ro_challenge_frozen_values():

@@ -12,6 +12,7 @@ import pytest
 
 from seqproof.fiatshamir import (
     TQBF_ORACLE,
+    VDF_ORACLE,
     FiatShamirChallenges,
     InteractiveChallenges,
     transcript_encode,
@@ -19,11 +20,11 @@ from seqproof.fiatshamir import (
 from seqproof.noninteractive import (
     VdfBundle,
     bundle_to_bytes,
-    fs_vdf_challenge,
     fs_vdf_open,
     fs_vdf_verify,
     transcript_to_bytes,
     transcript_to_messages,
+    vdf_challenge,
 )
 from seqproof.qbf import parse_qbf
 from seqproof.shvdf import VdfParams, vdf_attack, vdf_eval, vdf_open, vdf_setup
@@ -124,7 +125,7 @@ def test_bundle_bytes_pinned(index):
 def test_forged_bundle_bytes_pinned(index):
     pp, x, seed, digest = FORGED_CASES[index]
     forgery = vdf_attack(pp, x, random.Random(seed))
-    t = fs_vdf_challenge(pp, x, forgery.output.value)
+    t = vdf_challenge(FiatShamirChallenges(VDF_ORACLE), pp, x, forgery.output.value)
     bundle = VdfBundle(pp, x, forgery.output.value, t, forgery.respond(t))
     assert fs_vdf_verify(bundle)
     assert _digest(bundle_to_bytes(bundle)) == digest

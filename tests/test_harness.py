@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from seqproof import harness
+from seqproof.cli import main
+
 from seqproof.harness import (
     ExperimentReport,
     exp_attack,
@@ -13,7 +16,8 @@ from seqproof.harness import (
     soundness_bound,
 )
 from seqproof.qbf import random_qbf
-from seqproof.sumcheck import arithmetize, build_operator_chain
+from seqproof.field import next_prime_at_least
+from seqproof.sumcheck import ArithPoly, build_operator_chain
 
 
 def test_min_formula_vars_frozen():
@@ -54,7 +58,7 @@ def test_soundness_report_small():
 
 def test_soundness_single_strategy_and_guard():
     report = exp_soundness(
-        1, 1, 223, trials=1000, seed=4, strategies="constant-poly", control_trials=5
+        1, 1, 223, trials=1000, seed=4, strategies=("constant-poly",), control_trials=5
     )
     assert list(report.metrics["strategies"]) == ["constant-poly"]
     with pytest.raises(ValueError, match="1000 trials"):
@@ -69,7 +73,7 @@ def test_parallel_sum_small_agrees_with_direct():
     # recompute the total in one flat loop
     p = report.params["p"]
     formula = random_qbf(random.Random(3), 10, 6)
-    f = arithmetize(formula, p)
+    f = ArithPoly(formula, p)
     want = sum(f.evaluate([(i >> b) & 1 for b in range(10)]) for i in range(1 << 10)) % p
     assert sums["1"] == want
 
@@ -93,14 +97,11 @@ def test_attack_report_small():
         exp_attack(lam=16, log2_steps=10, space=8, instances=50)
 
 
-def test_parallel_sum_guards_and_poly_argument():
-    from seqproof.sumcheck import arithmetize as arith
-
-    formula = random_qbf(random.Random(9), 1, 2)
-    report = exp_parallel_sum(workers_list=(1, 2), poly=arith(formula, 1009))
+def test_parallel_sum_guards_and_a_one_variable_sum():
+    report = exp_parallel_sum(num_vars=1, num_clauses=2, workers_list=(1, 2), seed=9)
     assert report.params["num_vars"] == 1
-    f = arith(formula, 1009)
-    assert report.metrics["sums"]["1"] == (f.evaluate([0]) + f.evaluate([1])) % 1009
+    f = ArithPoly(random_qbf(random.Random(9), 1, 2), report.params["p"])
+    assert report.metrics["sums"]["1"] == (f.evaluate([0]) + f.evaluate([1])) % report.params["p"]
     with pytest.raises(ValueError, match="2\\^20"):
         exp_parallel_sum(num_vars=21, workers_list=(1,))
     with pytest.raises(ValueError, match="2\\^22"):
@@ -113,3 +114,25 @@ def test_reports_serialize():
     assert decoded["name"] == "vdf-growth"
     assert decoded["passed"] is True
     assert isinstance(report, ExperimentReport)
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_parallel_sum_refuses_worker_counts_out_of_range(monkeypatch, capsys):
+    monkeypatch.setattr(harness.multiprocessing, "Pool", _no_process)
+    for workers in ((1, 10**6), (0,)):
+        with pytest.raises(ValueError, match="worker counts"):
+            exp_parallel_sum(num_vars=4, workers_list=workers)
+    assert main(["exp", "parallel", "--vars", "4", "--workers", "1,1000000"]) == 1
+    assert "worker counts must be in 1..64" in capsys.readouterr().err
+
+
+def test_soundness_checks_the_statement_size_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a formula was drawn")
+
+    monkeypatch.setattr(harness, "random_qbf", no_draw)
+    with pytest.raises(ValueError, match="2\\^40 prime cap"):
+        exp_soundness(1, 10**8, next_prime_at_least(1 << 39))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,9 @@ from seqproof.fiatshamir import (
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
     TAG_SC_PRIME,
+    VDF_ORACLE,
     DecodeError,
+    FiatShamirChallenges,
     InteractiveChallenges,
     Message,
     encode_file,
@@ -20,7 +23,6 @@ from seqproof.noninteractive import (
     bundle_to_bytes,
     bundle_to_messages,
     fs_prove_tqbf,
-    fs_vdf_challenge,
     fs_vdf_open,
     fs_vdf_verify,
     fs_verify_tqbf,
@@ -32,6 +34,7 @@ from seqproof.noninteractive import (
     transcript_from_messages,
     transcript_to_bytes,
     transcript_to_messages,
+    vdf_challenge,
 )
 from seqproof.qbf import parse_qbf
 from seqproof import shvdf
@@ -65,7 +68,7 @@ def test_fs_rejects_interactive_coins():
 
 def test_fs_rejects_bad_prime():
     tr = fs_prove_tqbf(ALT_TRUE, 37)
-    verdict = fs_verify_tqbf(ALT_TRUE, tr, p=36)
+    verdict = fs_verify_tqbf(ALT_TRUE, dataclasses.replace(tr, p=36))
     assert verdict.reason == "statement-mismatch"
 
 
@@ -134,14 +137,18 @@ def test_transcript_decode_requires_the_canonical_formula_text():
             transcript_from_messages(bad)
 
 
+def hashed_challenge(pp, x, y):
+    return vdf_challenge(FiatShamirChallenges(VDF_ORACLE), pp, x, y)
+
+
 def test_fs_vdf_challenge_in_window_and_binding():
-    t = fs_vdf_challenge(GOLDEN, "101", 4)
+    t = hashed_challenge(GOLDEN, "101", 4)
     assert t in GOLDEN.challenge_window()
-    assert fs_vdf_challenge(GOLDEN, "101", 4) == t
+    assert hashed_challenge(GOLDEN, "101", 4) == t
     others = {
-        fs_vdf_challenge(GOLDEN, "100", 4),
-        fs_vdf_challenge(GOLDEN, "101", 5),
-        fs_vdf_challenge(VdfParams(8, 16, 4, 8, b"other"), "101", 4),
+        hashed_challenge(GOLDEN, "100", 4),
+        hashed_challenge(GOLDEN, "101", 5),
+        hashed_challenge(VdfParams(8, 16, 4, 8, b"other"), "101", 4),
     }
     assert all(u in GOLDEN.challenge_window() for u in others)
 
@@ -149,7 +156,7 @@ def test_fs_vdf_challenge_in_window_and_binding():
 def test_fs_vdf_open_verify_roundtrip(tmp_path):
     bundle = fs_vdf_open(GOLDEN, "101")
     assert bundle.output_value == 4
-    assert bundle.challenge == fs_vdf_challenge(GOLDEN, "101", 4)
+    assert bundle.challenge == hashed_challenge(GOLDEN, "101", 4)
     assert fs_vdf_verify(bundle)
     path = tmp_path / "opening.bundle"
     save_bundle(path, bundle)

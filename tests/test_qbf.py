@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbf_sampler import sample_distinct_qbfs
 from seqproof.qbf import (
     Clause,
     Literal,
@@ -14,7 +15,6 @@ from seqproof.qbf import (
     eval_qbf_bruteforce,
     parse_qbf,
     random_qbf,
-    sample_distinct_qbfs,
     to_qdimacs,
 )
 

@@ -18,6 +18,7 @@ from seqproof.shvdf import (
     vdf_attack,
     vdf_eval,
     vdf_open,
+    vdf_run,
     vdf_setup,
     vdf_verify,
 )
@@ -135,6 +136,20 @@ def test_absorbing_run_opens_cleanly():
         assert vdf_verify(pp, "01", out.value, t, proof)
 
 
+def test_window_where_the_run_halts():
+    # this run reaches a final state at step 27, inside the window [24, 32)
+    pp = VdfParams(8, 32, 8, 6, b"straddle-49")
+    want, states, scanned = reference_run(pp, "0110", pp.num_steps)
+    assert pp.is_final(states[27]) and not pp.is_final(states[26])
+    run = vdf_run(pp, "0110")
+    assert run.states == tuple(states[-pp.lam - 1 :])
+    assert run.scanned == tuple(scanned[-pp.lam - 1 :])
+    assert run.output.value == want
+    assert run.steps == run.output.steps == 32
+    for t in pp.challenge_window():
+        assert vdf_verify(pp, "0110", want, t, run.respond(t))
+
+
 def test_verify_rejections():
     t = 56
     proof = vdf_open(BIG, BIG_X, t)
@@ -183,7 +198,7 @@ def test_attack_forges_every_challenge():
     forgery = vdf_attack(BIG, BIG_X, rng)
     assert forgery.steps == BIG.lam
     assert forgery.output.steps == BIG.lam
-    assert not BIG.is_final(forgery.start_state)
+    assert not BIG.is_final(forgery.states[0])
     assert forgery.output.value != honest.value
     for t in BIG.challenge_window():
         verdict = vdf_verify(BIG, BIG_X, forgery.output.value, t, forgery.respond(t))
@@ -196,7 +211,7 @@ def test_attack_matches_reference_walk():
     rng = random.Random(11)
     forgery = vdf_attack(BIG, BIG_X, rng)
     want, states, scanned = reference_run(
-        BIG, BIG_X, BIG.lam, start_state=forgery.start_state
+        BIG, BIG_X, BIG.lam, start_state=forgery.states[0]
     )
     assert forgery.output.value == want
     assert forgery.states == tuple(states)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chain_oracle import eval_chain
+from qbf_sampler import sample_distinct_qbfs
 from seqproof.field import UniPoly, lagrange_interpolate, next_prime_at_least
 from seqproof.fiatshamir import (
     FiatShamirChallenges,
@@ -12,13 +13,12 @@ from seqproof.fiatshamir import (
     TQBF_ORACLE,
 )
 from seqproof.noninteractive import fs_prove_tqbf, fs_verify_tqbf
-from seqproof.qbf import Quantifier, eval_qbf_bruteforce, parse_qbf, random_qbf, sample_distinct_qbfs
+from seqproof.qbf import Quantifier, eval_qbf_bruteforce, parse_qbf, random_qbf
 from seqproof.sumcheck import (
-    ArithPoly,
     OpKind,
     Operator,
     Transcript,
-    arithmetize,
+    ArithPoly,
     build_operator_chain,
     chain_value,
     cheat_prover,
@@ -38,7 +38,7 @@ THREE_VAR = parse_qbf("p cnf 3 1\ne 1 0\ne 2 0\ne 3 0\n1 2 3 0\n")
 
 
 def test_arithmetize_single_clause():
-    f = arithmetize(THREE_VAR, 7)
+    f = ArithPoly(THREE_VAR, 7)
     assert f.evaluate([0, 0, 0]) == 0
     assert f.evaluate([1, 0, 0]) == 1
     assert f.evaluate([0, 1, 0]) == 1
@@ -48,7 +48,7 @@ def test_arithmetize_single_clause():
 
 def test_arithmetize_negation_and_padding():
     # single clause (not x1), padded to triple repetition: 1 - x^3
-    f = arithmetize(parse_qbf("p cnf 1 1\na 1 0\n-1 0\n"), 7)
+    f = ArithPoly(parse_qbf("p cnf 1 1\na 1 0\n-1 0\n"), 7)
     assert f.evaluate([0]) == 1
     assert f.evaluate([1]) == 0
     assert f.evaluate([2]) == (1 - 8) % 7
@@ -86,7 +86,7 @@ def test_eval_chain_frozen_values():
 
 
 def test_eval_chain_empty_suffix_is_matrix():
-    f = arithmetize(THREE_VAR, 31)
+    f = ArithPoly(THREE_VAR, 31)
     ops = build_operator_chain(THREE_VAR)
     bindings = [5, 6, 7]
     assert eval_chain(ops, bindings, f, start=len(ops)) == f.evaluate([5, 6, 7])
@@ -94,7 +94,7 @@ def test_eval_chain_empty_suffix_is_matrix():
 
 
 def test_eval_chain_lin_requires_binding():
-    f = arithmetize(EXISTS_TAUT, 223)
+    f = ArithPoly(EXISTS_TAUT, 223)
     lin_only = (Operator(OpKind.LIN, 1, 1),)
     with pytest.raises(ValueError):
         eval_chain(lin_only, [None], f)
@@ -107,7 +107,7 @@ def test_linearization_fixpoint():
     for _ in range(20):
         formula = random_qbf(rng, rng.randrange(2, 4), rng.randrange(1, 4))
         p = default_prime(formula)
-        f = arithmetize(formula, p)
+        f = ArithPoly(formula, p)
         ops = build_operator_chain(formula)
         lin_positions = [k for k, op in enumerate(ops) if op.kind is OpKind.LIN]
         k = rng.choice(lin_positions)
@@ -331,7 +331,7 @@ def test_cheat_strategy_parsing():
 
 
 def test_compute_round_poly_matches_protocol_degrees():
-    f = arithmetize(ALT_TRUE, 37)
+    f = ArithPoly(ALT_TRUE, 37)
     ops = build_operator_chain(ALT_TRUE)
     bindings = [None, None]
     s0 = compute_round_poly(ops, 0, bindings, f, ALT_TRUE)

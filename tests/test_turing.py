@@ -11,7 +11,6 @@ from seqproof.turing import (
     initial_configuration,
     parse_machine,
     tm_run,
-    tm_step,
 )
 
 # fills 0s with 1s moving right, halts on the first 1
@@ -49,9 +48,9 @@ def test_initial_configuration():
 
 def test_single_steps_frozen():
     c = initial_configuration("001", 5)
-    tm_step(M1, c)
+    tm_run(M1, c, 1)
     assert (c.state, c.tape, c.head) == (0, [SYM_MARK, 0, 0, 1, 0], 1)
-    tm_step(M1, c)
+    tm_run(M1, c, 1)
     assert (c.state, c.tape, c.head) == (0, [SYM_MARK, 1, 0, 1, 0], 2)
 
 
@@ -66,10 +65,10 @@ def test_run_to_halt_frozen():
 
 def test_zero_steps_leaves_configuration_alone():
     c = initial_configuration("001", 5)
-    snapshot = c.copy()
+    snapshot = (c.state, list(c.tape), c.head)
     res = tm_run(M1, c, 0)
     assert res.steps == 0
-    assert (c.state, c.tape, c.head) == (snapshot.state, snapshot.tape, snapshot.head)
+    assert (c.state, c.tape, c.head) == snapshot
 
 
 def test_halting_is_absorbing():
@@ -78,7 +77,7 @@ def test_halting_is_absorbing():
     assert res.steps == 10
     assert (c.state, c.tape, c.head) == (1, [SYM_MARK, 1, 1, 1, 0], 3)
     # stepping a halted machine is the identity
-    tm_step(M1, c)
+    tm_run(M1, c, 1)
     assert (c.state, c.head) == (1, 3)
 
 
@@ -89,23 +88,6 @@ def test_run_composition():
     b = initial_configuration("001", 5)
     tm_run(M1, b, 7)
     assert (a.state, a.tape, a.head) == (b.state, b.tape, b.head)
-
-
-def test_trace_lengths_and_content():
-    c = initial_configuration("001", 5)
-    res = tm_run(M1, c, 4, record_trace=True)
-    assert len(res.trace.states) == 5
-    assert len(res.trace.scanned) == 5
-    assert res.trace.states == [0, 0, 0, 0, 1]
-    # scanned[j] is the symbol under the head after j steps
-    assert res.trace.scanned == [SYM_MARK, 0, 0, 1, 1]
-
-
-def test_trace_through_absorbing_steps():
-    c = initial_configuration("001", 5)
-    res = tm_run(M1, c, 7, record_trace=True)
-    assert res.trace.states == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert res.trace.scanned[-3:] == [1, 1, 1]
 
 
 def test_head_clamping():
@@ -141,9 +123,9 @@ def test_mark_cell_never_overwritten():
 def test_missing_rule_is_an_error():
     partial = TmDescription.from_table(2, {(0, SYM_MARK): (0, SYM_MARK, 1)}, halt_states=())
     c = initial_configuration("0", 3)
-    tm_step(partial, c)
+    tm_run(partial, c, 1)
     with pytest.raises(ValueError, match="no rule"):
-        tm_step(partial, c)
+        tm_run(partial, c, 1)
 
 
 def test_configuration_validation():
