@@ -201,110 +201,105 @@ def _cmd_exp_min_vars(args) -> int:
 
 # ── parser ─────────────────────────────────────────────────────────────────
 
+# One row per command: its words, its help, its handler, and its arguments as
+# (flag, add_argument keywords) pairs.  Group words get their help from GROUPS.
+GROUPS = {"vdf": "delay function operations", "exp": "measurement experiments"}
+COMMANDS = (
+    (("prove-tqbf",), "prove a quantified formula true", _cmd_prove_tqbf, (
+        ("--in", dict(required=True, help="formula file (qdimacs)")),
+        ("--prime", dict(type=int, default=None, help="field modulus (default: smallest admissible one at which a true formula's claim is nonzero)")),
+        ("--fs", dict(action="store_true", help="derive challenges by hashing")),
+        ("--seed", dict(type=int, default=0, help="verifier coin seed (interactive mode)")),
+        ("--out", dict(default=None, help="transcript file to write")))),
+    (("verify-tqbf",), "check a transcript against a formula", _cmd_verify_tqbf, (
+        ("--in", dict(required=True, help="formula file (qdimacs)")),
+        ("--transcript", dict(required=True, help="transcript file")))),
+    (("vdf", "setup"), "fix parameters", _cmd_vdf_setup, (
+        ("--lambda", dict(dest="lam", type=int, required=True)),
+        ("--log2t", dict(type=int, required=True, help="log2 of the step count")),
+        ("--space", dict(type=int, required=True, help="tape cells")),
+        ("--seed", dict(required=True, help="transition-rule seed string")),
+        ("--state-bits", dict(type=int, default=None)),
+        ("--pp", dict(required=True, help="parameter file to write")))),
+    (("vdf", "eval"), "run the full computation", _cmd_vdf_eval, (
+        ("--pp", dict(required=True, help="parameter file")),
+        ("--input", dict(required=True, help="input bit string")))),
+    (("vdf", "open"), "produce an opening proof file", _cmd_vdf_open, (
+        ("--pp", dict(required=True)),
+        ("--input", dict(required=True)),
+        ("--challenge", dict(type=int, default=None, help="explicit challenge step (default: hash-derived)")),
+        ("--proof", dict(required=True, help="proof file to write")))),
+    (("vdf", "verify"), "check an opening proof file", _cmd_vdf_verify, (
+        ("--proof", dict(required=True)),
+        ("--pp", dict(default=None, help="cross-check the proof's parameters")),
+        ("--input", dict(default=None, help="cross-check the proof's input")))),
+    (("vdf", "attack"), "forge an accepting opening cheaply", _cmd_vdf_attack, (
+        ("--pp", dict(required=True)),
+        ("--input", dict(required=True)),
+        ("--seed", dict(type=int, default=0)),
+        ("--proof", dict(default=None, help="proof file to write")))),
+    (("exp", "soundness"), "cheating-prover accept rates", _cmd_exp_soundness, (
+        ("--n", dict(type=int, default=1, help="variables")),
+        ("--m", dict(type=int, default=1, help="clauses")),
+        ("--prime", dict(type=int, default=223)),
+        ("--trials", dict(type=int, default=10_000)),
+        ("--seed", dict(type=int, default=0)),
+        ("--json", dict(action="store_true")))),
+    (("exp", "parallel"), "split the prover's cube sums across processes", _cmd_exp_parallel, (
+        ("--vars", dict(type=int, default=16)),
+        ("--clauses", dict(type=int, default=12)),
+        ("--workers", dict(default="1,2,4,8", help="comma-separated worker counts")),
+        ("--seed", dict(type=int, default=0)),
+        ("--json", dict(action="store_true")))),
+    (("exp", "growth"), "step counters across step-count settings", _cmd_exp_growth, (
+        ("--lambda", dict(dest="lam", type=int, default=16)),
+        ("--log2t", dict(default="10,11,12,13,14", help="comma-separated exponents")),
+        ("--space", dict(type=int, default=32)),
+        ("--seed", dict(type=int, default=0)),
+        ("--json", dict(action="store_true")))),
+    (("exp", "attack"), "forgery cost and accept rate", _cmd_exp_attack, (
+        ("--lambda", dict(dest="lam", type=int, default=32)),
+        ("--log2t", dict(type=int, default=16)),
+        ("--space", dict(type=int, default=32)),
+        ("--instances", dict(type=int, default=100)),
+        ("--seed", dict(type=int, default=0)),
+        ("--json", dict(action="store_true")))),
+    (("exp", "min-vars"), "variables needed for a given round count", _cmd_exp_min_vars, (
+        ("--steps", dict(type=int, required=True)),)),
+)
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the command that argv names, or for every command.
+
+    Only the rows whose words start argv are built; when none does (help, a
+    typo, a bare group) every row is, so argparse prints what it prints for
+    the whole table.  A pruned build names every choice in its usage lines.
+    """
+    rows = [row for row in COMMANDS if tuple(argv[: len(row[0])]) == row[0]] or COMMANDS
     parser = argparse.ArgumentParser(
         prog="seqproof",
         description="interactive proofs, a breakable delay function, and measurements",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    prove = sub.add_parser("prove-tqbf", help="prove a quantified formula true")
-    prove.add_argument("--in", required=True, help="formula file (qdimacs)")
-    prove.add_argument("--prime", type=int, default=None, help="field modulus (default: smallest admissible one at which a true formula's claim is nonzero)")
-    prove.add_argument("--fs", action="store_true", help="derive challenges by hashing")
-    prove.add_argument("--seed", type=int, default=0, help="verifier coin seed (interactive mode)")
-    prove.add_argument("--out", default=None, help="transcript file to write")
-    prove.set_defaults(func=_cmd_prove_tqbf)
-
-    verify = sub.add_parser("verify-tqbf", help="check a transcript against a formula")
-    verify.add_argument("--in", required=True, help="formula file (qdimacs)")
-    verify.add_argument("--transcript", required=True, help="transcript file")
-    verify.set_defaults(func=_cmd_verify_tqbf)
-
-    vdf = sub.add_parser("vdf", help="delay function operations")
-    vdf_sub = vdf.add_subparsers(dest="vdf_command", required=True)
-
-    setup = vdf_sub.add_parser("setup", help="fix parameters")
-    setup.add_argument("--lambda", dest="lam", type=int, required=True)
-    setup.add_argument("--log2t", type=int, required=True, help="log2 of the step count")
-    setup.add_argument("--space", type=int, required=True, help="tape cells")
-    setup.add_argument("--seed", required=True, help="transition-rule seed string")
-    setup.add_argument("--state-bits", type=int, default=None)
-    setup.add_argument("--pp", required=True, help="parameter file to write")
-    setup.set_defaults(func=_cmd_vdf_setup)
-
-    ev = vdf_sub.add_parser("eval", help="run the full computation")
-    ev.add_argument("--pp", required=True, help="parameter file")
-    ev.add_argument("--input", required=True, help="input bit string")
-    ev.set_defaults(func=_cmd_vdf_eval)
-
-    op = vdf_sub.add_parser("open", help="produce an opening proof file")
-    op.add_argument("--pp", required=True)
-    op.add_argument("--input", required=True)
-    op.add_argument("--challenge", type=int, default=None, help="explicit challenge step (default: hash-derived)")
-    op.add_argument("--proof", required=True, help="proof file to write")
-    op.set_defaults(func=_cmd_vdf_open)
-
-    ve = vdf_sub.add_parser("verify", help="check an opening proof file")
-    ve.add_argument("--proof", required=True)
-    ve.add_argument("--pp", default=None, help="cross-check the proof's parameters")
-    ve.add_argument("--input", default=None, help="cross-check the proof's input")
-    ve.set_defaults(func=_cmd_vdf_verify)
-
-    at = vdf_sub.add_parser("attack", help="forge an accepting opening cheaply")
-    at.add_argument("--pp", required=True)
-    at.add_argument("--input", required=True)
-    at.add_argument("--seed", type=int, default=0)
-    at.add_argument("--proof", default=None, help="proof file to write")
-    at.set_defaults(func=_cmd_vdf_attack)
-
-    exp = sub.add_parser("exp", help="measurement experiments")
-    exp_sub = exp.add_subparsers(dest="exp_command", required=True)
-
-    so = exp_sub.add_parser("soundness", help="cheating-prover accept rates")
-    so.add_argument("--n", type=int, default=1, help="variables")
-    so.add_argument("--m", type=int, default=1, help="clauses")
-    so.add_argument("--prime", type=int, default=223)
-    so.add_argument("--trials", type=int, default=10_000)
-    so.add_argument("--seed", type=int, default=0)
-    so.add_argument("--json", action="store_true")
-    so.set_defaults(func=_cmd_exp_soundness)
-
-    pa = exp_sub.add_parser("parallel", help="split the prover's cube sums across processes")
-    pa.add_argument("--vars", type=int, default=16)
-    pa.add_argument("--clauses", type=int, default=12)
-    pa.add_argument("--workers", default="1,2,4,8", help="comma-separated worker counts")
-    pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--json", action="store_true")
-    pa.set_defaults(func=_cmd_exp_parallel)
-
-    gr = exp_sub.add_parser("growth", help="step counters across step-count settings")
-    gr.add_argument("--lambda", dest="lam", type=int, default=16)
-    gr.add_argument("--log2t", default="10,11,12,13,14", help="comma-separated exponents")
-    gr.add_argument("--space", type=int, default=32)
-    gr.add_argument("--seed", type=int, default=0)
-    gr.add_argument("--json", action="store_true")
-    gr.set_defaults(func=_cmd_exp_growth)
-
-    ak = exp_sub.add_parser("attack", help="forgery cost and accept rate")
-    ak.add_argument("--lambda", dest="lam", type=int, default=32)
-    ak.add_argument("--log2t", type=int, default=16)
-    ak.add_argument("--space", type=int, default=32)
-    ak.add_argument("--instances", type=int, default=100)
-    ak.add_argument("--seed", type=int, default=0)
-    ak.add_argument("--json", action="store_true")
-    ak.set_defaults(func=_cmd_exp_attack)
-
-    mv = exp_sub.add_parser("min-vars", help="variables needed for a given round count")
-    mv.add_argument("--steps", type=int, required=True)
-    mv.set_defaults(func=_cmd_exp_min_vars)
-
+    parsers, subparsers = {(): parser}, {}
+    for words, help_, handler, arguments in rows:
+        for depth in range(1, len(words) + 1):
+            above, name = words[: depth - 1], words[:depth]
+            if above not in subparsers:
+                choices = dict.fromkeys(w[depth - 1] for w, *_ in COMMANDS if w[: depth - 1] == above)
+                metavar = "{" + ",".join(choices) + "}" if rows is not COMMANDS else None
+                subparsers[above] = parsers[above].add_subparsers(dest="_".join(above + ("command",)), required=True, metavar=metavar)
+            if name not in parsers:
+                parsers[name] = subparsers[above].add_parser(name[-1], help=help_ if name == words else GROUPS[name[-1]])
+        for flag, keywords in arguments:
+            parsers[words].add_argument(flag, **keywords)
+        parsers[words].set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, QbfParseError, DecodeError) as exc:

@@ -30,7 +30,8 @@ def next_prime_at_least(bound: int) -> int:
     if bound < 2:
         return 2
     if bound > MAX_PRIME:
-        raise ValueError(f"prime bound {bound} exceeds cap 2^40")
+        # by bit length: a bound past 4300 digits cannot be formatted
+        raise ValueError(f"prime bound of {bound.bit_length()} bits exceeds cap 2^40")
     n = bound
     while not is_prime(n):
         n += 1
@@ -74,7 +75,7 @@ def check_prime(p: int) -> None:
     """Refuse a modulus that is not a prime at most 2^40."""
     # the cap first: trial division on a hostile 64-bit modulus takes minutes
     if p > MAX_PRIME:
-        raise ValueError(f"modulus {p} exceeds cap 2^40")
+        raise ValueError(f"modulus of {p.bit_length()} bits exceeds cap 2^40")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 

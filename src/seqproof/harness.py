@@ -8,7 +8,6 @@ and the command line.  Randomness is always derived from an explicit seed.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -159,8 +158,14 @@ def exp_parallel_sum(
     depends on the host.  Every worker count is checked before any pool
     starts.
     """
+    import multiprocessing  # here, not at the top: no other command pays for it
+
     if num_vars > 20:
         raise ValueError("cube sums past 2^20 points are out of scope")
+    if num_vars < 1:
+        raise ValueError("cube sums need at least one variable")
+    if not workers_list:
+        raise ValueError("need at least one worker count")
     if any(not 1 <= w <= MAX_WORKERS for w in workers_list):
         raise ValueError(f"worker counts must be in 1..{MAX_WORKERS}")
     p = next_prime_at_least(1 << 30)

@@ -322,6 +322,8 @@ def check_statement(n: int, m: int, p: int | None = None) -> int:
     Every prover and the verifier call it, so the arithmetic after it works
     on plain ints mod p.
     """
+    if n < 1 or m < 1:
+        raise ValueError("a statement needs at least one variable and one clause")
     if n > MAX_PROTOCOL_VARS:
         raise ValueError(f"protocol capped at {MAX_PROTOCOL_VARS} variables")
     if m > MAX_PRIME.bit_length() or (1 << n) * 3**m > MAX_PRIME:

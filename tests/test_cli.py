@@ -1,9 +1,12 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 
 import pytest
 
 from seqproof import shvdf
-from seqproof.cli import main
+from seqproof.cli import COMMANDS, build_parser, main
 from seqproof.noninteractive import load_transcript, save_transcript
 from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
 
@@ -259,3 +262,68 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _parse(parser, argv):
+    """The parse result of argv, or the exit code; with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _argv_corpus():
+    corpus = [[], ["-h"], ["bogus"], ["vdf"], ["vdf", "bogus"], ["vdf", "-h"], ["exp"], ["exp", "-h"],
+              ["--help", "vdf", "verify"], ["prove-tqbf", "--in", "f", "--fs", "--seed", "3"]]
+    for words, _, _, arguments in COMMANDS:
+        required = [a for flag, kw in arguments if kw.get("required") for a in (flag, "1")]
+        corpus += [[*words, "-h"], [*words, *required], [*words, *required, "extra"],
+                   [*words, *required, "--bogus", "1"]]
+        if required:
+            corpus.append([*words, *required[:-2]])
+        corpus += [[*words, *required, flag, "x"] for flag, kw in arguments if kw.get("type") is int][:1]
+    return corpus
+
+
+@pytest.mark.parametrize("argv", _argv_corpus(), ids=" ".join)
+def test_the_invoked_commands_parser_parses_like_the_whole_table(argv):
+    # a typo, help or a bare group builds every row; a named command builds its
+    # own row, and its errors still print the whole table's usage line
+    assert _parse(build_parser(argv), argv) == _parse(build_parser([]), argv)
+
+
+def test_command_errors_keep_their_wording():
+    # what argparse printed before the table, which a metavar on the whole
+    # table's subcommands would change
+    for argv, message in (
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from"),
+        (["vdf"], "error: the following arguments are required: vdf_command\n"),
+        (["exp", "bogus"], "error: argument exp_command: invalid choice: 'bogus' (choose from"),
+        (["exp", "min-vars", "--steps", "1", "extra"], "usage: seqproof [-h] {prove-tqbf,verify-tqbf,vdf,exp} ...\n"),
+    ):
+        code, out, err = _parse(build_parser(argv), argv)
+        assert code == 2 and out == "" and message in err
+
+
+def test_main_builds_only_the_invoked_commands_parsers(tmp_path, formula_file, monkeypatch):
+    transcript, pp, proof = (str(tmp_path / name) for name in ("t", "pp.bin", "x.proof"))
+    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript]) == 0
+    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", "8",
+                 "--seed", "s", "--pp", pp]) == 0
+    assert main(["vdf", "open", "--pp", pp, "--input", "1", "--proof", proof]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 0
+    assert len(built) <= 2
+    built.clear()
+    assert main(["vdf", "verify", "--proof", proof]) == 0
+    assert len(built) <= 3
+    built.clear()
+    build_parser([])
+    assert len(built) == 15

@@ -34,6 +34,14 @@ def test_non_prime_modulus_rejected():
     check_prime(223)
 
 
+def test_over_cap_bounds_are_refused_by_bit_length():
+    # formatting 3^10000 in the message would itself raise: it has 4772 digits
+    with pytest.raises(ValueError, match="prime bound of 15850 bits exceeds cap 2\\^40"):
+        next_prime_at_least(3**10000)
+    with pytest.raises(ValueError, match="modulus of 15850 bits exceeds cap 2\\^40"):
+        check_prime(3**10000)
+
+
 def test_next_prime_at_least():
     assert next_prime_at_least(2) == 2
     assert next_prime_at_least(10) == 11

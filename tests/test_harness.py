@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -121,7 +122,7 @@ def _no_process(*args, **kwargs):
 
 
 def test_parallel_sum_refuses_worker_counts_out_of_range(monkeypatch, capsys):
-    monkeypatch.setattr(harness.multiprocessing, "Pool", _no_process)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_process)
     for workers in ((1, 10**6), (0,)):
         with pytest.raises(ValueError, match="worker counts"):
             exp_parallel_sum(num_vars=4, workers_list=workers)
@@ -136,3 +137,23 @@ def test_soundness_checks_the_statement_size_before_drawing(monkeypatch):
     monkeypatch.setattr(harness, "random_qbf", no_draw)
     with pytest.raises(ValueError, match="2\\^40 prime cap"):
         exp_soundness(1, 10**8, next_prime_at_least(1 << 39))
+
+
+def test_parallel_sum_refuses_no_workers_and_no_variables(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _no_process)
+    with pytest.raises(ValueError, match="at least one worker count"):
+        exp_parallel_sum(num_vars=4, workers_list=())
+    with pytest.raises(ValueError, match="at least one variable"):
+        exp_parallel_sum(num_vars=0, workers_list=(1,))
+
+
+def test_soundness_refuses_an_empty_statement_before_drawing(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a formula was drawn")
+
+    monkeypatch.setattr(harness, "random_qbf", no_draw)
+    for n, m in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="at least one variable and one clause"):
+            exp_soundness(n, m, 223)
+    assert main(["exp", "soundness", "--n", "0", "--m", "1"]) == 1
+    assert capsys.readouterr().err == "error: a statement needs at least one variable and one clause\n"
