@@ -2,7 +2,8 @@
 
 Refactors of the message schedule, the provers or the codecs must leave
 these digests unchanged; a changed digest means a changed file format or a
-changed Fiat-Shamir challenge.  The formulas are true and n <= 6.
+changed Fiat-Shamir challenge.  The formulas are true and n <= 6.  Cheating
+provers' transcripts are pinned with the reason each is rejected for.
 """
 
 import hashlib
@@ -28,7 +29,7 @@ from seqproof.noninteractive import (
 )
 from seqproof.qbf import parse_qbf
 from seqproof.shvdf import VdfParams, vdf_attack, vdf_eval, vdf_open, vdf_setup
-from seqproof.sumcheck import default_prime, sumcheck_prove
+from seqproof.sumcheck import cheat_prover, default_prime, sumcheck_prove, sumcheck_verify
 
 CORPUS = (
     "p cnf 1 1\ne 1 0\n-1 -1 -1 0\n",
@@ -73,6 +74,48 @@ TRANSCRIPT_DIGESTS = (
      "4d7ba46eeef7b03a0b4df6c847f54de5192258a0551b9b643a89737f3ba4c913"),
 )
 
+# (corpus index, strategy, digest and verdict reason under interactive coins
+# with seed = corpus index, the same under Fiat-Shamir); the prover's own rng
+# is random.Random(corpus index)
+CHEAT_CASES = (
+    (1, 'wrong-claim',
+     '44bc77dd354458c8a30597826bc2bcb1f3734e92c396b0f91454bd3a12408006', 'final-check',
+     '53be8fbfa4aa980f3b976b912e248f905013059b67d050c64c14e2349af88232', 'final-check'),
+    (1, 'constant-poly',
+     '7c8b9b5cecdb1461f1cbfd2256fdd2a4e7e55a6afd69677aef4b417fc7e857e0', 'final-check',
+     'f3fe91a8d1a8ab3d1834debab0a608375d3dfa1affc322deb0075dbeab9ba726', 'final-check'),
+    (1, 'random-round',
+     '7f187c5eed8db6dc32e795d51b4dd0a84892d8d4e67ae7a71340e01db48009f5', 'round-check',
+     'd37f5ae08380c4c8939843e08dab0a4d94c3f06168ed299ff160ab5793f8cb3a', 'round-check'),
+    (1, 'random-round(1)',
+     'bbe322ce391c48882d4069fc0717162672541fa700e3c321d1a69a81d35c818a', 'round-check',
+     'ddc1ad7fa7f00f3d1f1fb1cc60304ea18f2bf8703ca4eb1234fcd991fa776dbb', 'round-check'),
+    (4, 'wrong-claim',
+     '74fc71e05068233404d7c03ff0e6f39c3f7fcef25fe90ba5a8bf6f1a81d3b60a', 'final-check',
+     '9846d2a7685f23ad8947c77cafa617cd9a13d3e9be704fb2daff4f845c4d4f02', 'final-check'),
+    (4, 'constant-poly',
+     'e788ed2952de148cf51df4b4046fa12ccccd0994391635dbd89a6de613fd0e08', 'final-check',
+     '1562022d5282ad48b11c9405c810c06d95202e1178b2a036a2833be6ea4069a4', 'final-check'),
+    (4, 'random-round',
+     '61988efcf40d847705e1ff94b23d4c81e42317f064d4f0c2a1fedb0328bbde25', 'round-check',
+     '2467fdef7ea01ce3bff139e6fbbc6488f039b63117d4cdf33fa10dde36d9f4ae', 'round-check'),
+    (4, 'random-round(1)',
+     'da8ee42e4a4eb101da5fa03bdf371467678a821009b8260bd0c4a9b6823b25b7', 'round-check',
+     'f0d6b5a6af7df8d8075696480ca85d1c4b12c6523d799067dce1caa9c26c73f2', 'round-check'),
+    (7, 'wrong-claim',
+     'f5f6f066d7243755062e34561ef55f426e89fff50fedd2ce183dbdddc627b1ed', 'final-check',
+     'e313e5df9975957deabbe4d194c76f32be975bc607a16f76f8e4032ac3cab580', 'final-check'),
+    (7, 'constant-poly',
+     'ec12bbdc7d68ba690ffc2c76fafea7297d86c3b2659970e323dea3f1d40f904c', 'round-check',
+     '67bc46719121b12a9a38204706bb1e73a9a06e53eafc82220e38d0ad1374321c', 'round-check'),
+    (7, 'random-round',
+     '908342b64adc5bca7d13b4c100d5919a11faeaf0a6409e7de8eafced5d620078', 'round-check',
+     '6ece1ed6e1198e21ce70a509d45ec1e8e367e33d43d3d99f234375f5f340e683', 'round-check'),
+    (7, 'random-round(1)',
+     '2c02583bfa4b6ef5c586b5fe2d1d3bdc29f39ccdbc74be2ed2ba5bf99754558e', 'round-check',
+     '992d1cf08e430a9da7e3af9f8d6987abe48dffd8e48ab67a2b5f2ff6a3613362', 'round-check'),
+)
+
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
 LAMBDA16 = vdf_setup(16, 10, 32, "a1b2c3")
 
@@ -111,6 +154,18 @@ def test_transcript_bytes_pinned(index):
     assert coins.transcript_bytes() == transcript_encode(transcript_to_messages(hashed)[1:])
     got = (_digest(transcript_to_bytes(interactive)), _digest(transcript_to_bytes(hashed)))
     assert got == TRANSCRIPT_DIGESTS[index]
+
+
+@pytest.mark.parametrize("case", CHEAT_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+def test_cheating_transcript_bytes_pinned(case):
+    index, strategy, interactive_digest, interactive_reason, fs_digest, fs_reason = case
+    formula = parse_qbf(CORPUS[index])
+    p = default_prime(formula)
+    got = []
+    for coins in (InteractiveChallenges(index), FiatShamirChallenges(TQBF_ORACLE)):
+        transcript = cheat_prover(strategy, formula, p, coins, random.Random(index))
+        got += [_digest(transcript_to_bytes(transcript)), sumcheck_verify(formula, p, transcript).reason]
+    assert tuple(got) == (interactive_digest, interactive_reason, fs_digest, fs_reason)
 
 
 @pytest.mark.parametrize("index", range(len(BUNDLE_CASES)))
