@@ -13,7 +13,6 @@ import random
 from seqproof.fiatshamir import InteractiveChallenges
 from seqproof.qbf import eval_qbf_bruteforce, parse_qbf
 from seqproof.sumcheck import (
-    HonestProver,
     build_operator_chain,
     chain_value,
     default_prime,
@@ -58,10 +57,8 @@ def main():
         )
     print(f"final evaluation point: {tuple(point)}\n")
 
-    # fresh coins for the verification run; the prover answers live
-    verdict = sumcheck_verify(
-        formula, p, HonestProver(formula, p), InteractiveChallenges(random.Random(8))
-    )
+    # the verifier checks every round of the transcript printed above
+    verdict = sumcheck_verify(formula, p, transcript)
     print(f"verifier accepts: {verdict.accepted}")
 
 

@@ -57,9 +57,9 @@ def _read_params(path: str):
 def _cmd_prove_tqbf(args) -> int:
     formula = _read_formula(getattr(args, "in"))
     if args.fs:
-        transcript = fs_prove_tqbf(formula, args.prime or None)
+        transcript = fs_prove_tqbf(formula, args.prime)
     else:
-        transcript = sumcheck_prove(formula, args.prime or None, InteractiveChallenges(args.seed))
+        transcript = sumcheck_prove(formula, args.prime, InteractiveChallenges(args.seed))
     print(f"mode {transcript.mode}")
     print(f"prime {transcript.p}")
     print(f"rounds {len(transcript.rounds)}")

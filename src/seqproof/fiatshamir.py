@@ -6,7 +6,8 @@ concatenation commits to the whole conversation so far.
 
 A challenge source absorbs each message as its tag and a zero-argument
 encoder, and calls the encoder only if it reads the bytes: hashed challenges
-do, rng coins and replayed challenges do not.
+do, rng coins and replayed challenges do not.  Each source names the mode of
+the transcripts it yields; only this module pairs modes with sources.
 """
 
 from __future__ import annotations
@@ -170,6 +171,8 @@ def ro_challenge(spec: OracleSpec, transcript: bytes, size: int, lo: int = 0) ->
 class InteractiveChallenges:
     """Fresh verifier coins from a seeded rng; ignores the conversation."""
 
+    mode = MODE_INTERACTIVE
+
     def __init__(self, rng: random.Random | int):
         self.rng = rng if isinstance(rng, random.Random) else random.Random(rng)
 
@@ -182,6 +185,8 @@ class InteractiveChallenges:
 
 class FiatShamirChallenges:
     """Challenges derived by hashing everything absorbed so far."""
+
+    mode = MODE_FIAT_SHAMIR
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
@@ -200,6 +205,8 @@ class FiatShamirChallenges:
 class RecordedChallenges:
     """Replays challenges already fixed in a transcript."""
 
+    mode = MODE_INTERACTIVE
+
     def __init__(self, challenges):
         self._queue = list(challenges)
         self._next = 0
@@ -216,3 +223,9 @@ class RecordedChallenges:
 
     def challenge_interval(self, lo: int, size: int) -> int:
         return self._pop()
+
+
+def replay_challenges(mode: str, spec: OracleSpec, recorded):
+    """The verifier's source for a transcript or bundle of the given mode:
+    the hash under spec for Fiat-Shamir, the recorded challenges otherwise."""
+    return FiatShamirChallenges(spec) if mode == MODE_FIAT_SHAMIR else RecordedChallenges(recorded)

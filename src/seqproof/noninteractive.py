@@ -40,6 +40,7 @@ from .fiatshamir import (
     decode_u64,
     encode_file,
     encode_u64,
+    replay_challenges,
 )
 from .qbf import Qbf, QbfParseError, parse_qbf, to_qdimacs
 from .shvdf import (
@@ -204,9 +205,8 @@ def vdf_challenge(challenges, pp: VdfParams, x: str, output_value: int) -> int:
 
 def open_bundle(run: VdfRun, x: str, challenges) -> VdfBundle:
     """Draw the challenge through the opening schedule; answer from the run's window."""
-    mode = MODE_FIAT_SHAMIR if isinstance(challenges, FiatShamirChallenges) else MODE_INTERACTIVE
     t = vdf_challenge(challenges, run.params, x, run.output.value)
-    return VdfBundle(run.params, x, run.output.value, t, run.respond(t), mode)
+    return VdfBundle(run.params, x, run.output.value, t, run.respond(t), challenges.mode)
 
 
 def fs_vdf_open(pp: VdfParams, x: str) -> VdfBundle:
@@ -216,8 +216,7 @@ def fs_vdf_open(pp: VdfParams, x: str) -> VdfBundle:
 
 def verify_bundle(bundle: VdfBundle) -> VdfVerdict:
     """Re-derive the challenge (hashed, or the interactive bundle's own coin), then replay."""
-    fs = bundle.mode == MODE_FIAT_SHAMIR
-    source = FiatShamirChallenges(VDF_ORACLE) if fs else RecordedChallenges([bundle.challenge])
+    source = replay_challenges(bundle.mode, VDF_ORACLE, [bundle.challenge])
     t = vdf_challenge(source, bundle.params, bundle.x, bundle.output_value)
     if t != bundle.challenge:
         return VdfVerdict(False, 0, "challenge-mismatch")

@@ -123,6 +123,8 @@ def vdf_setup(
     """
     if isinstance(seed, str):
         seed = seed.encode()
+    if log2_steps < 0:
+        raise ValueError(f"log2 step count {log2_steps} is negative")
     if log2_steps > lam:
         raise ValueError(f"log2 step count {log2_steps} exceeds lam = {lam}")
     bits = lam if state_bits is None else state_bits

@@ -7,7 +7,9 @@ that keep round polynomials at low degree, so each round message is a short
 univariate polynomial and the verifier's work stays polynomial.
 
 Soundness rests on random verifier challenges; completeness is exact.  Three
-cheating provers are included to measure the soundness error empirically.
+cheating provers measure the soundness error empirically.  One driver runs
+every prover against a challenge source, carrying the running claim that the
+verifier checks each round against; the verifier checks finished transcripts.
 
 The honest prover never re-evaluates the chain.  After each block's
 linearization pass the chain is the multilinear extension of a Boolean
@@ -28,18 +30,16 @@ from enum import Enum
 
 from .field import MAX_PRIME, UniPoly, check_prime, lagrange_interpolate, next_prime_at_least, sqrt_mod
 from .fiatshamir import (
-    MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
     TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
     TAG_SC_POLY,
     TAG_SC_PRIME,
-    FiatShamirChallenges,
-    RecordedChallenges,
     TQBF_ORACLE,
     encode_poly,
     encode_u64,
+    replay_challenges,
 )
 from .qbf import Qbf, Quantifier, eval_qbf_bruteforce, to_qdimacs
 
@@ -366,7 +366,8 @@ def _combine(op: Operator, s: UniPoly, bindings, p: int) -> int:
 
 
 class HonestProver:
-    """Round-by-round prover; subclasses override messages to cheat."""
+    """Round-by-round prover; subclasses override messages to cheat.  Each
+    round gets the running claim it is checked against; honest play ignores it."""
 
     def __init__(self, formula: Qbf, p: int):
         check_statement(formula.num_vars, formula.num_clauses, p)
@@ -380,11 +381,8 @@ class HonestProver:
     def claimed_value(self) -> int:
         return self.honest_value
 
-    def _honest_poly(self, k: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> UniPoly:
         return compute_round_poly(self.ops, k, self.bindings, self.f, self.formula)
-
-    def round_poly(self, k: int) -> UniPoly:
-        return self._honest_poly(k)
 
     def receive_challenge(self, k: int, r: int) -> None:
         self.bindings[self.ops[k].var - 1] = r
@@ -395,29 +393,18 @@ class _WrongClaimProver(HonestProver):
     honest polynomial so the current check passes, falling back to honest play
     whenever a challenge happens to cancel the accumulated error."""
 
-    def __init__(self, formula: Qbf, p: int):
-        super().__init__(formula, p)
-        self.claim = (self.honest_value + 1) % p
-        self.running = self.claim
-        self._sent: UniPoly | None = None
-
     def claimed_value(self) -> int:
-        return self.claim
+        return (self.honest_value + 1) % self.p
 
-    def round_poly(self, k: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> UniPoly:
         op = self.ops[k]
-        s = self._honest_poly(k)
-        if _combine(op, s, self.bindings, self.p) != self.running:
-            s = self._bend(op, s)
-        self._sent = s
+        s = super().round_poly(k, claim)
+        if _combine(op, s, self.bindings, self.p) != claim:
+            s = self._bend(op, s, claim)
         return s
 
-    def receive_challenge(self, k: int, r: int) -> None:
-        self.running = self._sent.evaluate(r)
-        super().receive_challenge(k, r)
-
-    def _bend(self, op: Operator, s: UniPoly) -> UniPoly:
-        p, target = self.p, self.running
+    def _bend(self, op: Operator, s: UniPoly, target: int) -> UniPoly:
+        p = self.p
         d = round_degree_bound(op, self.formula)
         v = [s.evaluate(j) for j in range(d + 1)]
         if op.kind is OpKind.SUM:
@@ -452,58 +439,48 @@ class _RandomRoundProver(HonestProver):
     def claimed_value(self) -> int:
         return self.honest_value if self.honest_value != 0 else 1
 
-    def round_poly(self, k: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> UniPoly:
         if k == self.k_target:
             d = round_degree_bound(self.ops[k], self.formula)
             return UniPoly([self.rng.randrange(self.p) for _ in range(d + 1)], self.p)
-        return self._honest_poly(k)
+        return super().round_poly(k, claim)
 
 
 class _ConstantPolyProver(HonestProver):
     """Lazy prover: never evaluates the matrix, just sends the constant that
-    splits the expected check value (square root for product rounds, where one
+    splits the running claim (square root for product rounds, where one
     exists)."""
-
-    def __init__(self, formula: Qbf, p: int):
-        super().__init__(formula, p)
-        self.running = self.claimed_value()
-        self._sent: UniPoly | None = None
 
     def claimed_value(self) -> int:
         return self.honest_value if self.honest_value != 0 else 1
 
-    def round_poly(self, k: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> UniPoly:
         op = self.ops[k]
-        y = self.running
         if op.kind is OpKind.SUM:
-            c = y * pow(2, -1, self.p) % self.p  # p >= 6, so 2 is a unit
+            c = claim * pow(2, -1, self.p) % self.p  # p >= 6, so 2 is a unit
         elif op.kind is OpKind.PROD:
-            root = sqrt_mod(y, self.p)
-            c = y if root is None else root
+            root = sqrt_mod(claim, self.p)
+            c = claim if root is None else root
         else:
-            c = y
-        self._sent = UniPoly((c,), self.p)
-        return self._sent
-
-    def receive_challenge(self, k: int, r: int) -> None:
-        self.running = self._sent.evaluate(r)
-        super().receive_challenge(k, r)
+            c = claim
+        return UniPoly((c,), self.p)
 
 
 # ── protocol drivers ───────────────────────────────────────────────────────
 
 
 def _drive(session, formula: Qbf, p: int, challenges) -> Transcript:
-    mode = MODE_FIAT_SHAMIR if isinstance(challenges, FiatShamirChallenges) else MODE_INTERACTIVE
-    y = session.claimed_value()
-    conversation = Conversation(challenges, formula, p, y)
+    """Run the conversation, carrying the running claim as the verifier does."""
+    claim = y = session.claimed_value()
+    conversation = Conversation(challenges, formula, p, claim)
     rounds = []
     for k in range(len(session.ops)):
-        s = session.round_poly(k)
+        s = session.round_poly(k, y)
         r = conversation.exchange(s)
         session.receive_challenge(k, r)
         rounds.append(RoundMessage(s, r))
-    return Transcript(formula, p, y, tuple(rounds), mode)
+        y = s.evaluate(r)
+    return Transcript(formula, p, claim, tuple(rounds), challenges.mode)
 
 
 def sumcheck_prove(formula: Qbf, p: int | None, challenges) -> Transcript:
@@ -543,66 +520,47 @@ def cheat_prover(
     return _drive(session, formula, p, challenges)
 
 
-def sumcheck_verify(formula: Qbf, p: int, prover, challenges=None) -> Verdict:
-    """Check a completed transcript or interrogate a live prover session.
+def sumcheck_verify(formula: Qbf, p: int, transcript: Transcript, challenges=None) -> Verdict:
+    """Check a completed transcript.
 
-    For a transcript, challenges defaults to the recorded coins (interactive
-    mode) or to re-derivation from the conversation hash (Fiat-Shamir mode,
-    where any mismatch with the recorded challenge rejects).  For a live
-    session a challenge source must be supplied.  An inadmissible statement
-    rejects a transcript and raises for a live session.
+    challenges defaults to the recorded coins (interactive mode) or to
+    re-derivation from the conversation hash (Fiat-Shamir mode); either way
+    a recorded challenge that differs from the source's rejects.  An
+    inadmissible statement rejects.
     """
     try:
         check_statement(formula.num_vars, formula.num_clauses, p)
     except ValueError:
-        if not isinstance(prover, Transcript):
-            raise
         return Verdict(False, "statement-mismatch")
+    t = transcript
     ops = build_operator_chain(formula)
+    if t.formula != formula or t.p != p:
+        return Verdict(False, "statement-mismatch")
+    if len(t.rounds) != len(ops) or not 0 <= t.claimed_value < p:
+        return Verdict(False, "malformed-transcript")
+    if any(rm.poly.p != p or not 0 <= rm.challenge < p for rm in t.rounds):
+        return Verdict(False, "malformed-transcript")
+    if challenges is None:
+        challenges = replay_challenges(t.mode, TQBF_ORACLE, [rm.challenge for rm in t.rounds])
 
-    if isinstance(prover, Transcript):
-        t = prover
-        if t.formula != formula or t.p != p:
-            return Verdict(False, "statement-mismatch")
-        if len(t.rounds) != len(ops) or not 0 <= t.claimed_value < p:
-            return Verdict(False, "malformed-transcript")
-        if any(rm.poly.p != p or not 0 <= rm.challenge < p for rm in t.rounds):
-            return Verdict(False, "malformed-transcript")
-        recorded = [rm.challenge for rm in t.rounds]
-        if challenges is None:
-            if t.mode == MODE_FIAT_SHAMIR:
-                challenges = FiatShamirChallenges(TQBF_ORACLE)
-            else:
-                challenges = RecordedChallenges(recorded)
-        y = t.claimed_value
-        round_poly = lambda k: t.rounds[k].poly
-    else:
-        if challenges is None:
-            raise ValueError("a live prover session needs a challenge source")
-        recorded = None
-        y = prover.claimed_value()
-        round_poly = prover.round_poly
-
-    f = ArithPoly(formula, p)
+    y = t.claimed_value
     conversation = Conversation(challenges, formula, p, y)
-    if y % p == 0:
+    if y == 0:
         return Verdict(False, "zero-claim")
 
     bindings: list[int | None] = [None] * formula.num_vars
-    for k, op in enumerate(ops):
-        s = round_poly(k)
+    for op, rm in zip(ops, t.rounds):
+        s = rm.poly
         if s.degree > round_degree_bound(op, formula):
             return Verdict(False, "degree-overflow")
-        if _combine(op, s, bindings, p) != y % p:
+        if _combine(op, s, bindings, p) != y:
             return Verdict(False, "round-check")
         r = conversation.exchange(s)
-        if recorded is None:
-            prover.receive_challenge(k, r)
-        elif recorded[k] != r:
+        if rm.challenge != r:
             return Verdict(False, "challenge-mismatch")
         bindings[op.var - 1] = r
         y = s.evaluate(r)
 
-    if f.evaluate(bindings) != y:
+    if ArithPoly(formula, p).evaluate(bindings) != y:
         return Verdict(False, "final-check")
     return Verdict(True)

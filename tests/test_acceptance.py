@@ -45,10 +45,10 @@ from seqproof.shvdf import (
     vdf_verify,
 )
 from seqproof.sumcheck import (
-    HonestProver,
     build_operator_chain,
     chain_value,
     default_prime,
+    sumcheck_prove,
     sumcheck_verify,
 )
 from seqproof.fiatshamir import InteractiveChallenges
@@ -114,7 +114,7 @@ def test_criterion_03_completeness(capsys):
     for i, f in enumerate(formulas):
         p = default_prime(f)
         coins = InteractiveChallenges(random.Random(f"303:{i}"))
-        if sumcheck_verify(f, p, HonestProver(f, p), coins).accepted:
+        if sumcheck_verify(f, p, sumcheck_prove(f, p, coins)).accepted:
             interactive += 1
         if fs_verify_tqbf(f, fs_prove_tqbf(f)).accepted:
             fiat_shamir += 1

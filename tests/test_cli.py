@@ -93,6 +93,14 @@ def test_custom_prime(formula_file, capsys):
     assert "prime 101" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fs", [False, True])
+def test_prove_refuses_prime_zero(formula_file, capsys, fs):
+    # 0 used to stand for "no prime given" and prove at the default, 37
+    assert main(["prove-tqbf", "--in", formula_file, "--prime", "0"] + ["--fs"] * fs) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: 0 is not prime" in captured.err
+
+
 def test_vdf_cycle(tmp_path, capsys):
     pp = str(tmp_path / "pp.bin")
     proof = str(tmp_path / "opening.proof")
@@ -220,6 +228,14 @@ def test_vdf_params_with_too_many_steps_are_refused(tmp_path, capsys):
     assert "2^22" in capsys.readouterr().err
     assert main(["vdf", "setup", "--lambda", "24", "--log2t", "23", "--space", "8",
                  "--seed", "s", "--pp", str(pp)]) == 1
+
+
+def test_vdf_setup_refuses_a_negative_log2_step_count(tmp_path, capsys):
+    # 1 << -1 used to end setup with "negative shift count"
+    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "-1", "--space", "8",
+                 "--seed", "s", "--pp", str(tmp_path / "pp.bin")]) == 1
+    assert "error: log2 step count -1 is negative" in capsys.readouterr().err
+    assert not (tmp_path / "pp.bin").exists()
 
 
 def test_exp_min_vars(capsys):

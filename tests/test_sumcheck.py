@@ -206,14 +206,6 @@ def test_fiat_shamir_transcripts_are_deterministic():
     assert a == b
 
 
-def test_live_session_verification():
-    rng = random.Random(77)
-    session = HonestProver(ALT_TRUE, 37)
-    assert sumcheck_verify(ALT_TRUE, 37, session, InteractiveChallenges(rng)).accepted
-    with pytest.raises(ValueError):
-        sumcheck_verify(ALT_TRUE, 37, HonestProver(ALT_TRUE, 37))
-
-
 def _honest_transcript(seed=3):
     return sumcheck_prove(ALT_TRUE, 37, InteractiveChallenges(seed))
 
@@ -398,7 +390,6 @@ def test_round_polys_from_tables_match_the_recursive_chain():
                     s = compute_round_poly(ops, k, session.bindings, session.f, formula)
                     assert session.bindings == before
                     assert s == _reference_round_poly(ops, k, before, session.f, formula), (formula, p, k)
-                    session.round_poly(k)
                     session.receive_challenge(k, coins.challenge_interval(0, p))
                     rounds += 1
             p = next_prime_at_least(p + 1)
@@ -432,7 +423,6 @@ def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
                 assert s.degree <= session.f.split(op.var)[2]
                 assert s == _reference_round_poly(ops, k, session.bindings, session.f, formula), (seed, k)
                 rounds += 1
-            session.round_poly(k)
             session.receive_challenge(k, coins.challenge_interval(0, p))
     assert rounds == 4 * n
 
