@@ -110,6 +110,7 @@ class _Transcriber(RecordedChallenges):
 
     def __init__(self, mode: str, challenges):
         super().__init__(challenges)
+        self.mode = mode
         self.messages = [Message(TAG_MODE, mode.encode())]
 
     def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
