@@ -100,6 +100,7 @@ def _cmd_vdf_eval(args) -> int:
     out = vdf_eval(pp, args.input)
     print(f"value {out.value}")
     print(f"steps {out.steps}")
+    print(f"live-steps {out.live_steps}")
     return 0
 
 
@@ -167,8 +168,19 @@ def _cmd_exp_soundness(args) -> int:
     return _emit_report(report, args.json)
 
 
+def _int_list(option: str, text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; a bad item is refused by name."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ValueError(f"{option}: {item!r} is not an integer") from None
+    return tuple(values)
+
+
 def _cmd_exp_parallel(args) -> int:
-    workers = tuple(int(w) for w in args.workers.split(","))
+    workers = _int_list("--workers", args.workers)
     report = exp_parallel_sum(
         num_vars=args.vars, num_clauses=args.clauses, workers_list=workers, seed=args.seed
     )
@@ -176,7 +188,7 @@ def _cmd_exp_parallel(args) -> int:
 
 
 def _cmd_exp_growth(args) -> int:
-    log2_list = tuple(int(v) for v in args.log2t.split(","))
+    log2_list = _int_list("--log2t", args.log2t)
     report = exp_vdf_growth(
         lam=args.lam, log2_steps_list=log2_list, space=args.space, seed=args.seed
     )

@@ -218,7 +218,8 @@ def exp_vdf_growth(
 
     Checks the step counters, not the clock: eval.steps == T and
     open.steps == T exactly, verify.steps <= lam, and the opening verifies.
-    Wall times ride along for the growth curve.
+    Each row also reports how many of eval's steps were live transitions
+    rather than absorbed ones.  Wall times ride along for the growth curve.
     """
     rows = []
     passed = True
@@ -245,6 +246,7 @@ def exp_vdf_growth(
             {
                 "log2_steps": log2_steps,
                 "eval_steps": out.steps,
+                "eval_live_steps": out.live_steps,
                 "open_steps": proof.steps,
                 "verify_steps": verdict.steps,
                 "eval_seconds": round(eval_seconds, 4),

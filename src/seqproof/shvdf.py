@@ -40,16 +40,24 @@ MAX_STEPS = 1 << 22
 
 
 def _seeded_delta(seed: bytes, state_bits: int):
-    """Transition rule keyed by (state, symbol) through sha256."""
+    """Transition rule keyed by (state, symbol) through sha256.
+
+    The hashed bytes are the seed, then q as 16 big-endian bytes, then sym
+    as one byte.  The seed is absorbed once per machine; each step copies
+    that hash state and feeds it the 17 bytes (q << 8 | sym), which equal
+    q's 16 bytes followed by sym's one for sym < 256.  The first 16 digest
+    bytes, big-endian, give the next state (low `state_bits` bits), the
+    written bit (the next bit) and the move (the bits above, mod 3, minus 1).
+    """
+    keyed = hashlib.sha256(seed)
     mask = (1 << state_bits) - 1
+    move_shift = state_bits + 1
 
     def delta(q: int, sym: int) -> tuple[int, int, int]:
-        digest = hashlib.sha256(seed + q.to_bytes(16, "big") + bytes([sym])).digest()
-        bits = int.from_bytes(digest[:16], "big")
-        next_q = bits & mask
-        write = (bits >> state_bits) & 1
-        move = ((bits >> (state_bits + 1)) % 3) - 1
-        return next_q, write, move
+        h = keyed.copy()
+        h.update((q << 8 | sym).to_bytes(17, "big"))
+        bits = int.from_bytes(h.digest()[:16], "big")
+        return bits & mask, (bits >> state_bits) & 1, ((bits >> move_shift) % 3) - 1
 
     return delta
 
@@ -91,8 +99,12 @@ class VdfParams:
     def num_states(self) -> int:
         return 1 << self.state_bits
 
+    @property
+    def final_states(self) -> range:
+        return range(1, self.lam)
+
     def is_final(self, q: int) -> bool:
-        return 0 < q < self.lam
+        return q in self.final_states
 
     def challenge_window(self) -> range:
         return range(self.num_steps - self.lam, self.num_steps)
@@ -102,10 +114,12 @@ class VdfParams:
             raise ValueError(f"challenge {t} outside [{self.num_steps - self.lam}, {self.num_steps - 1}]")
 
     def machine(self) -> TmDescription:
+        """A fresh machine each call, halting on `final_states` by range
+        membership; `tm_run` reads its `delta` attribute when called."""
         return TmDescription(
             self.num_states,
             _seeded_delta(self.seed, self.state_bits),
-            self.is_final,
+            self.final_states.__contains__,
         )
 
 
@@ -138,10 +152,12 @@ def vdf_setup(
 
 @dataclass(frozen=True)
 class VdfOutput:
-    """Final control state plus the sequential steps spent producing it."""
+    """Final control state plus the sequential steps spent producing it, and
+    how many of those were live transitions rather than absorbed ones."""
 
     value: int
     steps: int
+    live_steps: int
 
 
 @dataclass(frozen=True)
@@ -237,13 +253,17 @@ def _record_window(pp: VdfParams, config: TmConfiguration, unrecorded: int) -> V
     """Run `unrecorded` steps, then lam single steps, reading the state and
     the scanned symbol before the first and after each one."""
     desc = pp.machine()
-    steps = tm_run(desc, config, unrecorded).steps
+    result = tm_run(desc, config, unrecorded)
+    steps, live = result.steps, result.live
     states, scanned = [config.state], [config.tape[config.head]]
     for _ in range(pp.lam):
-        steps += tm_run(desc, config, 1).steps
+        result = tm_run(desc, config, 1)
+        steps += result.steps
+        live += result.live
         states.append(config.state)
         scanned.append(config.tape[config.head])
-    return VdfRun(pp, VdfOutput(config.state, steps), tuple(states), tuple(scanned), steps)
+    output = VdfOutput(config.state, steps, live)
+    return VdfRun(pp, output, tuple(states), tuple(scanned), steps)
 
 
 def vdf_run(pp: VdfParams, x: str) -> VdfRun:

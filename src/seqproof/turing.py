@@ -77,7 +77,7 @@ class TmDescription:
             except KeyError:
                 raise ValueError(f"machine has no rule for state {q} reading {_SYM_TEXT[sym]}")
 
-        return cls(num_states, delta, lambda q: q in halt, table=table, halt_states=halt)
+        return cls(num_states, delta, halt.__contains__, table=table, halt_states=halt)
 
 
 @dataclass
@@ -97,8 +97,11 @@ class TmConfiguration:
 
 @dataclass
 class RunResult:
+    """`steps` counts absorbed steps too; `live` only the transitions taken."""
+
     config: TmConfiguration
     steps: int
+    live: int
 
 
 def initial_configuration(x: str, space: int, initial_state: int = 0) -> TmConfiguration:
@@ -114,7 +117,11 @@ def initial_configuration(x: str, space: int, initial_state: int = 0) -> TmConfi
 
 
 def tm_run(desc: TmDescription, config: TmConfiguration, steps: int) -> RunResult:
-    """Exactly `steps` steps (absorbing steps included), mutating `config`."""
+    """Exactly `steps` steps (absorbing steps included), mutating `config`.
+
+    The result's `live` is the number of transitions taken before the
+    machine halted, or `steps` if it never did.
+    """
     if steps < 0:
         raise ValueError("negative step count")
     delta = desc.delta
@@ -123,11 +130,11 @@ def tm_run(desc: TmDescription, config: TmConfiguration, steps: int) -> RunResul
     tape = config.tape
     head = config.head
     last = len(tape) - 1
-    executed = 0
-    while executed < steps:
+    live = steps
+    for taken in range(steps):
         if halting(state):
             # absorbing: burn the remaining steps in one go
-            executed = steps
+            live = taken
             break
         q2, w, d = delta(state, tape[head])
         if head:
@@ -138,10 +145,9 @@ def tm_run(desc: TmDescription, config: TmConfiguration, steps: int) -> RunResul
             head = 0
         elif head > last:
             head = last
-        executed += 1
     config.state = state
     config.head = head
-    return RunResult(config, executed)
+    return RunResult(config, steps, live)
 
 
 def decide_spacehalt(desc: TmDescription, x: str, space: int) -> bool:

@@ -238,6 +238,28 @@ def test_vdf_setup_refuses_a_negative_log2_step_count(tmp_path, capsys):
     assert not (tmp_path / "pp.bin").exists()
 
 
+def test_vdf_eval_reports_live_steps_as_in_the_readme(tmp_path, capsys):
+    pp = str(tmp_path / "pp.bin")
+    assert main(["vdf", "setup", "--lambda", "16", "--log2t", "12", "--space", "32",
+                 "--seed", "a1b2c3", "--pp", pp]) == 0
+    capsys.readouterr()
+    assert main(["vdf", "eval", "--pp", pp, "--input", "1011"]) == 0
+    assert capsys.readouterr().out == "value 9\nsteps 4096\nlive-steps 631\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["exp", "parallel", "--vars", "4", "--workers", "1,,2"], "error: --workers: '' is not an integer\n"),
+        (["exp", "growth", "--lambda", "8", "--log2t", "4,x", "--space", "8"], "error: --log2t: 'x' is not an integer\n"),
+    ],
+)
+def test_comma_lists_refuse_a_bad_item_by_option(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
 def test_exp_min_vars(capsys):
     assert main(["exp", "min-vars", "--steps", "65536"]) == 0
     assert capsys.readouterr().out.strip() == "361"

@@ -88,6 +88,12 @@ def test_vdf_growth_small():
     assert all(r["verify_steps"] <= 8 for r in rows)
 
 
+def test_vdf_growth_reports_live_eval_steps():
+    rows = exp_vdf_growth(lam=8, log2_steps_list=(4, 5), space=8, seed=0).metrics["rows"]
+    # the 16-step run halts after 11 transitions; the 32-step run never does
+    assert [r["eval_live_steps"] for r in rows] == [11, 32]
+
+
 def test_attack_report_small():
     report = exp_attack(lam=16, log2_steps=10, space=8, instances=100, seed=0)
     assert report.metrics["accepted"] == 100

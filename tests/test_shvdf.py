@@ -10,6 +10,7 @@ from seqproof.shvdf import (
     MAX_STEPS,
     VdfParams,
     VdfProof,
+    _seeded_delta,
     params_from_bytes,
     params_to_bytes,
     proof_from_bytes,
@@ -107,6 +108,83 @@ def test_big_instance_frozen():
 def test_eval_matches_reference(pp, x):
     want, _, _ = reference_run(pp, x, pp.num_steps)
     assert vdf_eval(pp, x).value == want
+
+
+@pytest.mark.parametrize(
+    "pp,x",
+    [
+        (GOLDEN, GOLDEN_X),
+        (BIG, BIG_X),
+        (VdfParams(8, 16, 4, 4, b"halts-0"), "01"),
+        (VdfParams(8, 32, 8, 6, b"straddle-49"), "0110"),
+    ],
+)
+def test_live_steps_stop_at_the_first_final_state(pp, x):
+    _, states, _ = reference_run(pp, x, pp.num_steps)
+    halted = [i for i, q in enumerate(states) if pp.is_final(q)]
+    out = vdf_eval(pp, x)
+    assert out.steps == pp.num_steps
+    assert out.live_steps == (halted[0] if halted else pp.num_steps)
+
+
+def test_live_steps_of_the_readme_example_and_of_a_wide_machine():
+    # the README's example halts early: 631 of its 4096 steps are transitions
+    out = vdf_eval(vdf_setup(16, 12, 32, "a1b2c3"), "1011")
+    assert (out.value, out.steps, out.live_steps) == (9, 4096, 631)
+    # with 32 state bits the benchmark-sized run never reaches a final state
+    out = vdf_eval(vdf_setup(32, 16, 32, "live-32"), "1011")
+    assert out.steps == out.live_steps == 1 << 16
+
+
+def _spec_delta(seed, state_bits, q, sym):
+    """The rule as specified: sha256(seed || q as 16 bytes || sym as 1 byte)."""
+    digest = hashlib.sha256(seed + q.to_bytes(16, "big") + bytes([sym])).digest()
+    bits = int.from_bytes(digest[:16], "big")
+    return (
+        bits & ((1 << state_bits) - 1),
+        (bits >> state_bits) & 1,
+        ((bits >> (state_bits + 1)) % 3) - 1,
+    )
+
+
+@pytest.mark.parametrize("seed_len", [0, 55, 64, 200])
+@pytest.mark.parametrize("state_bits", [1, 8, 32, 120])
+def test_seeded_rule_matches_its_specification(state_bits, seed_len):
+    # seeds of 55, 64 and 200 bytes put the absorbed prefix just short of, on
+    # and across sha256's 64-byte block boundaries
+    seed = bytes((7 + 3 * i) % 256 for i in range(seed_len))
+    if state_bits >= 4:
+        delta = VdfParams(8, 16, 4, state_bits, seed).machine().delta
+    else:
+        # too few states for any admissible lam; the rule itself still takes them
+        delta = _seeded_delta(seed, state_bits)
+    for q in (0, 1, (1 << state_bits) - 1):
+        for sym in (0, 1, 2):
+            want = _spec_delta(seed, state_bits, q, sym)
+            # a second call checks that a step leaves the absorbed seed untouched
+            assert delta(q, sym) == want
+            assert delta(q, sym) == want
+
+
+def test_the_seed_is_hashed_once_per_machine_not_once_per_step(monkeypatch):
+    pp = vdf_setup(16, 10, 16, "budget", state_bits=32)
+    sha256, machine = hashlib.sha256, VdfParams.machine
+    counts = {"sha256": 0, "machine": 0}
+
+    def counted_sha256(*args, **kwargs):
+        counts["sha256"] += 1
+        return sha256(*args, **kwargs)
+
+    def counted_machine(self):
+        counts["machine"] += 1
+        return machine(self)
+
+    monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+    monkeypatch.setattr(VdfParams, "machine", counted_machine)
+    run = vdf_run(pp, "1011")
+    assert run.output.steps == 1 << 10
+    assert counts["machine"] == 1
+    assert counts["sha256"] == counts["machine"]
 
 
 def test_open_verify_all_challenges():

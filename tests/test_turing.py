@@ -71,6 +71,15 @@ def test_zero_steps_leaves_configuration_alone():
     assert (c.state, c.tape, c.head) == snapshot
 
 
+def test_live_counts_the_transitions_taken():
+    # M1 on 001 takes 4 transitions and halts; the other steps are absorbed
+    for steps, live in ((0, 0), (3, 3), (4, 4), (10, 4)):
+        res = tm_run(M1, initial_configuration("001", 5), steps)
+        assert (res.steps, res.live) == (steps, live)
+    res = tm_run(looping_machine(), initial_configuration("001", 5), 50)
+    assert (res.steps, res.live) == (50, 50)
+
+
 def test_halting_is_absorbing():
     c = initial_configuration("001", 5)
     res = tm_run(M1, c, 10)
