@@ -23,11 +23,11 @@ def main():
     print(f"parameters: lambda={pp.lam} T={pp.num_steps}")
 
     honest = vdf_eval(pp, x)
-    print(f"honest evaluation: y={honest.value} after {honest.steps} steps")
+    print(f"honest evaluation: y={honest.value} after {honest.steps} transitions")
 
     forgery = vdf_attack(pp, x, random.Random(5))
-    forged_y = forgery.output.value
-    print(f"forger precomputation: {forgery.steps} steps (budget lambda+1={pp.lam + 1})")
+    forged_y = forgery.value
+    print(f"forger precomputation: {forgery.steps} transitions (budget lambda+1={pp.lam + 1})")
     print(f"forged output: y={forged_y} (differs: {forged_y != honest.value})\n")
 
     # the forger's recorded window opens through the same bundle builder as

@@ -97,10 +97,10 @@ def _cmd_vdf_setup(args) -> int:
 
 def _cmd_vdf_eval(args) -> int:
     pp = _read_params(args.pp)
-    out = vdf_eval(pp, args.input)
-    print(f"value {out.value}")
-    print(f"steps {out.steps}")
-    print(f"live-steps {out.live_steps}")
+    run = vdf_eval(pp, args.input)
+    print(f"value {run.value}")
+    print(f"steps {pp.num_steps}")
+    print(f"live-steps {run.steps}")
     return 0
 
 
@@ -140,7 +140,7 @@ def _cmd_vdf_attack(args) -> int:
     forgery = vdf_attack(pp, args.input, random.Random(args.seed))
     bundle = open_bundle(forgery, args.input, FiatShamirChallenges(VDF_ORACLE))
     verdict = fs_vdf_verify(bundle)
-    print(f"forged value {forgery.output.value}")
+    print(f"forged value {forgery.value}")
     print(f"forger steps {forgery.steps} (honest evaluation takes {pp.num_steps})")
     print("forged opening " + ("accepted" if verdict.accepted else f"rejected ({verdict.reason})"))
     if args.proof:
@@ -231,7 +231,7 @@ COMMANDS = (
         ("--log2t", dict(type=int, required=True, help="log2 of the step count")),
         ("--space", dict(type=int, required=True, help="tape cells")),
         ("--seed", dict(required=True, help="transition-rule seed string")),
-        ("--state-bits", dict(type=int, default=None)),
+        ("--state-bits", dict(type=int, default=None, help="state width (default: log2t + lambda, at most 120)")),
         ("--pp", dict(required=True, help="parameter file to write")))),
     (("vdf", "eval"), "run the full computation", _cmd_vdf_eval, (
         ("--pp", dict(required=True, help="parameter file")),

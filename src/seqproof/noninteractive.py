@@ -206,8 +206,8 @@ def vdf_challenge(challenges, pp: VdfParams, x: str, output_value: int) -> int:
 
 def open_bundle(run: VdfRun, x: str, challenges) -> VdfBundle:
     """Draw the challenge through the opening schedule; answer from the run's window."""
-    t = vdf_challenge(challenges, run.params, x, run.output.value)
-    return VdfBundle(run.params, x, run.output.value, t, run.respond(t), challenges.mode)
+    t = vdf_challenge(challenges, run.params, x, run.value)
+    return VdfBundle(run.params, x, run.value, t, run.respond(t), challenges.mode)
 
 
 def fs_vdf_open(pp: VdfParams, x: str) -> VdfBundle:

@@ -1,21 +1,22 @@
 """A delay function from seeded bounded-space machine runs, plus its break.
 
 Eval runs a pseudorandomly wired machine for a fixed number of steps and
-outputs the final control state; sequential work is measured in machine
-steps throughout.  Open answers a challenge near the end of the run by
-revealing the control state at the challenged step and the scanned symbols
-from there on.  Verify replays that suffix through the transition rule
-alone: it never re-derives the tape from the input, so the check costs at
-most `lam` steps - and nothing ties the revealed symbols to the input.
-So an opening only needs a recorded window of the last `lam` steps (VdfRun),
-and vdf_attack records one after `lam` steps of work instead of `num_steps`.
+outputs the final control state; sequential work is the number of
+transitions the machine takes.  Open answers a challenge near the end of
+the run by revealing the control state at the challenged step and the
+scanned symbols from there on.  Verify replays that suffix through the
+transition rule alone: it never re-derives the tape from the input, so the
+check costs at most `lam` steps - and nothing ties the revealed symbols to
+the input.  So an opening only needs a recorded window of the last `lam`
+steps (VdfRun), and vdf_attack records one after `lam` steps of work
+instead of `num_steps`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fiatshamir import DecodeError, decode_u64, encode_u64
 from .turing import (
@@ -26,8 +27,10 @@ from .turing import (
     tm_run,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MIN_SECURITY = 8
+# a bundle names its own lam, and verify replays up to lam steps
+MAX_SECURITY = 256
 # state id plus write bit plus move bits must fit the 128-bit prf output
 MAX_STATE_BITS = 120
 # eval allocates one list entry per tape cell; tests and benchmarks use at most 32
@@ -80,6 +83,8 @@ class VdfParams:
     def __post_init__(self):
         if self.lam < MIN_SECURITY:
             raise ValueError(f"security parameter must be at least {MIN_SECURITY}")
+        if self.lam > MAX_SECURITY:
+            raise ValueError(f"security parameter must be at most {MAX_SECURITY}")
         if not 1 <= self.state_bits <= MAX_STATE_BITS:
             raise ValueError(f"state_bits must be in [1, {MAX_STATE_BITS}]")
         if self.lam >= (1 << self.state_bits):
@@ -130,10 +135,14 @@ def vdf_setup(
     seed: bytes | str,
     state_bits: int | None = None,
 ) -> VdfParams:
-    """Fix parameters for runs of 2**log2_steps steps.
+    """Fix parameters for runs of T = 2**log2_steps steps.
 
     The exponent is capped at lam so the run length stays polynomial in the
-    window size, and the step count at MAX_STEPS.
+    window size, and the step count at MAX_STEPS.  The default state width,
+    log2_steps + lam up to MAX_STATE_BITS, makes an early halt rare: each
+    transition hits one of the lam - 1 final states with probability
+    (lam - 1) / 2^state_bits, so P(halt within T) <= T (lam - 1) / 2^state_bits,
+    at most (lam - 1) / 2^lam below the cap and (lam - 1) / 2^98 at it.
     """
     if isinstance(seed, str):
         seed = seed.encode()
@@ -141,33 +150,22 @@ def vdf_setup(
         raise ValueError(f"log2 step count {log2_steps} is negative")
     if log2_steps > lam:
         raise ValueError(f"log2 step count {log2_steps} exceeds lam = {lam}")
-    bits = lam if state_bits is None else state_bits
+    bits = min(log2_steps + lam, MAX_STATE_BITS) if state_bits is None else state_bits
     # one bit past MAX_STEPS is enough for VdfParams to refuse the count
     num_steps = 1 << min(log2_steps, MAX_STEPS.bit_length())
     return VdfParams(lam, num_steps, space, bits, seed)
 
 
-# ── outputs, proofs, verdicts ──────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class VdfOutput:
-    """Final control state plus the sequential steps spent producing it, and
-    how many of those were live transitions rather than absorbed ones."""
-
-    value: int
-    steps: int
-    live_steps: int
+# ── proofs and verdicts ────────────────────────────────────────────────────
 
 
 @dataclass(frozen=True)
 class VdfProof:
     """Opening at challenge t: the control state after t steps and the
-    scanned symbols at offsets t..num_steps (one per step plus the start)."""
+    scanned symbols at offsets t..num_steps-1, one read before each step."""
 
     state_at_challenge: int
     scanned: tuple[int, ...]
-    steps: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -183,9 +181,9 @@ class VdfVerdict:
 # ── evaluate / open / verify ───────────────────────────────────────────────
 
 
-def vdf_eval(pp: VdfParams, x: str) -> VdfOutput:
-    """Run the machine on input x for the full step count."""
-    return vdf_run(pp, x).output
+def vdf_eval(pp: VdfParams, x: str) -> VdfRun:
+    """Run the machine on input x for the full step count; output `.value`."""
+    return vdf_run(pp, x)
 
 
 def vdf_open(pp: VdfParams, x: str, t: int) -> VdfProof:
@@ -199,12 +197,12 @@ def vdf_verify(pp: VdfParams, x: str, y: int, t: int, proof: VdfProof) -> VdfVer
 
     The input x is part of the statement but the replay never consults it:
     the scanned symbols are taken from the proof on faith, which is the gap
-    vdf_attack drives through.  Replay cost is at most `lam` steps.
+    vdf_attack drives through.  The verdict counts the transitions replayed,
+    at most `lam`; a replay that reaches a final state stops there.
     """
     if t not in pp.challenge_window():
         return VdfVerdict(False, 0, "challenge-out-of-range")
-    span = pp.num_steps - t
-    if len(proof.scanned) != span + 1:
+    if len(proof.scanned) != pp.num_steps - t:
         return VdfVerdict(False, 0, "trace-length")
     if not 0 <= proof.state_at_challenge < pp.num_states:
         return VdfVerdict(False, 0, "state-out-of-range")
@@ -213,11 +211,12 @@ def vdf_verify(pp: VdfParams, x: str, y: int, t: int, proof: VdfProof) -> VdfVer
     desc = pp.machine()
     state = proof.state_at_challenge
     steps = 0
-    for j in range(span):
-        if not desc.is_halting(state):
-            # the write and move have no tape to act on here; state is all
-            # the verifier tracks
-            state, _, _ = desc.delta(state, proof.scanned[j])
+    for sym in proof.scanned:
+        if desc.is_halting(state):
+            break
+        # the write and move have no tape to act on here; state is all the
+        # verifier tracks
+        state, _, _ = desc.delta(state, sym)
         steps += 1
     if state != y:
         return VdfVerdict(False, steps, "output-mismatch")
@@ -233,37 +232,37 @@ def sample_challenge(pp: VdfParams, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class VdfRun:
-    """A claimed run's last `lam` steps (entry j of `states` and `scanned` is
-    j steps into the window, entry 0 its start), plus its responder."""
+    """A claimed run's last `lam` steps and its responder: `states[j]` is the
+    state j steps into the window (the last is the output), `scanned[j]` the
+    symbol that step j + 1 reads, and `steps` the transitions the run took."""
 
     params: VdfParams
-    output: VdfOutput
     states: tuple[int, ...]
     scanned: tuple[int, ...]
     steps: int
+
+    @property
+    def value(self) -> int:
+        return self.states[-1]
 
     def respond(self, t: int) -> VdfProof:
         """Answer any in-window challenge from the recorded window."""
         self.params.check_challenge(t)
         start = t - self.params.challenge_window().start
-        return VdfProof(self.states[start], self.scanned[start:], steps=self.steps)
+        return VdfProof(self.states[start], self.scanned[start:])
 
 
 def _record_window(pp: VdfParams, config: TmConfiguration, unrecorded: int) -> VdfRun:
-    """Run `unrecorded` steps, then lam single steps, reading the state and
-    the scanned symbol before the first and after each one."""
+    """Run `unrecorded` steps, then lam single steps, reading the scanned
+    symbol before each one and the state before the first and after each."""
     desc = pp.machine()
-    result = tm_run(desc, config, unrecorded)
-    steps, live = result.steps, result.live
-    states, scanned = [config.state], [config.tape[config.head]]
+    steps = tm_run(desc, config, unrecorded).steps
+    states, scanned = [config.state], []
     for _ in range(pp.lam):
-        result = tm_run(desc, config, 1)
-        steps += result.steps
-        live += result.live
-        states.append(config.state)
         scanned.append(config.tape[config.head])
-    output = VdfOutput(config.state, steps, live)
-    return VdfRun(pp, output, tuple(states), tuple(scanned), steps)
+        steps += tm_run(desc, config, 1).steps
+        states.append(config.state)
+    return VdfRun(pp, tuple(states), tuple(scanned), steps)
 
 
 def vdf_run(pp: VdfParams, x: str) -> VdfRun:
@@ -322,7 +321,8 @@ def _pack_symbols(syms) -> bytes:
 
 
 def proof_to_bytes(pp: VdfParams, proof: VdfProof) -> bytes:
-    """Challenge state big-endian, then a count and two bits per symbol."""
+    """Challenge state big-endian, then a count and two bits per symbol,
+    one symbol per replayed step."""
     width = (pp.state_bits + 7) // 8
     return (
         proof.state_at_challenge.to_bytes(width, "big")

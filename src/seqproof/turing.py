@@ -2,8 +2,8 @@
 
 The tape alphabet is {0, 1, left-end mark}; cell 0 always holds the mark and
 is never overwritten, the head is clamped to [0, space).  Halting states are
-absorbing: stepping a halted machine consumes a step and changes nothing,
-which keeps run lengths exact for the delay-function cost model.
+absorbing: a run stops at the first one, and its step count is the number
+of transitions the machine took, which is the delay-function cost model.
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ class TmConfiguration:
 
 @dataclass
 class RunResult:
-    """`steps` counts absorbed steps too; `live` only the transitions taken."""
+    """The configuration a run left, and the transitions it took."""
 
     config: TmConfiguration
     steps: int
-    live: int
 
 
 def initial_configuration(x: str, space: int, initial_state: int = 0) -> TmConfiguration:
@@ -117,10 +116,10 @@ def initial_configuration(x: str, space: int, initial_state: int = 0) -> TmConfi
 
 
 def tm_run(desc: TmDescription, config: TmConfiguration, steps: int) -> RunResult:
-    """Exactly `steps` steps (absorbing steps included), mutating `config`.
+    """Up to `steps` transitions, stopping at a halting state; mutates `config`.
 
-    The result's `live` is the number of transitions taken before the
-    machine halted, or `steps` if it never did.
+    The result's `steps` is the number of transitions taken: `steps` if the
+    machine never halted, fewer if it reached a halting state first.
     """
     if steps < 0:
         raise ValueError("negative step count")
@@ -130,11 +129,10 @@ def tm_run(desc: TmDescription, config: TmConfiguration, steps: int) -> RunResul
     tape = config.tape
     head = config.head
     last = len(tape) - 1
-    live = steps
-    for taken in range(steps):
+    taken = steps
+    for step in range(steps):
         if halting(state):
-            # absorbing: burn the remaining steps in one go
-            live = taken
+            taken = step
             break
         q2, w, d = delta(state, tape[head])
         if head:
@@ -147,7 +145,7 @@ def tm_run(desc: TmDescription, config: TmConfiguration, steps: int) -> RunResul
             head = last
     config.state = state
     config.head = head
-    return RunResult(config, steps, live)
+    return RunResult(config, taken)
 
 
 def decide_spacehalt(desc: TmDescription, x: str, space: int) -> bool:
@@ -162,7 +160,7 @@ def decide_spacehalt(desc: TmDescription, x: str, space: int) -> bool:
     if bound > MAX_DECIDER_BOUND:
         raise ValueError(f"configuration bound {bound} exceeds 2^28")
     config = initial_configuration(x, space)
-    # halting absorbs, so the state after `bound` steps halts iff some state did
+    # a run stops at a halting state, so its last state halts iff some state did
     return desc.is_halting(tm_run(desc, config, bound).config.state)
 
 

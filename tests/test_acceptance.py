@@ -198,6 +198,7 @@ def test_criterion_06_vdf_correctness(capsys):
 
 
 def test_criterion_07_vdf_cost_model(capsys):
+    # the rows count transitions taken, so a run that halts early fails
     report = exp_vdf_growth(lam=16, log2_steps_list=(10, 11, 12, 13, 14), space=32, seed=707)
     rows = report.metrics["rows"]
     exact = all(r["eval_steps"] == 2 ** r["log2_steps"] for r in rows)
@@ -207,7 +208,7 @@ def test_criterion_07_vdf_cost_model(capsys):
         capsys,
         7,
         ok,
-        f"eval counter == T exactly: {exact}; open counter == T exactly: {opened} "
+        f"eval transitions == T exactly: {exact}; open transitions == T exactly: {opened} "
         f"(T=2^10..2^14)",
     )
 
@@ -228,7 +229,7 @@ def test_criterion_08_attack(capsys):
         capsys,
         8,
         ok,
-        f"forgeries accepted {m['accepted']}/100, adversary steps "
+        f"forgeries accepted {m['accepted']}/100, adversary transitions "
         f"<= {m['max_forger_steps']} (budget {32 + 1}), output differs from honest "
         f"{m['distinct_from_honest']}/100 ({elapsed:.1f}s)",
     )

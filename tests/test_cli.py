@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
 FALSE_FORMULA = "p cnf 1 1\na 1 0\n1 0\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -238,13 +240,29 @@ def test_vdf_setup_refuses_a_negative_log2_step_count(tmp_path, capsys):
     assert not (tmp_path / "pp.bin").exists()
 
 
-def test_vdf_eval_reports_live_steps_as_in_the_readme(tmp_path, capsys):
-    pp = str(tmp_path / "pp.bin")
-    assert main(["vdf", "setup", "--lambda", "16", "--log2t", "12", "--space", "32",
-                 "--seed", "a1b2c3", "--pp", pp]) == 0
-    capsys.readouterr()
-    assert main(["vdf", "eval", "--pp", pp, "--input", "1011"]) == 0
-    assert capsys.readouterr().out == "value 9\nsteps 4096\nlive-steps 631\n"
+def _readme_vdf_session() -> list[tuple[list[str], list[str]]]:
+    """(argv, printed lines) for each `$ seqproof vdf ...` line of the README."""
+    session, current = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```") or line.startswith("$ "):
+            current = None
+        if line.startswith("$ seqproof vdf "):
+            current = []
+            session.append((line.split()[2:], current))
+        elif current is not None:
+            current.append(line)
+    return session
+
+
+def test_the_readme_vdf_session_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    session = _readme_vdf_session()
+    assert [argv[:2] for argv, _ in session] == [
+        ["vdf", "setup"], ["vdf", "eval"], ["vdf", "open"], ["vdf", "verify"], ["vdf", "attack"], ["vdf", "verify"],
+    ]
+    for argv, printed in session:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == printed, argv
 
 
 @pytest.mark.parametrize(

@@ -123,18 +123,18 @@ LAMBDA16 = vdf_setup(16, 10, 32, "a1b2c3")
 # bundle, digest of the explicit-challenge bundle)
 BUNDLE_CASES = (
     (GOLDEN, "101", 12,
-     "15a0309633ee5a977bb1027715d86c8450bebaa82d87ce03e115ceea85616622",
-     "24ade31190ab5f29395640fd6ff321f1666aed38e66de00342b178f23219e31d"),
+     "a7bfd8a0a5402508c334ce92b6f531cfac685dfb786b7b20d9463cdf2b8b9b05",
+     "30962c8c8f1efc4832694a009ccc0b91d6a32c79f1ca69a8a1a1d287f2712f5c"),
     (LAMBDA16, "1011", 1020,
-     "f25d5a51bbca511346193d153088ff755fb25278aa25400096bfc265021bf4e1",
-     "ac25603cb6b2a64cb9fc1853255170ea31223ca4349887c911540e22a1281741"),
+     "307cd5b433d97cddcbda6920586687d00d70c2f0e762c935a8251afa04ef3fe8",
+     "f3a4339654ba590f32cffedfb33b8a15993887446dfe9cade16d29443cea77db"),
 )
 
 # (parameters, input, forger's rng seed, digest of the forged bundle with the
 # hashed challenge, built the way `vdf attack` builds it)
 FORGED_CASES = (
-    (GOLDEN, "101", 5, "7a71487765704d892dfa7ebf53c895a26b72da035c0ee6653300b67a285e3199"),
-    (LAMBDA16, "1011", 7, "c1614544fbc634e8664d4e482595e529f149bb3e79be213ba06cc239e6452eb3"),
+    (GOLDEN, "101", 5, "614f521e2d72edea66f4a1889f7a27034fb48520ad508700ef7fa83cd82b20df"),
+    (LAMBDA16, "1011", 7, "d73e219d78b8f89b2af08cd795c237655b3c764531fb4fae423f643b279af24c"),
 )
 
 
@@ -180,7 +180,7 @@ def test_bundle_bytes_pinned(index):
 def test_forged_bundle_bytes_pinned(index):
     pp, x, seed, digest = FORGED_CASES[index]
     forgery = vdf_attack(pp, x, random.Random(seed))
-    t = vdf_challenge(FiatShamirChallenges(VDF_ORACLE), pp, x, forgery.output.value)
-    bundle = VdfBundle(pp, x, forgery.output.value, t, forgery.respond(t))
+    t = vdf_challenge(FiatShamirChallenges(VDF_ORACLE), pp, x, forgery.value)
+    bundle = VdfBundle(pp, x, forgery.value, t, forgery.respond(t))
     assert fs_vdf_verify(bundle)
     assert _digest(bundle_to_bytes(bundle)) == digest

@@ -88,10 +88,33 @@ def test_vdf_growth_small():
     assert all(r["verify_steps"] <= 8 for r in rows)
 
 
-def test_vdf_growth_reports_live_eval_steps():
-    rows = exp_vdf_growth(lam=8, log2_steps_list=(4, 5), space=8, seed=0).metrics["rows"]
+def _state_bits_at_lam(monkeypatch):
+    """Make the experiments set up machines the way the old default did."""
+    setup = harness.vdf_setup
+    monkeypatch.setattr(
+        harness, "vdf_setup", lambda lam, log2_steps, space, seed: setup(lam, log2_steps, space, seed, state_bits=lam)
+    )
+
+
+def test_vdf_growth_reports_live_eval_steps(monkeypatch):
+    _state_bits_at_lam(monkeypatch)
+    report = exp_vdf_growth(lam=8, log2_steps_list=(4, 5), space=8, seed=0)
+    rows = report.metrics["rows"]
     # the 16-step run halts after 11 transitions; the 32-step run never does
-    assert [r["eval_live_steps"] for r in rows] == [11, 32]
+    assert [r["eval_steps"] for r in rows] == [11, 32]
+    assert [r["open_steps"] for r in rows] == [11, 32]
+    # the replay after the halt takes no transition
+    assert rows[0]["verify_steps"] == 0 and rows[0]["accepted"]
+    assert report.passed is False
+
+
+def test_the_growth_gate_fails_when_runs_halt_early(monkeypatch):
+    # criterion 7's parameters with state_bits = lam: three of five runs halt
+    _state_bits_at_lam(monkeypatch)
+    report = exp_vdf_growth(lam=16, log2_steps_list=(10, 11, 12, 13, 14), space=32, seed=707)
+    assert [r["eval_steps"] for r in report.metrics["rows"]] == [1024, 2048, 3990, 2128, 5375]
+    assert all(r["accepted"] for r in report.metrics["rows"])
+    assert report.passed is False
 
 
 def test_attack_report_small():

@@ -6,11 +6,28 @@ transcript or bundle that decodes must then get a verdict, not an
 exception, from its verifier.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqproof.fiatshamir import MAGIC, DecodeError, InteractiveChallenges, RecordedChallenges
+from seqproof.cli import main
+from seqproof.fiatshamir import (
+    MAGIC,
+    TAG_MODE,
+    TAG_VDF_CHALLENGE,
+    TAG_VDF_INPUT,
+    TAG_VDF_OUTPUT,
+    TAG_VDF_PP,
+    TAG_VDF_PROOF,
+    DecodeError,
+    InteractiveChallenges,
+    Message,
+    RecordedChallenges,
+    encode_file,
+    encode_u64,
+)
 from seqproof.noninteractive import (
     bundle_from_bytes,
     bundle_to_bytes,
@@ -24,6 +41,7 @@ from seqproof.noninteractive import (
 )
 from seqproof.qbf import parse_qbf
 from seqproof.shvdf import (
+    FORMAT_VERSION,
     VdfParams,
     params_from_bytes,
     params_to_bytes,
@@ -101,3 +119,37 @@ def test_mutated_golden_files_decode_or_refuse(name, pick, edits):
     for where, byte in edits:
         data[int(where * len(data))] = byte
     _decode_and_check(name, bytes(data))
+
+
+def _long_replay_bundle() -> bytes:
+    """An interactive bundle with lam = 2^20 - 1 and T = 2^20, challenged at
+    step 1 from a non-final state: without a cap on lam, its verifier would
+    replay 2^20 - 1 steps."""
+    lam, steps, state_bits = (1 << 20) - 1, 1 << 20, 24
+    fields = (FORMAT_VERSION, lam, steps, 8, state_bits, 4)
+    params = b"".join(encode_u64(v) for v in fields) + b"huge"
+    count = steps - 1
+    proof = (1 << 23).to_bytes(3, "big") + count.to_bytes(4, "big") + bytes((count + 3) // 4)
+    return encode_file(
+        [
+            Message(TAG_MODE, b"interactive"),
+            Message(TAG_VDF_PP, params),
+            Message(TAG_VDF_INPUT, b"1011"),
+            Message(TAG_VDF_OUTPUT, encode_u64(5)),
+            Message(TAG_VDF_CHALLENGE, encode_u64(1)),
+            Message(TAG_VDF_PROOF, proof),
+        ]
+    )
+
+
+def test_a_bundle_that_names_a_huge_lam_is_refused_before_any_replay(tmp_path, capsys):
+    blob = _long_replay_bundle()
+    assert len(blob) > 262_000
+    start = time.perf_counter()
+    with pytest.raises(DecodeError, match="at most 256"):
+        bundle_from_bytes(blob)
+    assert time.perf_counter() - start < 0.25
+    path = tmp_path / "huge.bin"
+    path.write_bytes(blob)
+    assert main(["vdf", "verify", "--proof", str(path)]) == 1
+    assert capsys.readouterr().err == "error: security parameter must be at most 256\n"

@@ -205,11 +205,19 @@ def test_fs_vdf_verify_rejects_tampering():
         bundle.params, bundle.x, bundle.output_value, bundle.challenge ^ 1, bundle.proof
     )
     assert fs_vdf_verify(wrong_coin).reason == "challenge-mismatch"
-    # a changed output moves the hash-derived challenge, so the recorded one fails
-    wrong_out = VdfBundle(
-        bundle.params, bundle.x, bundle.output_value + 1, bundle.challenge, bundle.proof
-    )
-    assert fs_vdf_verify(wrong_out).reason == "challenge-mismatch"
+    # a changed output moves the hash-derived challenge, so the recorded one
+    # fails; where it lands on the recorded one (chance 1/lam), the replay fails
+    moved = 0
+    for y in range(GOLDEN.num_states):
+        if y == bundle.output_value:
+            continue
+        wrong_out = VdfBundle(bundle.params, bundle.x, y, bundle.challenge, bundle.proof)
+        if hashed_challenge(GOLDEN, "101", y) != bundle.challenge:
+            moved += 1
+            assert fs_vdf_verify(wrong_out).reason == "challenge-mismatch"
+        else:
+            assert fs_vdf_verify(wrong_out).reason == "output-mismatch"
+    assert moved > 0
 
 
 def test_bundle_decode_errors():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from seqproof.fiatshamir import DecodeError
 from seqproof.shvdf import (
+    MAX_SECURITY,
+    MAX_STATE_BITS,
     MAX_STEPS,
     VdfParams,
     VdfProof,
@@ -74,27 +76,50 @@ def test_setup_guards():
     with pytest.raises(ValueError, match="work cell"):
         vdf_setup(8, 4, 1, b"s")
     # str seeds are utf-8 encoded
-    assert vdf_setup(8, 4, 4, "golden") == GOLDEN
+    assert vdf_setup(8, 4, 4, "golden", state_bits=8) == GOLDEN
+
+
+def test_default_state_width_grows_with_lam_and_log2_steps():
+    assert vdf_setup(8, 4, 4, "golden").state_bits == 12
+    assert vdf_setup(16, 12, 32, "a1b2c3").state_bits == 28
+    assert vdf_setup(32, 16, 32, "bench").state_bits == 48
+    assert vdf_setup(110, 20, 8, "wide").state_bits == MAX_STATE_BITS
+    # an explicit width wins
+    assert vdf_setup(16, 12, 32, "a1b2c3", state_bits=16).state_bits == 16
+
+
+def test_security_parameter_is_capped():
+    assert VdfParams(MAX_SECURITY, MAX_SECURITY + 1, 4, 9, b"s").lam == MAX_SECURITY
+    with pytest.raises(ValueError, match="at most 256"):
+        VdfParams(MAX_SECURITY + 1, 1 << 10, 4, 16, b"s")
+    with pytest.raises(ValueError, match="at most 256"):
+        vdf_setup(MAX_SECURITY + 1, 10, 4, b"s")
+    # lam is the second u64 of a params file
+    blob = params_to_bytes(GOLDEN)
+    for lam in (MAX_SECURITY + 1, (1 << 20) - 1, (1 << 64) - 1):
+        with pytest.raises(DecodeError, match="at most 256"):
+            params_from_bytes(blob[:8] + lam.to_bytes(8, "big") + blob[16:])
 
 
 def test_golden_eval():
     out = vdf_eval(GOLDEN, GOLDEN_X)
     assert out.value == GOLDEN_Y
-    assert out.steps == 16
+    assert out.steps == 6
 
 
 def test_golden_open_frozen():
     proof = vdf_open(GOLDEN, GOLDEN_X, 8)
     assert proof.state_at_challenge == 4
-    assert proof.scanned == (1,) * 9
-    assert proof.steps == 16
+    assert proof.scanned == (1,) * 8
+    # the challenge lies past the halt, so the replay takes no transition
+    assert vdf_verify(GOLDEN, GOLDEN_X, GOLDEN_Y, 8, proof).steps == 0
 
 
 def test_big_instance_frozen():
     assert vdf_eval(BIG, BIG_X).value == BIG_Y
     proof = vdf_open(BIG, BIG_X, 56)
     assert proof.state_at_challenge == 10581
-    assert proof.scanned == (0, 0, 0, 0, 0, 0, 1, 0, 1)
+    assert proof.scanned == (0, 0, 0, 0, 0, 0, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -122,18 +147,18 @@ def test_eval_matches_reference(pp, x):
 def test_live_steps_stop_at_the_first_final_state(pp, x):
     _, states, _ = reference_run(pp, x, pp.num_steps)
     halted = [i for i, q in enumerate(states) if pp.is_final(q)]
-    out = vdf_eval(pp, x)
-    assert out.steps == pp.num_steps
-    assert out.live_steps == (halted[0] if halted else pp.num_steps)
+    assert vdf_eval(pp, x).steps == (halted[0] if halted else pp.num_steps)
 
 
 def test_live_steps_of_the_readme_example_and_of_a_wide_machine():
-    # the README's example halts early: 631 of its 4096 steps are transitions
-    out = vdf_eval(vdf_setup(16, 12, 32, "a1b2c3"), "1011")
-    assert (out.value, out.steps, out.live_steps) == (9, 4096, 631)
+    # the README's example at 16 state bits halts early, after 631 of 4096 steps
+    out = vdf_eval(vdf_setup(16, 12, 32, "a1b2c3", state_bits=16), "1011")
+    assert (out.value, out.steps) == (9, 631)
+    # at the default width it runs all of them
+    assert vdf_eval(vdf_setup(16, 12, 32, "a1b2c3"), "1011").steps == 4096
     # with 32 state bits the benchmark-sized run never reaches a final state
-    out = vdf_eval(vdf_setup(32, 16, 32, "live-32"), "1011")
-    assert out.steps == out.live_steps == 1 << 16
+    out = vdf_eval(vdf_setup(32, 16, 32, "live-32", state_bits=32), "1011")
+    assert out.steps == 1 << 16
 
 
 def _spec_delta(seed, state_bits, q, sym):
@@ -182,7 +207,7 @@ def test_the_seed_is_hashed_once_per_machine_not_once_per_step(monkeypatch):
     monkeypatch.setattr(hashlib, "sha256", counted_sha256)
     monkeypatch.setattr(VdfParams, "machine", counted_machine)
     run = vdf_run(pp, "1011")
-    assert run.output.steps == 1 << 10
+    assert run.steps == 1 << 10
     assert counts["machine"] == 1
     assert counts["sha256"] == counts["machine"]
 
@@ -191,8 +216,7 @@ def test_open_verify_all_challenges():
     out = vdf_eval(BIG, BIG_X)
     for t in BIG.challenge_window():
         proof = vdf_open(BIG, BIG_X, t)
-        assert len(proof.scanned) == BIG.num_steps - t + 1
-        assert proof.steps == BIG.num_steps
+        assert len(proof.scanned) == BIG.num_steps - t
         verdict = vdf_verify(BIG, BIG_X, out.value, t, proof)
         assert verdict.accepted and verdict.reason is None
         assert verdict.steps == BIG.num_steps - t <= BIG.lam
@@ -204,14 +228,23 @@ def test_open_rejects_out_of_window():
             vdf_open(BIG, BIG_X, t)
 
 
-def test_absorbing_run_opens_cleanly():
-    pp = VdfParams(8, 16, 4, 4, b"halts-0")
-    out = vdf_eval(pp, "01")
-    assert out.value == 3  # halted at step 2, absorbed ever since
+@pytest.mark.parametrize(
+    "pp,x,value,halted_at",
+    [
+        (VdfParams(8, 16, 4, 4, b"halts-0"), "01", 3, 2),
+        # the README's parameters before the default state width grew
+        (vdf_setup(16, 12, 32, "a1b2c3", state_bits=16), "1011", 9, 631),
+    ],
+    ids=["halts-0", "readme-at-16-state-bits"],
+)
+def test_absorbing_run_opens_cleanly(pp, x, value, halted_at):
+    out = vdf_eval(pp, x)
+    assert (out.value, out.steps) == (value, halted_at)
     assert pp.is_final(out.value)
+    # every state in the window is final, so no replay takes a transition
     for t in pp.challenge_window():
-        proof = vdf_open(pp, "01", t)
-        assert vdf_verify(pp, "01", out.value, t, proof)
+        verdict = vdf_verify(pp, x, out.value, t, vdf_open(pp, x, t))
+        assert verdict.accepted and verdict.steps == 0
 
 
 def test_window_where_the_run_halts():
@@ -221,9 +254,9 @@ def test_window_where_the_run_halts():
     assert pp.is_final(states[27]) and not pp.is_final(states[26])
     run = vdf_run(pp, "0110")
     assert run.states == tuple(states[-pp.lam - 1 :])
-    assert run.scanned == tuple(scanned[-pp.lam - 1 :])
-    assert run.output.value == want
-    assert run.steps == run.output.steps == 32
+    assert run.scanned == tuple(scanned[-pp.lam - 1 : -1])
+    assert run.value == want
+    assert run.steps == 27
     for t in pp.challenge_window():
         assert vdf_verify(pp, "0110", want, t, run.respond(t))
 
@@ -275,11 +308,10 @@ def test_attack_forges_every_challenge():
     honest = vdf_eval(BIG, BIG_X)
     forgery = vdf_attack(BIG, BIG_X, rng)
     assert forgery.steps == BIG.lam
-    assert forgery.output.steps == BIG.lam
     assert not BIG.is_final(forgery.states[0])
-    assert forgery.output.value != honest.value
+    assert forgery.value != honest.value
     for t in BIG.challenge_window():
-        verdict = vdf_verify(BIG, BIG_X, forgery.output.value, t, forgery.respond(t))
+        verdict = vdf_verify(BIG, BIG_X, forgery.value, t, forgery.respond(t))
         assert verdict.accepted
     with pytest.raises(ValueError, match="outside"):
         forgery.respond(BIG.num_steps - BIG.lam - 1)
@@ -291,9 +323,9 @@ def test_attack_matches_reference_walk():
     want, states, scanned = reference_run(
         BIG, BIG_X, BIG.lam, start_state=forgery.states[0]
     )
-    assert forgery.output.value == want
+    assert forgery.value == want
     assert forgery.states == tuple(states)
-    assert forgery.scanned == tuple(scanned)
+    assert forgery.scanned == tuple(scanned[:-1])
 
 
 def test_params_roundtrip():
@@ -304,7 +336,7 @@ def test_params_roundtrip():
 def test_params_decode_errors():
     blob = params_to_bytes(GOLDEN)
     with pytest.raises(DecodeError, match="version"):
-        params_from_bytes(b"\x00" * 7 + b"\x02" + blob[8:])
+        params_from_bytes(b"\x00" * 7 + b"\x01" + blob[8:])
     with pytest.raises(DecodeError, match="truncated"):
         params_from_bytes(blob[:47])
     with pytest.raises(DecodeError, match="length mismatch"):
@@ -331,7 +363,7 @@ def test_params_step_count_is_capped():
 def test_proof_roundtrip_frozen():
     proof = vdf_open(BIG, BIG_X, 56)
     blob = proof_to_bytes(BIG, proof)
-    assert len(blob) == 2 + 4 + 3  # 16-bit state, count, 9 symbols packed
+    assert len(blob) == 2 + 4 + 2  # 16-bit state, count, 8 symbols packed
     assert proof_from_bytes(BIG, blob) == proof
 
 
