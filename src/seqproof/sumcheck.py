@@ -14,19 +14,27 @@ verifier checks each round against; the verifier checks finished transcripts.
 The honest prover never re-evaluates the chain.  After each block's
 linearization pass the chain is the multilinear extension of a Boolean
 table, so it keeps the tables T_n (f on the cube) down to T_0 (the chain
-value), 2^(n+1) residues, and reads every round polynomial off them: O(n*2^n)
-table work, plus clause products in the final block, where the raw matrix
-shows through.  Building T_n takes m*2^n clause products; the final-block
-round at x_j takes, for each Boolean suffix c, one product of the clauses
-without x_j and d_j+1 products of the clauses with it, where d_j, the
-number of literal occurrences of x_j, bounds the round polynomial's degree.
+value), 2^(n+1) residues, and reads every round polynomial off them.  It
+multiplies no clause at a point:
+- T_n is one int, the AND over clauses of the OR of their literals' 2^n-bit
+  point sets, unpacked once into the 0/1 table the lower tables join.
+- One running fold per block binds T_{i+1} a challenge at a time for the
+  block's linearization rounds and the next quantifier round: O(2^(i+1))
+  table work per block, O(2^n) in all.
+- The final block, where the raw matrix shows through, groups the Boolean
+  suffixes c of its round at x_j by which clauses they falsify, found with
+  bitmasks over the 2^(n-j) suffixes; each group adds its eq weight times
+  the clauses' factors at x_j = 0..d_j, d_j, the number of literal
+  occurrences of x_j, bounding the round polynomial's degree.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, mul
 
 from .field import MAX_PRIME, UniPoly, check_prime, lagrange_interpolate, next_prime_at_least, sqrt_mod
 from .fiatshamir import (
@@ -43,8 +51,9 @@ from .fiatshamir import (
 )
 from .qbf import Qbf, Quantifier, eval_qbf_bruteforce, to_qdimacs
 
-# the prover stores 2^(n+1) residues and multiplies O(m^2*2^n) clauses; keep it desk-scale
-MAX_PROTOCOL_VARS = 12
+# the prover keeps 2^(n+1) residues and does O(2^n) table work and O(m*2^n)
+# bitmask work; an n = 16 proof takes a fraction of a second
+MAX_PROTOCOL_VARS = 16
 
 
 class OpKind(Enum):
@@ -82,15 +91,15 @@ class ArithPoly:
             tuple((lit.var - 1, lit.negated) for lit in cl.literals)
             for cl in formula.clauses
         )
-        self._splits: dict[int, tuple] = {}
         self._tables: list[list[int]] | None = None
+        self._fold: tuple = (None, (), None)  # table index, bound prefix, folded table
 
-    def product(self, clauses, point) -> int:
-        """Product of the given clauses' factors at a point; point[i-1] is
-        the value bound to x_i.  Stops at the first zero factor."""
+    def evaluate(self, point) -> int:
+        """Value at a full point; point[i-1] is the value bound to x_i.
+        Stops at the first zero factor."""
         p = self.p
         acc = 1
-        for cl in clauses:
+        for cl in self._clauses:
             miss = 1
             for idx, neg in cl:
                 v = point[idx]
@@ -100,25 +109,14 @@ class ArithPoly:
                 return 0
         return acc
 
-    def evaluate(self, point) -> int:
-        """Value at a full point; point[i-1] is the value bound to x_i."""
-        return self.product(self._clauses, point)
-
-    def split(self, var: int) -> tuple:
-        """(clauses that contain x_var, the other clauses, degree in x_var),
-        built on first use per variable.  The degree bound counts every
-        literal occurrence of x_var, the repeats of a padded clause too."""
-        if var not in self._splits:
-            idx = var - 1
-            varying, fixed = [], []
-            for cl in self._clauses:
-                (varying if any(i == idx for i, _ in cl) else fixed).append(cl)
-            degree = sum(i == idx for cl in varying for i, _ in cl)
-            self._splits[var] = (tuple(varying), tuple(fixed), degree)
-        return self._splits[var]
+    def degree(self, var: int) -> int:
+        """Degree bound in x_var: every literal occurrence of x_var, the
+        repeats of a padded clause too."""
+        return sum(idx == var - 1 for cl in self._clauses for idx, _ in cl)
 
     def cube_values(self, lo: int, hi: int) -> list[int]:
-        """Values at the Boolean points with index lo..hi-1; bit i-1 of an
+        """Values at the Boolean points with index lo..hi-1, one `evaluate`
+        each, for the stand-in sum of `harness._sum_worker`; bit i-1 of an
         index is x_i."""
         n = self.formula.num_vars
         return [self.evaluate([(idx >> i) & 1 for i in range(n)]) for idx in range(lo, hi)]
@@ -126,15 +124,23 @@ class ArithPoly:
     def chain_tables(self) -> list[list[int]]:
         """[T_0, ..., T_n], built on first use and kept.
 
-        T_n is f on the 2^n cube, indexed as in `cube_values`; T_{i-1} joins
-        the two halves of T_i (x_i = 0, x_i = 1) by sum for an existential
-        x_i, by product for a universal one.  T_i[b] is the chain after
-        block i's linearization pass at the Boolean point b, and T_0[0] is
-        the chain value.
+        T_n is f on the 2^n cube, indexed as in `cube_values`: one byte per
+        point of the AND over clauses of the OR of their literals' point
+        sets.  T_{i-1} joins the two halves of T_i (x_i = 0, x_i = 1) by sum
+        for an existential x_i, by product for a universal one.  T_i[b] is
+        the chain after block i's linearization pass at the Boolean point b,
+        and T_0[0] is the chain value.
         """
         if self._tables is None:
-            p = self.p
-            table = self.cube_values(0, 1 << self.formula.num_vars)
+            p, n = self.p, self.formula.num_vars
+            sets = _coordinate_sets(n, 8)
+            truth = -1
+            for cl in self._clauses:
+                satisfied = 0
+                for idx, neg in cl:
+                    satisfied |= sets[idx] >> (8 << idx) if neg else sets[idx]
+                truth &= satisfied
+            table = list(truth.to_bytes(1 << n, "little"))
             tables = [table]
             for q in reversed(self.formula.quantifiers):
                 half = len(table) // 2
@@ -146,6 +152,40 @@ class ArithPoly:
             tables.reverse()
             self._tables = tables
         return self._tables
+
+    def folded(self, i: int, rs) -> list[int]:
+        """T_i's multilinear extension with its lowest coordinates bound to
+        rs, lowest first.
+
+        The last fold is kept: when rs extends its prefix, only the new
+        coordinates are folded, so the rounds of a block bind T_i one
+        challenge at a time; any other rs folds T_i afresh.
+        """
+        p, rs = self.p, tuple(rs)
+        kept_i, kept_rs, table = self._fold
+        if kept_i != i or rs[: len(kept_rs)] != kept_rs:
+            kept_rs, table = (), self.chain_tables()[i]
+        for r in rs[len(kept_rs) :]:  # each binding halves the table
+            table = [(a + r * (b - a)) % p for a, b in zip(table[0::2], table[1::2])]
+        self._fold = (i, rs, table)
+        return table
+
+
+def _coordinate_sets(bits: int, width: int) -> list[int]:
+    """For each coordinate v of the cube {0,1}^bits, the points whose bit v
+    is 1, as an int with one width-bit field per point: the low bit of
+    field c (bit c*width) is bit v of c.  A block of 2^v clear then 2^v set
+    fields, doubled until it spans the cube; shifted down by 2^v fields,
+    the same int is the set where bit v is 0."""
+    sets, ones = [], 1
+    for v in range(bits):
+        block, size = ones << (width << v), 2 << v
+        while size < 1 << bits:
+            block |= block << size * width
+            size *= 2
+        sets.append(block)
+        ones |= ones << (width << v)
+    return sets
 
 
 def build_operator_chain(formula: Qbf) -> tuple[Operator, ...]:
@@ -186,14 +226,6 @@ def chain_value(formula: Qbf, p: int) -> int:
     return ArithPoly(formula, p).chain_tables()[0][0]
 
 
-def _fold(table: list[int], rs, p: int) -> list[int]:
-    """Bind the lowest coordinates of a table's multilinear extension to rs,
-    lowest first; each binding halves the table."""
-    for r in rs:
-        table = [(a + r * (b - a)) % p for a, b in zip(table[0::2], table[1::2])]
-    return table
-
-
 def _eq_weights(rs, p: int) -> list[int]:
     """eq(rs; c) = prod_k (rs[k] if c_k else 1 - rs[k]) for every Boolean c,
     with c_k at bit k of the index."""
@@ -206,7 +238,8 @@ def _eq_weights(rs, p: int) -> list[int]:
 def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> UniPoly:
     """Honest message for round k: the suffix after ops[k] as a univariate
     polynomial in ops[k]'s variable, interpolated from its values at
-    0..degree, which are read off f's chain tables.
+    0..degree, which are read off f's chain tables or, in the final block,
+    its clauses.
 
     ops must be the formula's chain and bindings hold the challenges it has
     drawn so far; they are not modified.  With r the bindings:
@@ -216,46 +249,112 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
       over x_{j+1..i} weighted by eq(r_{j+1..i}; .).
     - Lin x_j in the final block: sum f(r_1..r_{j-1}, t, c) weighted by
       eq(r_{j+1..n}; c) over Boolean c, at t = 0..d_j, where d_j counts the
-      literal occurrences of x_j (a degree bound, at most 3m).  Only the
-      clauses that contain x_j vary with t: per c, the other clauses are
-      multiplied once, and c is skipped when their product is 0.
-    Table work is O(2^(i+1)) per round.  Past building T_n (m*2^n clause
-    products), clauses are multiplied only in the final block: in the round
-    at x_j, for each of the 2^(n-j) suffixes c, one product of the clauses
-    without x_j and d_j+1 products of the clauses with it.
+      literal occurrences of x_j (a degree bound, at most 3m); see
+      `_final_round_values`.
+    The folds come from f's running fold, which binds T_{i+1} one challenge
+    per Lin round of block i and serves block i+1's Q round as well, so
+    table work is O(2^(i+1)) per block.  No clause is multiplied at a point:
+    T_n is built from clause bitmasks, and the final block groups the
+    suffixes c by the clauses they falsify.
     """
     op = ops[k]
     p = f.p
     i, j = op.block, op.var
     if op.kind is not OpKind.LIN:
-        values = _fold(f.chain_tables()[i], bindings[: i - 1], p)
+        values = f.folded(i, bindings[: i - 1])
     elif i < formula.num_vars:
-        folded = _fold(f.chain_tables()[i + 1], bindings[: j - 1], p)
+        folded = f.folded(i + 1, bindings[: j - 1])
         half = len(folded) // 2  # x_{i+1} = 0 | x_{i+1} = 1
-        exists = formula.quantifiers[i] is Quantifier.EXISTS
-        d = round_degree_bound(op, formula)
-        values = [0] * (d + 1)
-        for c, w in enumerate(_eq_weights(bindings[j:i], p)):
-            a0, a1 = folded[2 * c], folded[2 * c + 1]
-            b0, b1 = folded[half + 2 * c], folded[half + 2 * c + 1]
-            for t in range(d + 1):
-                u, v = a0 + t * (a1 - a0), b0 + t * (b1 - b0)
-                values[t] += w * (u + v if exists else u * v)
+        a0, a1, b0, b1 = folded[0:half:2], folded[1:half:2], folded[half::2], folded[half + 1 :: 2]
+        weights = _eq_weights(bindings[j:i], p)
+        if formula.quantifiers[i] is Quantifier.EXISTS:
+            # the sum of the halves is linear in t
+            v0 = sum(map(mul, weights, map(add, a0, b0)))
+            v1 = sum(map(mul, weights, map(add, a1, b1)))
+            values = [v0, v1, 2 * v1 - v0]
+        else:
+            a2 = [2 * y - x for x, y in zip(a0, a1)]
+            b2 = [2 * y - x for x, y in zip(b0, b1)]
+            values = [sum(map(mul, weights, map(mul, u, v))) for u, v in ((a0, b0), (a1, b1), (a2, b2))]
     else:
-        n = formula.num_vars
-        varying, fixed, d = f.split(j)
-        point = list(bindings)
-        values = [0] * (d + 1)
-        for c, w in enumerate(_eq_weights(bindings[j:], p)):
-            for b in range(j, n):
-                point[b] = (c >> (b - j)) & 1
-            w = w * f.product(fixed, point) % p
-            if not w:
-                continue
-            for t in range(d + 1):
-                point[j - 1] = t
-                values[t] += w * f.product(varying, point)
+        values = _final_round_values(f, j, bindings)
     return lagrange_interpolate(values, p)  # reduces the sums mod p
+
+
+# the falsified-clause pattern of a suffix point is one unsigned field of
+# 8, 16 or 32 bits; check_statement's m <= 24 fits every pattern in 32
+_PATTERN_CODES = {8: "B", 16: "H", 32: "I"}
+
+
+def _final_round_values(f: ArithPoly, j: int, bindings) -> list[int]:
+    """Sum over Boolean c of eq(r_{j+1..n}; c) * f(r_1..r_{j-1}, t, c), at
+    t = 0..d_j, unreduced.
+
+    At a Boolean suffix c a clause's factor is 1 if c satisfies one of its
+    suffix literals, and otherwise the per-round g(t) = 1 - (the product of
+    its prefix misses) * (the product of its x_j misses at t).  So:
+    - a clause with no suffix literal multiplies every c by g(t);
+    - a clause with g = 0 (suffix literals only) strikes the c that falsify
+      its suffix literals, and one with g = 1 leaves every c as it is;
+    - the other clauses multiply c by g(t) where c falsifies them.
+    The suffixes are grouped by which of the last kind they falsify (one bit
+    each in a per-point field, the struck ones in bit 0), and each group adds
+    its eq weight times the product of those clauses' g(t).
+    """
+    p, n = f.p, f.formula.num_vars
+    ts = range(f.degree(j) + 1)
+    common = [1] * len(ts)
+    struck, mixed = [], []
+    for cl in f._clauses:
+        miss, ups, downs, suffix = 1, 0, 0, []  # ups, downs: occurrences of x_j, not x_j
+        for idx, neg in cl:
+            if idx >= j:
+                suffix.append((idx - j, neg))
+            elif idx < j - 1:
+                v = bindings[idx]
+                miss = miss * (v if neg else 1 - v) % p
+            elif neg:
+                downs += 1
+            else:
+                ups += 1
+        g = [(1 - miss * (1 - t) ** ups * t**downs) % p for t in ts]
+        if not suffix:
+            common = [x * y % p for x, y in zip(common, g)]
+        elif not any(g):
+            struck.append(suffix)
+        elif any(x != 1 for x in g):
+            mixed.append((suffix, g))
+    if not struck and not mixed:
+        return common  # the eq weights sum to 1 over the suffix cube
+    width = next(w for w in _PATTERN_CODES if w > len(mixed))
+    bits = n - j
+    sets = _coordinate_sets(bits, width)
+
+    def falsified(suffix) -> int:
+        points = -1
+        for coord, neg in suffix:
+            points &= sets[coord] if neg else sets[coord] >> (width << coord)
+        return points
+
+    pattern = 0
+    for suffix in struck:
+        pattern |= falsified(suffix)
+    for bit, (suffix, _g) in enumerate(mixed, start=1):
+        pattern |= falsified(suffix) << bit
+    fields = memoryview(pattern.to_bytes(width // 8 << bits, sys.byteorder)).cast(_PATTERN_CODES[width])
+    groups: dict[int, int] = {}
+    for key, w in zip(fields, _eq_weights(bindings[j:], p)):
+        groups[key] = groups.get(key, 0) + w
+    values = [0] * len(ts)
+    for key, w in groups.items():
+        if key & 1:
+            continue
+        row = [w % p] * len(ts)
+        for bit, (_suffix, g) in enumerate(mixed, start=1):
+            if key >> bit & 1:
+                row = [x * y % p for x, y in zip(row, g)]
+        values = [x + y for x, y in zip(values, row)]
+    return [x * y for x, y in zip(common, values)]
 
 
 # ── transcripts ────────────────────────────────────────────────────────────

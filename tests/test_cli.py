@@ -64,9 +64,9 @@ def test_prove_true_formula_whose_chain_value_vanishes_at_the_smallest_prime(tmp
 
 def test_prove_refuses_formula_over_the_cap_without_a_prime(tmp_path, capsys):
     path = tmp_path / "big.qdimacs"
-    path.write_text("p cnf 13 1\ne " + " ".join(map(str, range(1, 14))) + " 0\n1 0\n")
+    path.write_text("p cnf 17 1\ne " + " ".join(map(str, range(1, 18))) + " 0\n1 0\n")
     assert main(["prove-tqbf", "--in", str(path)]) == 1
-    assert "capped at 12 variables" in capsys.readouterr().err
+    assert "capped at 16 variables" in capsys.readouterr().err
 
 
 def test_prove_refuses_a_statement_over_the_prime_cap_by_name(tmp_path, capsys):

@@ -6,6 +6,8 @@ transcript or bundle that decodes must then get a verdict, not an
 exception, from its verifier.
 """
 
+import dataclasses
+import random
 import time
 
 import pytest
@@ -39,7 +41,8 @@ from seqproof.noninteractive import (
     transcript_to_bytes,
     verify_bundle,
 )
-from seqproof.qbf import parse_qbf
+from seqproof.field import UniPoly
+from seqproof.qbf import Quantifier, parse_qbf, random_qbf
 from seqproof.shvdf import (
     FORMAT_VERSION,
     VdfParams,
@@ -50,7 +53,7 @@ from seqproof.shvdf import (
     vdf_open,
     vdf_run,
 )
-from seqproof.sumcheck import sumcheck_prove
+from seqproof.sumcheck import MAX_PROTOCOL_VARS, sumcheck_prove
 
 FORMULA = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
@@ -153,3 +156,23 @@ def test_a_bundle_that_names_a_huge_lam_is_refused_before_any_replay(tmp_path, c
     path.write_bytes(blob)
     assert main(["vdf", "verify", "--proof", str(path)]) == 1
     assert capsys.readouterr().err == "error: security parameter must be at most 256\n"
+
+
+def test_a_bent_round_at_the_variable_cap_is_rejected_in_milliseconds():
+    # n = 16 and m = 15, the most clauses the 2^40 prime cap allows there
+    formula = random_qbf(random.Random(1), MAX_PROTOCOL_VARS, 15)
+    formula = dataclasses.replace(formula, quantifiers=(Quantifier.FORALL, Quantifier.EXISTS) * 8)
+    honest = fs_prove_tqbf(formula)
+    assert honest.claimed_value != 0
+    # adding x(x - 1) keeps the last round's values at 0 and 1, so its round
+    # check passes; the challenge hashed from the bent polynomial does not
+    k = len(honest.rounds) - 1
+    s = honest.rounds[k].poly
+    bent = UniPoly([c + d for c, d in zip(list(s.coeffs) + [0] * 3, [0, -1, 1] + [0] * len(s.coeffs))], honest.p)
+    rounds = list(honest.rounds)
+    rounds[k] = dataclasses.replace(rounds[k], poly=bent)
+    blob = transcript_to_bytes(dataclasses.replace(honest, rounds=tuple(rounds)))
+    start = time.perf_counter()
+    verdict = fs_verify_tqbf(formula, transcript_from_bytes(blob))
+    assert time.perf_counter() - start < 0.5
+    assert verdict.reason == "challenge-mismatch"

@@ -122,7 +122,7 @@ def test_transcript_decode_refuses_oversized_formula_before_building_its_chain()
             Message(TAG_SC_CLAIM, (1).to_bytes(8, "big")),
         ]
     )
-    with pytest.raises(DecodeError, match="capped at 12 variables"):
+    with pytest.raises(DecodeError, match="capped at 16 variables"):
         transcript_from_bytes(blob)
 
 

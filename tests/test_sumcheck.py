@@ -153,9 +153,9 @@ def test_statement_guards():
         sumcheck_prove(EXISTS_TAUT, 5, InteractiveChallenges(0))  # below 2*3
     with pytest.raises(ValueError):
         sumcheck_prove(EXISTS_TAUT, 8, InteractiveChallenges(0))  # not prime
-    big = random_qbf(random.Random(0), 13, 1)
+    big = random_qbf(random.Random(0), 17, 1)
     with pytest.raises(ValueError):
-        sumcheck_prove(big, next_prime_at_least((1 << 13) * 3), InteractiveChallenges(0))
+        sumcheck_prove(big, next_prime_at_least((1 << 17) * 3), InteractiveChallenges(0))
     assert default_prime(EXISTS_TAUT) == 7
 
 
@@ -177,10 +177,10 @@ def test_default_prime_skips_primes_dividing_the_chain_value():
 
 
 def test_default_prime_refuses_formulas_over_the_cap_before_evaluating_them():
-    big = random_qbf(random.Random(0), 13, 1)
-    with pytest.raises(ValueError, match="capped at 12 variables"):
+    big = random_qbf(random.Random(0), 17, 1)
+    with pytest.raises(ValueError, match="capped at 16 variables"):
         default_prime(big)
-    with pytest.raises(ValueError, match="capped at 12 variables"):
+    with pytest.raises(ValueError, match="capped at 16 variables"):
         sumcheck_prove(big, None, InteractiveChallenges(0))
 
 
@@ -379,7 +379,7 @@ def test_round_polys_from_tables_match_the_recursive_chain():
     rng = random.Random(5150)
     rounds = 0
     for n in [1, 2, 3, 4, 5, 6, 7] * 2:
-        formula = random_qbf(rng, n, rng.randint(1, 4))
+        formula = random_qbf(rng, n, rng.randint(1, 8))
         ops = build_operator_chain(formula)
         p = default_prime(formula)
         for _ in range(3):
@@ -399,12 +399,25 @@ def test_round_polys_from_tables_match_the_recursive_chain():
 NO_OCCURRENCE = parse_qbf("p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 3 0\n-1 3 0\n")  # x2 in no clause
 TAUTOLOGY = parse_qbf("p cnf 3 2\na 1 0\ne 2 0\ne 3 0\n1 -1 2 0\n-2 3 1 0\n")  # x1 and not x1 in clause 1
 PADDED = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n2 0\n-1 2 0\n")  # clauses (x2, x2, x2), (not x1, x2, x2)
+# the final-block clause patterns: x2 repeated beside a later literal, x3 and
+# not x3 (never falsified), clauses with no literal after x2, and clauses
+# with only later ones
+PATTERNS = parse_qbf(
+    "p cnf 4 7\na 1 0\ne 2 0\na 3 0\ne 4 0\n"
+    "2 2 4 0\n-2 2 3 0\n3 -3 1 0\n1 -2 0\n-3 -4 0\n3 4 0\n-1 -1 -4 0\n"
+)
+# sixteen clauses that hold x1 and a later literal: the falsified-clause
+# patterns of x1's final round need 32-bit fields
+WIDE_PATTERNS = parse_qbf(
+    "p cnf 3 16\ne 1 0\na 2 0\ne 3 0\n"
+    + "".join(f"{a} {b} {c} 0\n" for a in (1, -1) for b in (2, -2) for c in (3, -3, 1, -1))
+)
 
 
 @pytest.mark.parametrize(
     "formula, var, degree",
-    [(NO_OCCURRENCE, 2, 0), (TAUTOLOGY, 1, 3), (PADDED, 2, 5)],
-    ids=["no-occurrence", "tautology", "padded"],
+    [(NO_OCCURRENCE, 2, 0), (TAUTOLOGY, 1, 3), (PADDED, 2, 5), (PATTERNS, 2, 6), (WIDE_PATTERNS, 1, 24)],
+    ids=["no-occurrence", "tautology", "padded", "patterns", "wide-patterns"],
 )
 def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
     # the final block interpolates at 0..d_j, d_j counting every literal
@@ -412,7 +425,7 @@ def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
     n = formula.num_vars
     ops = build_operator_chain(formula)
     p = default_prime(formula)
-    assert ArithPoly(formula, p).split(var)[2] == degree
+    assert ArithPoly(formula, p).degree(var) == degree
     rounds = 0
     for seed in range(4):
         session = HonestProver(formula, p)
@@ -420,7 +433,7 @@ def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
         for k, op in enumerate(ops):
             if op.kind is OpKind.LIN and op.block == n:
                 s = compute_round_poly(ops, k, session.bindings, session.f, formula)
-                assert s.degree <= session.f.split(op.var)[2]
+                assert s.degree <= session.f.degree(op.var)
                 assert s == _reference_round_poly(ops, k, session.bindings, session.f, formula), (seed, k)
                 rounds += 1
             session.receive_challenge(k, coins.challenge_interval(0, p))
@@ -436,7 +449,8 @@ def _true_formula(n, m, seed):
 
 
 def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
-    # T_n takes 2^n evaluations; the final block multiplies clauses directly
+    # T_n comes from clause bitmasks and the final block from falsified-clause
+    # patterns, so the prover never evaluates f; the verifier's final check does once
     n, m = 10, 8
     formula = _true_formula(n, m, 1010)
     p = next_prime_at_least((1 << n) * 3**m)
@@ -450,31 +464,51 @@ def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
 
     monkeypatch.setattr(ArithPoly, "evaluate", counted)
     t = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
-    assert calls <= 1 << n
-    monkeypatch.undo()
+    assert calls == 0
     assert t.claimed_value != 0
     assert sumcheck_verify(formula, p, t).accepted
+    assert calls == 1
 
 
 def test_prover_multiplies_clauses_within_budget(monkeypatch):
-    # T_n multiplies m*2^n clauses; per suffix c, the final block multiplies
-    # the clauses without x_j once and the few with x_j at d_j+1 nodes
+    # no prover that reads the chain tables multiplies a clause at a point;
+    # the verifier multiplies the m clauses once
     n, m = 10, 8
     formula = _true_formula(n, m, 1010)
     p = next_prime_at_least((1 << n) * 3**m)
     clauses = 0
-    product = ArithPoly.product
+    evaluate = ArithPoly.evaluate
 
-    def counted(self, cls, point):
+    def counted(self, point):
         nonlocal clauses
-        clauses += len(cls)
-        return product(self, cls, point)
+        clauses += self.formula.num_clauses
+        return evaluate(self, point)
 
-    monkeypatch.setattr(ArithPoly, "product", counted)
-    t = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
-    assert clauses <= 3 * m << n
-    monkeypatch.undo()
-    assert sumcheck_verify(formula, p, t).accepted
+    monkeypatch.setattr(ArithPoly, "evaluate", counted)
+    honest = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
+    for strategy in ("wrong-claim", "random-round(60)"):
+        cheat_prover(strategy, formula, p, InteractiveChallenges(7))
+    assert clauses == 0
+    assert sumcheck_verify(formula, p, honest).accepted
+    assert clauses == m
+
+
+def test_round_polys_match_for_bindings_that_leave_the_running_fold():
+    # the running fold serves a call whose bound prefix extends the last one;
+    # any other bindings must fold afresh and give the chain's polynomial.
+    # Boolean bindings also make final-block clauses true by their prefix alone
+    rng = random.Random(77)
+    formula = _true_formula(5, 4, 77)
+    ops = build_operator_chain(formula)
+    p = default_prime(formula)
+    f = ArithPoly(formula, p)
+    for k in range(len(ops)):
+        runs = [[rng.randrange(p) for _ in range(formula.num_vars)] for _ in range(3)]
+        runs.append(runs[0][:1] + runs[1][1:])  # shares only the first binding
+        runs.append([rng.randrange(2) for _ in range(formula.num_vars)])
+        for bindings in runs + runs[::-1]:
+            s = compute_round_poly(ops, k, bindings, f, formula)
+            assert s == _reference_round_poly(ops, k, bindings, f, formula), (k, bindings)
 
 
 def test_coin_sources_never_render_the_conversation(monkeypatch):
