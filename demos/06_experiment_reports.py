@@ -6,13 +6,12 @@ The measurement harness
 Each experiment returns a structured report (name, parameters, metrics,
 overall pass flag) that serializes to JSON; the command-line front end
 exposes the same runs.  This script exercises small configurations of
-all four, plus the planted-size helper that maps a step budget back to
+all three (soundness, delay-function cost growth, forgery), plus the planted-size helper that maps a step budget back to
 the largest formula the chain shape accommodates.
 """
 
 from seqproof.harness import (
     exp_attack,
-    exp_parallel_sum,
     exp_soundness,
     exp_vdf_growth,
     min_formula_vars,
@@ -25,11 +24,6 @@ def main():
     for strategy, stats in report.metrics["strategies"].items():
         print(f"  {strategy:13s} rate {stats['rate']:.4f} within threshold: {stats['within_threshold']}")
     print(f"  honest controls all accepted: {report.metrics['control_accepted']}, passed={report.passed}\n")
-
-    print("parallel partial sums over 2^12 points:")
-    report = exp_parallel_sum(num_vars=12, num_clauses=10, workers_list=(1, 2, 4), seed=2)
-    print(f"  sums by worker count: {report.metrics['sums']}")
-    print(f"  speedup (informational): {report.metrics['speedup']}, passed={report.passed}\n")
 
     print("delay-function cost growth (lambda=16):")
     report = exp_vdf_growth(lam=16, log2_steps_list=(8, 9, 10), space=16, seed=3)

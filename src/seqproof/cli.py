@@ -16,7 +16,6 @@ from .fiatshamir import VDF_ORACLE, DecodeError, FiatShamirChallenges
 from .fiatshamir import InteractiveChallenges, RecordedChallenges
 from .harness import (
     exp_attack,
-    exp_parallel_sum,
     exp_soundness,
     exp_vdf_growth,
     min_formula_vars,
@@ -179,14 +178,6 @@ def _int_list(option: str, text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _cmd_exp_parallel(args) -> int:
-    workers = _int_list("--workers", args.workers)
-    report = exp_parallel_sum(
-        num_vars=args.vars, num_clauses=args.clauses, workers_list=workers, seed=args.seed
-    )
-    return _emit_report(report, args.json)
-
-
 def _cmd_exp_growth(args) -> int:
     log2_list = _int_list("--log2t", args.log2t)
     report = exp_vdf_growth(
@@ -255,12 +246,6 @@ COMMANDS = (
         ("--m", dict(type=int, default=1, help="clauses")),
         ("--prime", dict(type=int, default=223)),
         ("--trials", dict(type=int, default=10_000)),
-        ("--seed", dict(type=int, default=0)),
-        ("--json", dict(action="store_true")))),
-    (("exp", "parallel"), "split the prover's cube sums across processes", _cmd_exp_parallel, (
-        ("--vars", dict(type=int, default=16)),
-        ("--clauses", dict(type=int, default=12)),
-        ("--workers", dict(default="1,2,4,8", help="comma-separated worker counts")),
         ("--seed", dict(type=int, default=0)),
         ("--json", dict(action="store_true")))),
     (("exp", "growth"), "step counters across step-count settings", _cmd_exp_growth, (

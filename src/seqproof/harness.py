@@ -1,4 +1,4 @@
-"""Measurement experiments: soundness rates, parallel speedup, step growth.
+"""Measurement experiments: soundness rates, step growth, forgery cost.
 
 Each experiment returns an ExperimentReport with the raw numbers and a
 pass flag for the claim it checks, so the same code backs the test suite
@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass
 from math import isqrt
 
 from .fiatshamir import InteractiveChallenges
-from .field import next_prime_at_least
-from .qbf import parse_qbf, random_qbf, to_qdimacs
+from .qbf import random_qbf
 from .shvdf import (
     sample_challenge,
     vdf_attack,
@@ -25,7 +24,6 @@ from .shvdf import (
     vdf_verify,
 )
 from .sumcheck import (
-    ArithPoly,
     chain_value,
     check_statement,
     cheat_prover,
@@ -34,8 +32,6 @@ from .sumcheck import (
 )
 
 DEFAULT_STRATEGIES = ("wrong-claim", "constant-poly", "random-round")
-# exp_parallel_sum starts one process pool of each size it is given
-MAX_WORKERS = 64
 
 
 @dataclass
@@ -132,76 +128,6 @@ def exp_soundness(
             "control_accepted": control_accepted,
         },
         passed=passed,
-    )
-
-
-# ── parallel round-polynomial work ─────────────────────────────────────────
-
-
-def _sum_worker(args: tuple[str, int, int, int]) -> int:
-    """Sum of the prover's cube table T_n over the index range [lo, hi)."""
-    text, p, lo, hi = args
-    return sum(ArithPoly(parse_qbf(text), p).cube_values(lo, hi)) % p
-
-
-def exp_parallel_sum(
-    num_vars: int = 16,
-    num_clauses: int = 12,
-    workers_list=(1, 2, 4, 8),
-    seed: int = 0,
-) -> ExperimentReport:
-    """The prover's cube sums split across processes without changing a bit.
-
-    Sums a seeded random formula's arithmetization over all 2^num_vars
-    Boolean points with each worker count and checks the results agree
-    exactly; the wall-clock speedup is reported but not gated, since it
-    depends on the host.  Every worker count is checked before any pool
-    starts.
-    """
-    import multiprocessing  # here, not at the top: no other command pays for it
-
-    if num_vars > 20:
-        raise ValueError("cube sums past 2^20 points are out of scope")
-    if num_vars < 1:
-        raise ValueError("cube sums need at least one variable")
-    if not workers_list:
-        raise ValueError("need at least one worker count")
-    if any(not 1 <= w <= MAX_WORKERS for w in workers_list):
-        raise ValueError(f"worker counts must be in 1..{MAX_WORKERS}")
-    p = next_prime_at_least(1 << 30)
-    text = to_qdimacs(random_qbf(random.Random(seed), num_vars, num_clauses))
-    total_points = 1 << num_vars
-    sums: dict[int, int] = {}
-    seconds: dict[int, float] = {}
-    for workers in workers_list:
-        chunks = max(workers * 4, 1)
-        step = -(-total_points // chunks)
-        jobs = [
-            (text, p, lo, min(lo + step, total_points))
-            for lo in range(0, total_points, step)
-        ]
-        start = time.perf_counter()
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_sum_worker, jobs)
-        seconds[workers] = time.perf_counter() - start
-        sums[workers] = sum(parts) % p
-    agreed = len(set(sums.values())) == 1
-    base = seconds[workers_list[0]]
-    return ExperimentReport(
-        name="parallel-sum",
-        params={
-            "num_vars": num_vars,
-            "num_clauses": num_clauses,
-            "workers": list(workers_list),
-            "seed": seed,
-            "p": p,
-        },
-        metrics={
-            "sums": {str(w): v for w, v in sums.items()},
-            "seconds": {str(w): round(s, 4) for w, s in seconds.items()},
-            "speedup": {str(w): round(base / s, 2) for w, s in seconds.items()},
-        },
-        passed=agreed,
     )
 
 

@@ -114,17 +114,10 @@ class ArithPoly:
         repeats of a padded clause too."""
         return sum(idx == var - 1 for cl in self._clauses for idx, _ in cl)
 
-    def cube_values(self, lo: int, hi: int) -> list[int]:
-        """Values at the Boolean points with index lo..hi-1, one `evaluate`
-        each, for the stand-in sum of `harness._sum_worker`; bit i-1 of an
-        index is x_i."""
-        n = self.formula.num_vars
-        return [self.evaluate([(idx >> i) & 1 for i in range(n)]) for idx in range(lo, hi)]
-
     def chain_tables(self) -> list[list[int]]:
         """[T_0, ..., T_n], built on first use and kept.
 
-        T_n is f on the 2^n cube, indexed as in `cube_values`: one byte per
+        T_n is f on the 2^n cube, bit i-1 of an index being x_i: one byte per
         point of the AND over clauses of the OR of their literals' point
         sets.  T_{i-1} joins the two halves of T_i (x_i = 0, x_i = 1) by sum
         for an existential x_i, by product for a universal one.  T_i[b] is

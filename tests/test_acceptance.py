@@ -8,6 +8,8 @@ pytest's default capture).  Run the suite on its own with::
 
 The criteria pin exact counts and tolerances; the stated wall-clock
 budgets are asserted too, so a pathological slowdown fails loudly.
+Criterion 5 (parallel-sum invariance) left with the process-pool sum it
+checked; the others keep their numbers.
 """
 
 import random
@@ -17,7 +19,6 @@ from qbf_sampler import sample_distinct_qbfs
 from seqproof.field import next_prime_at_least
 from seqproof.harness import (
     exp_attack,
-    exp_parallel_sum,
     exp_soundness,
     exp_vdf_growth,
 )
@@ -146,21 +147,6 @@ def test_criterion_04_soundness(capsys):
         for r in reports
     }
     _report(capsys, 4, ok, f"cheat accept rates within bound+3sigma: {rates} ({elapsed:.1f}s)")
-
-
-def test_criterion_05_parallel_sum_invariance(capsys):
-    report = exp_parallel_sum(
-        num_vars=16, num_clauses=12, workers_list=(1, 2, 4, 8), seed=505
-    )
-    sums = report.metrics["sums"]
-    ok = report.passed and len(set(sums.values())) == 1
-    _report(
-        capsys,
-        5,
-        ok,
-        f"2^16-point sum identical across workers {sorted(sums)}, "
-        f"speedup {report.metrics['speedup']} (informational)",
-    )
 
 
 def test_criterion_06_vdf_correctness(capsys):

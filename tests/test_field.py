@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from seqproof.field import (
 )
 
 def test_over_cap_modulus_is_refused_before_trial_division(monkeypatch):
-    # a transcript's prime is read from the file; trial division on 2^61 - 1
-    # would take minutes before the cap refused it
+    # a transcript's prime is read from the file; one past 2^40 is refused
+    # before any primality test, whatever its size
     tested = []
     monkeypatch.setattr(field, "is_prime", lambda n: tested.append(n) or True)
     with pytest.raises(ValueError, match="exceeds cap"):
@@ -56,6 +57,48 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    """Reference primality test: divide by 2 and every odd d <= sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def test_is_prime_matches_trial_division_below_2_16():
+    assert [n for n in range(1 << 16) if is_prime(n) != _trial_division_is_prime(n)] == []
+
+
+def test_is_prime_matches_trial_division_near_the_cap():
+    rng = random.Random(2040)
+    for n in (rng.randrange(1 << 39, (1 << 40) + 1) for _ in range(300)):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; then two
+    # Carmichael numbers, which fool every Fermat test coprime to them
+    for n in (2047, 1373653, 25326001, 3215031751, 561, 41041):
+        assert not _trial_division_is_prime(n)
+        assert not is_prime(n), n
+
+
+def test_next_prime_at_least_picks_the_trial_division_prime():
+    # the primes a statement gets must not move, or transcripts would
+    rng = random.Random(2041)
+    bounds = [(1 << n) * 3**m for n, m in ((10, 8), (14, 10), (16, 10), (16, 15))]
+    bounds += [rng.randrange(1 << 39, 1 << 40) for _ in range(10)]
+    for bound in bounds:
+        want = bound
+        while not _trial_division_is_prime(want):
+            want += 1
+        assert next_prime_at_least(bound) == want
+    assert next_prime_at_least((1 << 16) * 3**15) == 940369969157
 
 
 def test_unipoly_canonical_zero():

@@ -1,6 +1,4 @@
 import json
-import multiprocessing
-import random
 
 import pytest
 
@@ -10,15 +8,12 @@ from seqproof.cli import main
 from seqproof.harness import (
     ExperimentReport,
     exp_attack,
-    exp_parallel_sum,
     exp_soundness,
     exp_vdf_growth,
     min_formula_vars,
     soundness_bound,
 )
-from seqproof.qbf import random_qbf
 from seqproof.field import next_prime_at_least
-from seqproof.sumcheck import ArithPoly, build_operator_chain
 
 
 def test_min_formula_vars_frozen():
@@ -66,19 +61,6 @@ def test_soundness_single_strategy_and_guard():
         exp_soundness(1, 1, 223, trials=500)
 
 
-def test_parallel_sum_small_agrees_with_direct():
-    report = exp_parallel_sum(num_vars=10, num_clauses=6, workers_list=(1, 2), seed=3)
-    assert report.passed
-    sums = report.metrics["sums"]
-    assert sums["1"] == sums["2"]
-    # recompute the total in one flat loop
-    p = report.params["p"]
-    formula = random_qbf(random.Random(3), 10, 6)
-    f = ArithPoly(formula, p)
-    want = sum(f.evaluate([(i >> b) & 1 for b in range(10)]) for i in range(1 << 10)) % p
-    assert sums["1"] == want
-
-
 def test_vdf_growth_small():
     report = exp_vdf_growth(lam=8, log2_steps_list=(4, 5), space=8, seed=0)
     assert report.passed
@@ -86,6 +68,8 @@ def test_vdf_growth_small():
     assert [r["eval_steps"] for r in rows] == [16, 32]
     assert all(r["open_steps"] == r["eval_steps"] for r in rows)
     assert all(r["verify_steps"] <= 8 for r in rows)
+    with pytest.raises(ValueError, match="2\\^22"):
+        exp_vdf_growth(lam=32, log2_steps_list=(23,), space=8)
 
 
 def _state_bits_at_lam(monkeypatch):
@@ -127,36 +111,12 @@ def test_attack_report_small():
         exp_attack(lam=16, log2_steps=10, space=8, instances=50)
 
 
-def test_parallel_sum_guards_and_a_one_variable_sum():
-    report = exp_parallel_sum(num_vars=1, num_clauses=2, workers_list=(1, 2), seed=9)
-    assert report.params["num_vars"] == 1
-    f = ArithPoly(random_qbf(random.Random(9), 1, 2), report.params["p"])
-    assert report.metrics["sums"]["1"] == (f.evaluate([0]) + f.evaluate([1])) % report.params["p"]
-    with pytest.raises(ValueError, match="2\\^20"):
-        exp_parallel_sum(num_vars=21, workers_list=(1,))
-    with pytest.raises(ValueError, match="2\\^22"):
-        exp_vdf_growth(lam=32, log2_steps_list=(23,), space=8)
-
-
 def test_reports_serialize():
     report = exp_vdf_growth(lam=8, log2_steps_list=(4,), space=4, seed=2)
     decoded = json.loads(report.to_json())
     assert decoded["name"] == "vdf-growth"
     assert decoded["passed"] is True
     assert isinstance(report, ExperimentReport)
-
-
-def _no_process(*args, **kwargs):
-    raise AssertionError("a process pool was started")
-
-
-def test_parallel_sum_refuses_worker_counts_out_of_range(monkeypatch, capsys):
-    monkeypatch.setattr(multiprocessing, "Pool", _no_process)
-    for workers in ((1, 10**6), (0,)):
-        with pytest.raises(ValueError, match="worker counts"):
-            exp_parallel_sum(num_vars=4, workers_list=workers)
-    assert main(["exp", "parallel", "--vars", "4", "--workers", "1,1000000"]) == 1
-    assert "worker counts must be in 1..64" in capsys.readouterr().err
 
 
 def test_soundness_checks_the_statement_size_before_drawing(monkeypatch):
@@ -166,14 +126,6 @@ def test_soundness_checks_the_statement_size_before_drawing(monkeypatch):
     monkeypatch.setattr(harness, "random_qbf", no_draw)
     with pytest.raises(ValueError, match="2\\^40 prime cap"):
         exp_soundness(1, 10**8, next_prime_at_least(1 << 39))
-
-
-def test_parallel_sum_refuses_no_workers_and_no_variables(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", _no_process)
-    with pytest.raises(ValueError, match="at least one worker count"):
-        exp_parallel_sum(num_vars=4, workers_list=())
-    with pytest.raises(ValueError, match="at least one variable"):
-        exp_parallel_sum(num_vars=0, workers_list=(1,))
 
 
 def test_soundness_refuses_an_empty_statement_before_drawing(monkeypatch, capsys):

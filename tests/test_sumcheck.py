@@ -448,6 +448,30 @@ def _true_formula(n, m, seed):
     return formula
 
 
+def _padded_random_qbf(rng, n, m):
+    """A seeded formula whose clauses have 1 to 3 literals; the parser pads
+    short ones by repeating their last literal."""
+    lines = [f"p cnf {n} {m}"]
+    lines += [f"{rng.choice('ae')} {v} 0" for v in range(1, n + 1)]
+    for _ in range(m):
+        lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+        lines.append(" ".join(map(str, lits)) + " 0")
+    return parse_qbf("\n".join(lines) + "\n")
+
+
+def test_cube_table_is_f_at_every_boolean_point():
+    # T_n, read off clause bitmasks, against one evaluate per point; bit i-1
+    # of a table index is x_i
+    rng = random.Random(1313)
+    for n in range(1, 11):
+        for formula in (random_qbf(rng, n, rng.randint(1, 8)), _padded_random_qbf(rng, n, rng.randint(1, 8))):
+            f = ArithPoly(formula, 1009)
+            table = f.chain_tables()[-1]
+            assert len(table) == 1 << n
+            for idx, value in enumerate(table):
+                assert value == f.evaluate([(idx >> i) & 1 for i in range(n)]), (formula, idx)
+
+
 def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
     # T_n comes from clause bitmasks and the final block from falsified-clause
     # patterns, so the prover never evaluates f; the verifier's final check does once
