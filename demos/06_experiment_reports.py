@@ -6,8 +6,9 @@ The measurement harness
 Each experiment returns a structured report (name, parameters, metrics,
 overall pass flag) that serializes to JSON; the command-line front end
 exposes the same runs.  This script exercises small configurations of
-all three (soundness, delay-function cost growth, forgery), plus the planted-size helper that maps a step budget back to
-the largest formula the chain shape accommodates.
+all three (soundness, delay-function cost growth, forgery), plus the
+planted-size helper that maps a step budget back to the largest formula
+the chain shape accommodates.
 """
 
 from seqproof.harness import (

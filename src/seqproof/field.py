@@ -24,18 +24,16 @@ def is_prime(n: int) -> bool:
     for a in bases:
         if n % a == 0:
             return n == a
+    if n < 41 * 41:  # a composite this small has a prime factor below 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
+    # n - 1 = d * 2^s with d odd; n passes base a when a^d = 1 or
+    # a^(d * 2^r) = -1 (mod n) for some r < s, and every prime passes
     for a in bases:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
     return True
 
