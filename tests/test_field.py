@@ -81,15 +81,15 @@ def test_is_prime_matches_trial_division_near_the_cap():
 
 
 def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
-    # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; then two
-    # Carmichael numbers, which fool every Fermat test coprime to them
+    # the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and 2..7,
+    # then two Carmichael numbers, which pass every Fermat test coprime to them
     for n in (2047, 1373653, 25326001, 3215031751, 561, 41041):
         assert not _trial_division_is_prime(n)
         assert not is_prime(n), n
 
 
 def test_next_prime_at_least_picks_the_trial_division_prime():
-    # the primes a statement gets must not move, or transcripts would
+    # a statement's default prime must not move, or its transcript bytes would
     rng = random.Random(2041)
     bounds = [(1 << n) * 3**m for n, m in ((10, 8), (14, 10), (16, 10), (16, 15))]
     bounds += [rng.randrange(1 << 39, 1 << 40) for _ in range(10)]
