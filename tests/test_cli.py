@@ -334,7 +334,9 @@ def _parse(parser, argv):
 
 def _argv_corpus():
     corpus = [[], ["-h"], ["bogus"], ["vdf"], ["vdf", "bogus"], ["vdf", "-h"], ["exp"], ["exp", "-h"],
-              ["--help", "vdf", "verify"], ["prove-tqbf", "--in", "f", "--fs", "--seed", "3"]]
+              ["--help", "vdf", "verify"], ["prove-tqbf", "--in", "f", "--fs", "--seed", "3"],
+              # a retired command names no row, so both parsers refuse it alike
+              ["exp", "parallel"], ["exp", "parallel", "-h"], ["exp", "parallel", "--vars", "x"]]
     for words, _, _, arguments in COMMANDS:
         required = [a for flag, kw in arguments if kw.get("required") for a in (flag, "1")]
         corpus += [[*words, "-h"], [*words, *required], [*words, *required, "extra"],

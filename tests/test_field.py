@@ -53,6 +53,23 @@ def test_next_prime_at_least():
         next_prime_at_least((1 << 40) + 1)
 
 
+def test_next_prime_at_least_stops_at_the_last_prime_below_the_cap():
+    last = (1 << 40) - 87
+    assert next_prime_at_least(last) == last
+    for bound in (last + 1, 1 << 40):
+        with pytest.raises(ValueError, match="no prime found below the 2\\^40 cap"):
+            next_prime_at_least(bound)
+
+
+def test_check_prime_tests_the_cap_itself():
+    # 2^40 is within the cap, so it reaches the primality test
+    check_prime((1 << 40) - 87)
+    with pytest.raises(ValueError, match="not prime"):
+        check_prime(1 << 40)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        check_prime((1 << 40) + 1)
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
