@@ -1,12 +1,18 @@
 """Prime moduli, univariate polynomials over F_p, interpolation at 0..d.
 
 Residues are plain ints in [0, p); the modulus of a statement is checked once,
-by `check_prime`.
+by `check_prime`.  Interpolation at the nodes 0..size-1 multiplies the values
+by the inverse Vandermonde matrix at those nodes: size^2 products a call.
+The matrix is built in O(size^2) once per (size, p) and kept in an LRU cache
+of BASIS_CACHE_ENTRIES = 32 entries; the protocol interpolates at most 73
+values, so the cache holds at most 32 * 73^2 = 170,528 residues.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
+from operator import mul
 
 # products of two residues must stay exact; cap keeps everything desk-scale
 MAX_PRIME = 1 << 40
@@ -136,21 +142,57 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)}, p={self.p})"
 
 
+# bases kept, one per (size, p): a proof interpolates at n + 3 sizes or fewer
+# (n <= 16), so it never evicts its own; sizes stay at or below 73 (3m + 1,
+# m <= 24)
+BASIS_CACHE_ENTRIES = 32
+
+
+@lru_cache(maxsize=BASIS_CACHE_ENTRIES)
+def _inverse_vandermonde(size: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the inverse of the Vandermonde matrix at the nodes 0..size-1
+    mod p: row k holds the t^k coefficients of the Lagrange basis
+    polynomials L_0, ..., L_d (d = size - 1), so a value vector's dot product
+    with row k is the interpolant's coefficient k.
+
+    L_x is the node polynomial N = prod_y (t - y) divided by (t - x), times
+    the inverse of prod_{y != x} (x - y) = x! (d - x)! (-1)^(d - x): one
+    O(size) synthetic division per node after O(size^2) for N, and one
+    modular inverse in all.
+    """
+    if size > p:
+        raise ValueError(f"{size} nodes collide mod {p}")
+    d = size - 1
+    node = [1]  # N's coefficients, lowest degree first
+    for y in range(size):
+        # node := node * (t - y)
+        node = [(lo - y * hi) % p for lo, hi in zip([0] + node, node + [0])]
+    inv_fact = [1] * size
+    if size:
+        inv_fact[d] = pow(factorial(d), -1, p)
+    for k in range(d, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    columns = []
+    for x in range(size):
+        scale = inv_fact[x] * inv_fact[d - x] * (-1) ** (d - x)
+        quotient, carry = [0] * size, 0
+        for k in range(d, -1, -1):  # N = (t - x) * quotient, top coefficient down
+            carry = (node[k + 1] + x * carry) % p
+            quotient[k] = carry * scale % p
+        columns.append(quotient)
+    return tuple(zip(*columns))
+
+
 def lagrange_interpolate(values, p: int) -> UniPoly:
     """Polynomial of degree < len(values) taking values[x] at x = 0, 1, 2, ...
 
-    Newton's forward differences give c_k = (Delta^k values)[0] / k! with
-    P = c_0 + x (c_1 + (x - 1) (c_2 + ...)); expanding that nested form
-    costs O(d^2).  The nodes collide mod p past p values, and then k! has no
-    inverse (ValueError).
+    Each coefficient is one dot product of the values with a row of the
+    inverse Vandermonde matrix at 0..size-1, so a call costs size^2 products
+    and one cache lookup.  The matrix is built, in O(size^2) with one
+    modular inverse, on the first call at its (size, p), and again only
+    after the LRU cache of BASIS_CACHE_ENTRIES entries has dropped it.  The
+    values need not be reduced.  Past p values the nodes collide mod p
+    (ValueError).
     """
-    diffs, newton = [v % p for v in values], []
-    while diffs:
-        newton.append(diffs[0])
-        diffs = [(b - a) % p for a, b in zip(diffs, diffs[1:])]
-    coeffs: list[int] = []
-    for k in reversed(range(len(newton))):
-        # coeffs := coeffs * (x - k) + c_k
-        coeffs = [(lo - k * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] = (coeffs[0] + newton[k] * pow(factorial(k), -1, p)) % p
-    return UniPoly(coeffs, p)
+    rows = _inverse_vandermonde(len(values), p)
+    return UniPoly([sum(map(mul, row, values)) for row in rows], p)

@@ -21,6 +21,9 @@ multiplies no clause at a point:
 - One running fold per block binds T_{i+1} a challenge at a time for the
   block's linearization rounds and the next quantifier round: O(2^(i+1))
   table work per block, O(2^n) in all.
+- The eq weights of a block's linearization rounds are nested, each vector
+  the next with one more coordinate, so the block's first round builds
+  them all, shortest first, for the cost of the longest.
 - The final block, where the raw matrix shows through, groups the Boolean
   suffixes c of its round at x_j by which clauses they falsify, found with
   bitmasks over the 2^(n-j) suffixes; each group adds its eq weight times
@@ -93,6 +96,7 @@ class ArithPoly:
         )
         self._tables: list[list[int]] | None = None
         self._fold: tuple = (None, (), None)  # table index, bound prefix, folded table
+        self._eq: tuple = ((), [[1]])  # bound suffix, eq vectors of its suffixes
 
     def evaluate(self, point) -> int:
         """Value at a full point; point[i-1] is the value bound to x_i.
@@ -163,6 +167,22 @@ class ArithPoly:
         self._fold = (i, rs, table)
         return table
 
+    def eq_weights(self, rs) -> list[int]:
+        """eq(rs; c) for every Boolean c, c_k at bit k of the index.
+
+        The Lin rounds of a block ask for nested rs, each a suffix of the
+        one before, so the first builds the vectors of all its suffixes and
+        keeps them; a call whose rs is a suffix of the kept one reads its
+        vector, any other builds afresh.
+        """
+        rs = tuple(rs)
+        kept_rs, vectors = self._eq
+        start = len(kept_rs) - len(rs)
+        if start < 0 or kept_rs[start:] != rs:
+            kept_rs, vectors, start = rs, _eq_suffixes(rs, self.p), 0
+            self._eq = (kept_rs, vectors)
+        return vectors[start]
+
 
 def _coordinate_sets(bits: int, width: int) -> list[int]:
     """For each coordinate v of the cube {0,1}^bits, the points whose bit v
@@ -219,13 +239,23 @@ def chain_value(formula: Qbf, p: int) -> int:
     return ArithPoly(formula, p).chain_tables()[0][0]
 
 
-def _eq_weights(rs, p: int) -> list[int]:
-    """eq(rs; c) = prod_k (rs[k] if c_k else 1 - rs[k]) for every Boolean c,
-    with c_k at bit k of the index."""
-    weights = [1]
-    for r in rs:
-        weights = [w * (1 - r) % p for w in weights] + [w * r % p for w in weights]
-    return weights
+def _eq_suffixes(rs, p: int) -> list[list[int]]:
+    """eq(rs[k:]; .) for k = 0..len(rs), where eq(rs; c) = prod_k (rs[k] if
+    c_k else 1 - rs[k]) for every Boolean c, with c_k at bit k of the index.
+
+    Shortest first: eq(rs[k:]) is eq(rs[k+1:]) with rs[k] interleaved at
+    bit 0, so all of them cost what the longest alone does.
+    """
+    vectors = [[1]]
+    for r in reversed(rs):
+        shorter = vectors[-1]
+        ones = [w * r % p for w in shorter]
+        weights = [0] * (2 * len(shorter))
+        weights[0::2] = [(w - x) % p for w, x in zip(shorter, ones)]  # w * (1 - r)
+        weights[1::2] = ones
+        vectors.append(weights)
+    vectors.reverse()
+    return vectors
 
 
 def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> UniPoly:
@@ -246,7 +276,8 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
       `_final_round_values`.
     The folds come from f's running fold, which binds T_{i+1} one challenge
     per Lin round of block i and serves block i+1's Q round as well, so
-    table work is O(2^(i+1)) per block.  No clause is multiplied at a point:
+    table work is O(2^(i+1)) per block; the eq weights come from f's kept
+    eq vectors, built once per block.  No clause is multiplied at a point:
     T_n is built from clause bitmasks, and the final block groups the
     suffixes c by the clauses they falsify.
     """
@@ -259,7 +290,7 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> Uni
         folded = f.folded(i + 1, bindings[: j - 1])
         half = len(folded) // 2  # x_{i+1} = 0 | x_{i+1} = 1
         a0, a1, b0, b1 = folded[0:half:2], folded[1:half:2], folded[half::2], folded[half + 1 :: 2]
-        weights = _eq_weights(bindings[j:i], p)
+        weights = f.eq_weights(bindings[j:i])
         if formula.quantifiers[i] is Quantifier.EXISTS:
             # the sum of the halves is linear in t
             v0 = sum(map(mul, weights, map(add, a0, b0)))
@@ -336,7 +367,7 @@ def _final_round_values(f: ArithPoly, j: int, bindings) -> list[int]:
         pattern |= falsified(suffix) << bit
     fields = memoryview(pattern.to_bytes(width // 8 << bits, sys.byteorder)).cast(_PATTERN_CODES[width])
     groups: dict[int, int] = {}
-    for key, w in zip(fields, _eq_weights(bindings[j:], p)):
+    for key, w in zip(fields, f.eq_weights(bindings[j:])):
         groups[key] = groups.get(key, 0) + w
     values = [0] * len(ts)
     for key, w in groups.items():

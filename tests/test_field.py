@@ -148,8 +148,32 @@ def test_lagrange_frozen_cases():
 def test_lagrange_duplicate_x_rejected():
     # past p values the nodes 0..d repeat mod p
     lagrange_interpolate(list(range(11)), 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^12 nodes collide mod 11$"):
         lagrange_interpolate([2] * 12, 11)
+
+
+def test_interpolation_builds_each_basis_once():
+    basis = field._inverse_vandermonde
+    basis.cache_clear()
+    for values in ([1, 2, 3, 4], [0, 0, 0, 0], [5, 8, 13, 21]):
+        lagrange_interpolate(values, 1009)
+    assert lagrange_interpolate([0, 1, 4, 9], 1009) == UniPoly((0, 0, 1), 1009)
+    info = basis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    lagrange_interpolate([0, 1, 4, 9], 1013)  # another prime is another basis
+    lagrange_interpolate([0, 1, 4], 1009)  # and so is another size
+    assert basis.cache_info().misses == 3
+
+
+def test_interpolation_cache_stays_at_its_bound():
+    basis = field._inverse_vandermonde
+    basis.cache_clear()
+    assert basis.cache_info().maxsize == field.BASIS_CACHE_ENTRIES
+    pairs = [(size, p) for p in (223, 1009) for size in range(1, field.BASIS_CACHE_ENTRIES)]
+    assert len(pairs) > field.BASIS_CACHE_ENTRIES
+    for size, p in pairs:
+        assert lagrange_interpolate(list(range(size)), p) == UniPoly((0, 1) if size > 1 else (), p)
+    assert basis.cache_info().currsize == field.BASIS_CACHE_ENTRIES
 
 
 def test_interpolation_checks_no_modulus(monkeypatch):
@@ -161,7 +185,8 @@ def test_interpolation_checks_no_modulus(monkeypatch):
 
 
 @settings(max_examples=50)
-@given(st.integers(1, 40), st.integers(0, 10**6), st.sampled_from([223, 1009, (1 << 40) - 87]))
+# 73 = 3m + 1 at m = 24, the largest final-block size the statement caps allow
+@given(st.integers(1, 73), st.integers(0, 10**6), st.sampled_from([223, 1009, (1 << 40) - 87]))
 def test_interpolation_inverts_evaluation(k, seed, p):
     rng = random.Random(seed)
     ys = [rng.randrange(p) for _ in range(k)]

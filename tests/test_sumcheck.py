@@ -553,3 +553,55 @@ def test_coin_sources_never_render_the_conversation(monkeypatch):
     assert rendered == []
     assert sumcheck_verify(ALT_TRUE, 37, sumcheck_prove(ALT_TRUE, 37, FiatShamirChallenges(TQBF_ORACLE))).accepted
     assert rendered == [ALT_TRUE, ALT_TRUE]
+
+
+def test_eq_weights_are_the_product_for_any_order_of_calls():
+    # a call whose rs is a suffix of the kept one reads a kept vector; any
+    # other (longer, shifted, changed) builds afresh
+    rng = random.Random(31)
+    p = 1009
+    f = ArithPoly(ALT_TRUE, p)
+    base = [rng.randrange(p) for _ in range(6)]
+    calls = [base, base[2:], base[5:], [], base[1:], base[:4], [rng.randrange(p)] + base[1:], base[3:]]
+    for rs in calls + calls[::-1]:
+        expect = [math.prod(r if c >> k & 1 else 1 - r for k, r in enumerate(rs)) % p for c in range(1 << len(rs))]
+        assert f.eq_weights(rs) == expect, rs
+
+
+def test_eq_vectors_are_built_once_per_block(monkeypatch):
+    import seqproof.sumcheck as sc
+
+    built = []
+    eq_suffixes = sc._eq_suffixes
+
+    def counted(rs, p):
+        built.append(len(rs))
+        return eq_suffixes(rs, p)
+
+    monkeypatch.setattr(sc, "_eq_suffixes", counted)
+    formula = _true_formula(8, 6, 808)
+    p = default_prime(formula)
+    t = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
+    assert sumcheck_verify(formula, p, t).accepted
+    # blocks 2..n-1 build eq(r_2..r_i) at their first Lin round; block 1's
+    # is empty, and the final block builds at most once
+    assert built[: formula.num_vars - 2] == list(range(1, formula.num_vars - 1))
+    assert len(built) <= formula.num_vars - 1
+
+
+def test_one_proof_never_evicts_its_own_interpolation_bases():
+    import seqproof.field as field
+    from seqproof.sumcheck import MAX_PROTOCOL_VARS
+
+    # a proof interpolates at sizes 2 and 3, d_j + 1 per final-block round
+    # and 3m + 1 when bent: at most n + 3 per prime
+    assert field.BASIS_CACHE_ENTRIES >= MAX_PROTOCOL_VARS + 3
+    basis = field._inverse_vandermonde
+    formula = _true_formula(8, 6, 808)
+    p = default_prime(formula)
+    basis.cache_clear()
+    first = cheat_prover("wrong-claim", formula, p, InteractiveChallenges(5))
+    built = basis.cache_info().misses
+    assert built <= formula.num_vars + 3
+    assert cheat_prover("wrong-claim", formula, p, InteractiveChallenges(5)) == first
+    assert basis.cache_info().misses == built
