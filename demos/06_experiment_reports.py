@@ -7,8 +7,8 @@ Each experiment returns a structured report (name, parameters, metrics,
 overall pass flag) that serializes to JSON; the command-line front end
 exposes the same runs.  This script exercises small configurations of
 all three (soundness, delay-function cost growth, forgery), plus the
-planted-size helper that maps a step budget back to the largest formula
-the chain shape accommodates.
+planted-size helper that maps a step budget to the smallest variable
+count whose operator chain has at least that many rounds.
 """
 
 from seqproof.harness import (
@@ -40,7 +40,7 @@ def main():
     print(f"  metrics: {report.metrics}")
     print(f"  passed={report.passed}\n")
 
-    print("largest variable count whose chain fits a step budget:")
+    print("fewest variables whose chain has at least as many rounds as the step budget:")
     for budget in (2, 9, 54, 65536):
         print(f"  {budget:6d} steps -> n = {min_formula_vars(budget)}")
 

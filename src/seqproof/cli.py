@@ -12,7 +12,7 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import VDF_ORACLE, DecodeError, FiatShamirChallenges
+from .fiatshamir import VDF_ORACLE, FiatShamirChallenges
 from .fiatshamir import InteractiveChallenges, RecordedChallenges
 from .harness import (
     exp_attack,
@@ -30,13 +30,12 @@ from .noninteractive import (
     save_transcript,
     verify_bundle,
 )
-from .qbf import QbfParseError, parse_qbf
+from .qbf import parse_qbf
 from .shvdf import (
     params_from_bytes,
     params_to_bytes,
     vdf_attack,
     vdf_eval,
-    vdf_run,
     vdf_setup,
 )
 from .sumcheck import sumcheck_prove, sumcheck_verify
@@ -109,7 +108,7 @@ def _cmd_vdf_open(args) -> int:
     if coin is not None:
         pp.check_challenge(coin)  # before the T steps of the run
     challenges = FiatShamirChallenges(VDF_ORACLE) if coin is None else RecordedChallenges([coin])
-    bundle = open_bundle(vdf_run(pp, args.input), args.input, challenges)
+    bundle = open_bundle(vdf_eval(pp, args.input), args.input, challenges)
     save_bundle(args.proof, bundle)
     print(f"mode {bundle.mode}")
     print(f"value {bundle.output_value}")
@@ -299,7 +298,7 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, QbfParseError, DecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

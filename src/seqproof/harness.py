@@ -19,7 +19,6 @@ from .shvdf import (
     sample_challenge,
     vdf_attack,
     vdf_eval,
-    vdf_run,
     vdf_setup,
     vdf_verify,
 )
@@ -157,7 +156,7 @@ def exp_vdf_growth(
         out = vdf_eval(pp, x)
         eval_seconds = time.perf_counter() - start
         t = sample_challenge(pp, rng)
-        opened = vdf_run(pp, x)  # vdf_open's run, kept to read its steps
+        opened = vdf_eval(pp, x)  # vdf_open's run, kept to read its steps
         start = time.perf_counter()
         verdict = vdf_verify(pp, x, out.value, t, opened.respond(t))
         verify_seconds = time.perf_counter() - start
@@ -262,9 +261,7 @@ def min_formula_vars(num_steps: int) -> int:
     """
     if num_steps < 1:
         raise ValueError("need a positive step count")
+    # n(n+3)/2 = num_steps at n = r = (sqrt(8 num_steps + 9) - 3) / 2; the
+    # start is at most r and one past it exceeds r
     n = max(1, (isqrt(8 * num_steps + 9) - 3) // 2)
-    while n * (n + 3) // 2 < num_steps:
-        n += 1
-    while n > 1 and (n - 1) * (n + 2) // 2 >= num_steps:
-        n -= 1
-    return n
+    return n if n * (n + 3) // 2 >= num_steps else n + 1

@@ -52,7 +52,7 @@ from .shvdf import (
     params_to_bytes,
     proof_from_bytes,
     proof_to_bytes,
-    vdf_run,
+    vdf_eval,
     vdf_verify,
 )
 from .sumcheck import (
@@ -212,7 +212,7 @@ def open_bundle(run: VdfRun, x: str, challenges) -> VdfBundle:
 
 def fs_vdf_open(pp: VdfParams, x: str) -> VdfBundle:
     """Run once, derive the challenge from the hash, and open at it."""
-    return open_bundle(vdf_run(pp, x), x, FiatShamirChallenges(VDF_ORACLE))
+    return open_bundle(vdf_eval(pp, x), x, FiatShamirChallenges(VDF_ORACLE))
 
 
 def verify_bundle(bundle: VdfBundle) -> VdfVerdict:

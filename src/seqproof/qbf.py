@@ -28,54 +28,19 @@ class QbfParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A possibly negated variable; var is 1-based."""
-
-    var: int
-    negated: bool = False
-
-    def value(self, assignment) -> int:
-        """Truth value 0/1 under assignment (list indexed by var-1)."""
-        v = assignment[self.var - 1]
-        return 1 - v if self.negated else v
-
-    def to_int(self) -> int:
-        return -self.var if self.negated else self.var
-
-    @classmethod
-    def from_int(cls, n: int) -> Literal:
-        if n == 0:
-            raise ValueError("literal 0 is reserved as terminator")
-        return cls(abs(n), n < 0)
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of exactly three literals."""
-
-    literals: tuple[Literal, Literal, Literal]
-
-    def __post_init__(self):
-        if len(self.literals) != 3:
-            raise ValueError("a clause holds exactly three literals")
-
-    def satisfied(self, assignment) -> bool:
-        return any(lit.value(assignment) == 1 for lit in self.literals)
-
-
-@dataclass(frozen=True)
 class Qbf:
     """Prenex quantified 3-CNF formula.
 
     Attributes:
         num_vars: n >= 1; variables are x_1 .. x_n.
         quantifiers: length-n tuple; entry i-1 binds x_i.
-        clauses: m >= 1 padded clauses over x_1 .. x_n.
+        clauses: m >= 1 padded clauses over x_1 .. x_n, each a triple of
+            DIMACS literals: v for x_v, -v for not x_v.
     """
 
     num_vars: int
     quantifiers: tuple[Quantifier, ...]
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -85,19 +50,14 @@ class Qbf:
         if not self.clauses:
             raise ValueError("need at least one clause")
         for cl in self.clauses:
-            for lit in cl.literals:
-                if not 1 <= lit.var <= self.num_vars:
-                    raise ValueError(f"variable x{lit.var} out of range")
+            if len(cl) != 3:
+                raise ValueError("a clause holds exactly three literals")
+            if not all(0 < abs(lit) <= self.num_vars for lit in cl):
+                raise ValueError(f"clause {cl} has a literal 0 or past x{self.num_vars}")
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-
-def _pad_clause(lits: list[Literal]) -> Clause:
-    while len(lits) < 3:
-        lits.append(lits[-1])
-    return Clause(tuple(lits))
 
 
 def parse_qbf(text: str) -> Qbf:
@@ -115,7 +75,7 @@ def parse_qbf(text: str) -> Qbf:
     """
     n = m = None
     quantifiers: list[Quantifier] = []
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     last_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -181,7 +141,7 @@ def parse_qbf(text: str) -> Qbf:
         for v in body:
             if abs(v) > n:
                 raise QbfParseError(line_no, f"variable x{abs(v)} out of range (n={n})")
-        clauses.append(_pad_clause([Literal.from_int(v) for v in body]))
+        clauses.append(tuple(body + body[-1:] * (3 - len(body))))
 
     if n is None:
         raise QbfParseError(last_line or 1, "missing 'p cnf' header")
@@ -206,7 +166,7 @@ def to_qdimacs(formula: Qbf) -> str:
         run_vars.append(i)
     lines.append(f"{run_q.value} {' '.join(map(str, run_vars))} 0")
     for cl in formula.clauses:
-        lines.append(f"{' '.join(str(lit.to_int()) for lit in cl.literals)} 0")
+        lines.append(f"{' '.join(map(str, cl))} 0")
     return "\n".join(lines) + "\n"
 
 
@@ -221,7 +181,7 @@ def eval_qbf_bruteforce(formula: Qbf) -> bool:
 
     def rec(i: int) -> bool:
         if i == n:
-            return all(cl.satisfied(assignment) for cl in clauses)
+            return all(any(assignment[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in clauses)
         exists = quantifiers[i] is Quantifier.EXISTS
         for b in (0, 1):
             assignment[i] = b
@@ -238,10 +198,10 @@ def eval_qbf_bruteforce(formula: Qbf) -> bool:
 def random_qbf(rng: random.Random, num_vars: int, num_clauses: int) -> Qbf:
     """Uniform-ish random formula: coin-flip quantifiers, 3 uniform literals per clause."""
     quantifiers = tuple(rng.choice((Quantifier.FORALL, Quantifier.EXISTS)) for _ in range(num_vars))
-    clauses = []
-    for _ in range(num_clauses):
-        lits = tuple(
-            Literal(rng.randrange(1, num_vars + 1), rng.random() < 0.5) for _ in range(3)
-        )
-        clauses.append(Clause(lits))
-    return Qbf(num_vars, quantifiers, tuple(clauses))
+
+    def literal() -> int:
+        v = rng.randrange(1, num_vars + 1)  # the variable, then its sign
+        return -v if rng.random() < 0.5 else v
+
+    clauses = tuple((literal(), literal(), literal()) for _ in range(num_clauses))
+    return Qbf(num_vars, quantifiers, clauses)

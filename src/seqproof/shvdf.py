@@ -108,9 +108,6 @@ class VdfParams:
     def final_states(self) -> range:
         return range(1, self.lam)
 
-    def is_final(self, q: int) -> bool:
-        return q in self.final_states
-
     def challenge_window(self) -> range:
         return range(self.num_steps - self.lam, self.num_steps)
 
@@ -182,14 +179,15 @@ class VdfVerdict:
 
 
 def vdf_eval(pp: VdfParams, x: str) -> VdfRun:
-    """Run the machine on input x for the full step count; output `.value`."""
-    return vdf_run(pp, x)
+    """Run the machine on input x for the full step count, recording the
+    last lam steps; output `.value`, open with `.respond(t)`."""
+    return _record_window(pp, initial_configuration(x, pp.space), pp.num_steps - pp.lam)
 
 
 def vdf_open(pp: VdfParams, x: str, t: int) -> VdfProof:
     """Recompute the run and reveal the suffix the challenge asks for."""
     pp.check_challenge(t)
-    return vdf_run(pp, x).respond(t)
+    return vdf_eval(pp, x).respond(t)
 
 
 def vdf_verify(pp: VdfParams, x: str, y: int, t: int, proof: VdfProof) -> VdfVerdict:
@@ -263,11 +261,6 @@ def _record_window(pp: VdfParams, config: TmConfiguration, unrecorded: int) -> V
         steps += tm_run(desc, config, 1).steps
         states.append(config.state)
     return VdfRun(pp, tuple(states), tuple(scanned), steps)
-
-
-def vdf_run(pp: VdfParams, x: str) -> VdfRun:
-    """Run x for num_steps - lam steps, then record the last lam steps."""
-    return _record_window(pp, initial_configuration(x, pp.space), pp.num_steps - pp.lam)
 
 
 def vdf_attack(pp: VdfParams, x: str, rng: random.Random) -> VdfRun:

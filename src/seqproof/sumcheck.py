@@ -90,10 +90,6 @@ class ArithPoly:
     def __init__(self, formula: Qbf, p: int):
         self.formula = formula
         self.p = p
-        self._clauses = tuple(
-            tuple((lit.var - 1, lit.negated) for lit in cl.literals)
-            for cl in formula.clauses
-        )
         self._tables: list[list[int]] | None = None
         self._fold: tuple = (None, (), None)  # table index, bound prefix, folded table
         self._eq: tuple = ((), [[1]])  # bound suffix, eq vectors of its suffixes
@@ -103,11 +99,11 @@ class ArithPoly:
         Stops at the first zero factor."""
         p = self.p
         acc = 1
-        for cl in self._clauses:
+        for cl in self.formula.clauses:
             miss = 1
-            for idx, neg in cl:
-                v = point[idx]
-                miss = miss * (v if neg else 1 - v) % p
+            for lit in cl:
+                v = point[abs(lit) - 1]
+                miss = miss * (v if lit < 0 else 1 - v) % p
             acc = acc * (1 - miss) % p
             if not acc:
                 return 0
@@ -116,7 +112,7 @@ class ArithPoly:
     def degree(self, var: int) -> int:
         """Degree bound in x_var: every literal occurrence of x_var, the
         repeats of a padded clause too."""
-        return sum(idx == var - 1 for cl in self._clauses for idx, _ in cl)
+        return sum(abs(lit) == var for cl in self.formula.clauses for lit in cl)
 
     def chain_tables(self) -> list[list[int]]:
         """[T_0, ..., T_n], built on first use and kept.
@@ -132,10 +128,11 @@ class ArithPoly:
             p, n = self.p, self.formula.num_vars
             sets = _coordinate_sets(n, 8)
             truth = -1
-            for cl in self._clauses:
+            for cl in self.formula.clauses:
                 satisfied = 0
-                for idx, neg in cl:
-                    satisfied |= sets[idx] >> (8 << idx) if neg else sets[idx]
+                for lit in cl:
+                    v = abs(lit) - 1
+                    satisfied |= sets[v] >> (8 << v) if lit < 0 else sets[v]
                 truth &= satisfied
             table = list(truth.to_bytes(1 << n, "little"))
             tables = [table]
@@ -329,15 +326,16 @@ def _final_round_values(f: ArithPoly, j: int, bindings) -> list[int]:
     ts = range(f.degree(j) + 1)
     common = [1] * len(ts)
     struck, mixed = [], []
-    for cl in f._clauses:
+    for cl in f.formula.clauses:
         miss, ups, downs, suffix = 1, 0, 0, []  # ups, downs: occurrences of x_j, not x_j
-        for idx, neg in cl:
-            if idx >= j:
-                suffix.append((idx - j, neg))
-            elif idx < j - 1:
-                v = bindings[idx]
-                miss = miss * (v if neg else 1 - v) % p
-            elif neg:
+        for lit in cl:
+            var = abs(lit)
+            if var > j:
+                suffix.append((var - j - 1, lit < 0))
+            elif var < j:
+                v = bindings[var - 1]
+                miss = miss * (v if lit < 0 else 1 - v) % p
+            elif lit < 0:
                 downs += 1
             else:
                 ups += 1

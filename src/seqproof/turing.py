@@ -213,10 +213,7 @@ def parse_machine(text: str) -> TmDescription:
         rules[key] = (q2, _TEXT_SYM[parts[4]], _TEXT_DIR[parts[5]])
     if num_states is None:
         raise ValueError("missing 'states' line")
-    try:
-        return TmDescription.from_table(num_states, rules, halt_states)
-    except ValueError as exc:
-        raise ValueError(str(exc))
+    return TmDescription.from_table(num_states, rules, halt_states)
 
 
 def format_machine(desc: TmDescription) -> str:

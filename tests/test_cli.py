@@ -8,7 +8,7 @@ import pytest
 
 from seqproof import shvdf
 from seqproof.cli import COMMANDS, build_parser, main
-from seqproof.noninteractive import load_transcript, save_transcript
+from seqproof.noninteractive import load_bundle, load_transcript, save_bundle, save_transcript
 from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
@@ -129,6 +129,12 @@ def test_vdf_cycle(tmp_path, capsys):
     assert main(["vdf", "verify", "--proof", proof, "--pp", pp, "--input", "1011"]) == 0
     assert main(["vdf", "verify", "--proof", proof, "--input", "1010"]) == 1
     assert "input-mismatch" in capsys.readouterr().out
+    other = str(tmp_path / "other.bin")
+    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", "8",
+                 "--seed", "other", "--pp", other]) == 0
+    capsys.readouterr()
+    assert main(["vdf", "verify", "--proof", proof, "--pp", other]) == 1
+    assert capsys.readouterr().out == "rejected (parameter-mismatch)\n"
 
     # explicit challenge takes the interactive path
     assert (
@@ -138,6 +144,14 @@ def test_vdf_cycle(tmp_path, capsys):
     )
     assert "mode interactive" in capsys.readouterr().out
     assert main(["vdf", "verify", "--proof", proof]) == 0
+
+    # a bundle that decodes but fails verification prints its verdict
+    bundle = load_bundle(proof)
+    save_bundle(proof, dataclasses.replace(bundle, output_value=bundle.output_value ^ 1))
+    capsys.readouterr()
+    assert main(["vdf", "verify", "--proof", proof]) == 1
+    assert capsys.readouterr().out == "rejected (output-mismatch)\n"
+    save_bundle(proof, bundle)
 
     # tampering any byte of the proof file is caught
     raw = bytearray((tmp_path / "opening.proof").read_bytes())
@@ -306,6 +320,18 @@ def test_exp_attack_cli(capsys):
 def test_missing_file_reports_error(tmp_path, capsys):
     assert main(["prove-tqbf", "--in", str(tmp_path / "nope.qdimacs")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_formula_and_file_bytes_report_errors(tmp_path, formula_file, capsys):
+    bad_formula, junk = tmp_path / "bad.qdimacs", tmp_path / "junk"
+    bad_formula.write_text("p cnf 1 1\ne 1 0\n2 0\n")
+    junk.write_bytes(b"not a transcript")
+    assert main(["prove-tqbf", "--in", str(bad_formula)]) == 1
+    assert capsys.readouterr().err == "error: line 3: variable x2 out of range (n=1)\n"
+    assert main(["verify-tqbf", "--in", formula_file, "--transcript", str(junk)]) == 1
+    assert capsys.readouterr().err == "error: bad magic header\n"
+    assert main(["vdf", "verify", "--proof", str(junk)]) == 1
+    assert capsys.readouterr().err == "error: bad magic header\n"
 
 
 def test_unknown_command_exits_2():

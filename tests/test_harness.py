@@ -1,4 +1,6 @@
 import json
+import random
+from math import isqrt
 
 import pytest
 
@@ -32,6 +34,31 @@ def test_min_formula_vars_matches_chain_lengths():
         length = n * (n + 3) // 2
         assert min_formula_vars(length) == n
         assert min_formula_vars(length + 1) == n + 1
+
+
+def test_min_formula_vars_matches_bisection_up_to_huge_budgets():
+    def bisect(steps):
+        lo, hi = 1, 2
+        while hi * (hi + 3) // 2 < steps:
+            lo, hi = hi, 2 * hi
+        while lo < hi:  # smallest n in [lo, hi] with n(n+3)/2 >= steps
+            mid = (lo + hi) // 2
+            if mid * (mid + 3) // 2 >= steps:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    rng = random.Random(15)
+    budgets = list(range(1, 2000))
+    for digits in range(4, 61):
+        budgets += [10**digits - 1, 10**digits, 10**digits + 1]
+        budgets += [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(40)]
+        n = isqrt(2 * 10**digits)  # chain lengths near 10^digits and their neighbours
+        for k in (n - 1, n, n + 1):
+            budgets += [k * (k + 3) // 2 - 1, k * (k + 3) // 2, k * (k + 3) // 2 + 1]
+    for steps in budgets:
+        assert min_formula_vars(steps) == bisect(steps), steps
 
 
 def test_soundness_bound():

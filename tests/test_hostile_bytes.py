@@ -50,8 +50,8 @@ from seqproof.shvdf import (
     params_to_bytes,
     proof_from_bytes,
     proof_to_bytes,
+    vdf_eval,
     vdf_open,
-    vdf_run,
 )
 from seqproof.sumcheck import MAX_PROTOCOL_VARS, sumcheck_prove
 
@@ -79,7 +79,7 @@ CASES = {
         verify_bundle,
         [
             bundle_to_bytes(fs_vdf_open(GOLDEN, "101")),
-            bundle_to_bytes(open_bundle(vdf_run(GOLDEN, "101"), "101", RecordedChallenges([12]))),
+            bundle_to_bytes(open_bundle(vdf_eval(GOLDEN, "101"), "101", RecordedChallenges([12]))),
             bundle_to_bytes(fs_vdf_open(WIDE, "1011")),
         ],
     ),

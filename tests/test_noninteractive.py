@@ -38,7 +38,7 @@ from seqproof.noninteractive import (
 )
 from seqproof.qbf import parse_qbf
 from seqproof import shvdf
-from seqproof.shvdf import VdfParams, vdf_eval, vdf_open, vdf_run
+from seqproof.shvdf import VdfParams, vdf_eval, vdf_open
 from seqproof.sumcheck import sumcheck_prove
 
 ALT_TRUE = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
@@ -177,7 +177,7 @@ def test_an_opening_steps_the_machine_once(monkeypatch):
     monkeypatch.setattr(shvdf, "tm_run", counted)
     openings = (
         lambda: fs_vdf_open(pp, "1100"),
-        lambda: vdf_run(pp, "1100").respond(60),
+        lambda: vdf_eval(pp, "1100").respond(60),
         lambda: vdf_open(pp, "1100", 60),
     )
     for opening in openings:

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from qbf_sampler import sample_distinct_qbfs
 from seqproof.qbf import (
-    Clause,
-    Literal,
     Qbf,
     QbfParseError,
     Quantifier,
@@ -32,9 +30,9 @@ def tabulate_eval(formula: Qbf) -> bool:
         ok = True
         for cl in formula.clauses:
             vals = []
-            for lit in cl.literals:
-                v = bits[lit.var - 1]
-                vals.append(1 - v if lit.negated else v)
+            for lit in cl:
+                v = bits[abs(lit) - 1]
+                vals.append(1 - v if lit < 0 else v)
             if max(vals) == 0:
                 ok = False
                 break
@@ -54,7 +52,7 @@ def test_parse_single_var():
     assert f.num_vars == 1
     assert f.quantifiers == (Quantifier.EXISTS,)
     # short clause padded by repeating the last literal
-    assert f.clauses == (Clause((Literal(1), Literal(1), Literal(1))),)
+    assert f.clauses == ((1, 1, 1),)
 
 
 def test_parse_alternation_and_comments():
@@ -62,8 +60,7 @@ def test_parse_alternation_and_comments():
     f = parse_qbf(text)
     assert f.quantifiers == (Quantifier.FORALL, Quantifier.EXISTS)
     assert f.num_clauses == 2
-    assert f.clauses[0].literals == (Literal(1), Literal(2), Literal(2))
-    assert f.clauses[1].literals == (Literal(1, True), Literal(2, True), Literal(2, True))
+    assert f.clauses == ((1, 2, 2), (-1, -2, -2))
 
 
 def test_parse_grouped_prefix():
@@ -86,6 +83,9 @@ def test_parse_grouped_prefix():
         ("p cnf 2 1\na 1 0\ne 2 0\n0\n", "empty clause"),
         ("p cnf 1 1\ne 1 0\n1 0\ne 1 0\n", "after first clause"),
         ("p cnf 1 1\np cnf 1 1\ne 1 0\n1 0\n", "duplicate header"),
+        ("p cnf 1 1\ne 1 2 0\n1 0\n", "variable x2 out of range (n=1)"),
+        ("p cnf 2 1\na 1 2 0\n1 0 2 0\n", "literal 0 inside clause body"),
+        ("c no header\n", "missing 'p cnf' header"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -106,7 +106,7 @@ def test_bruteforce_guard():
     f = Qbf(
         n,
         tuple(Quantifier.EXISTS for _ in range(n)),
-        (Clause((Literal(1), Literal(1), Literal(1))),),
+        ((1, 1, 1),),
     )
     with pytest.raises(ValueError):
         eval_qbf_bruteforce(f)
@@ -116,9 +116,13 @@ def test_model_validation():
     with pytest.raises(ValueError):
         Qbf(1, (Quantifier.EXISTS,), ())
     with pytest.raises(ValueError):
-        Qbf(1, (Quantifier.EXISTS,), (Clause((Literal(2), Literal(2), Literal(2))),))
+        Qbf(1, (Quantifier.EXISTS,), ((2, 2, 2),))
     with pytest.raises(ValueError):
-        Qbf(2, (Quantifier.EXISTS,), (Clause((Literal(1), Literal(1), Literal(1))),))
+        Qbf(2, (Quantifier.EXISTS,), ((1, 1, 1),))
+    # a clause holds three literals, each nonzero and naming x_1 .. x_n
+    for clause in ((1, 1), (1, 1, 1, 1), (1, 0, 1), (1, -2, 1)):
+        with pytest.raises(ValueError):
+            Qbf(1, (Quantifier.EXISTS,), (clause,))
 
 
 @settings(max_examples=80)

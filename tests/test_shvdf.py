@@ -21,7 +21,6 @@ from seqproof.shvdf import (
     vdf_attack,
     vdf_eval,
     vdf_open,
-    vdf_run,
     vdf_setup,
     vdf_verify,
 )
@@ -146,7 +145,7 @@ def test_eval_matches_reference(pp, x):
 )
 def test_live_steps_stop_at_the_first_final_state(pp, x):
     _, states, _ = reference_run(pp, x, pp.num_steps)
-    halted = [i for i, q in enumerate(states) if pp.is_final(q)]
+    halted = [i for i, q in enumerate(states) if q in pp.final_states]
     assert vdf_eval(pp, x).steps == (halted[0] if halted else pp.num_steps)
 
 
@@ -206,7 +205,7 @@ def test_the_seed_is_hashed_once_per_machine_not_once_per_step(monkeypatch):
 
     monkeypatch.setattr(hashlib, "sha256", counted_sha256)
     monkeypatch.setattr(VdfParams, "machine", counted_machine)
-    run = vdf_run(pp, "1011")
+    run = vdf_eval(pp, "1011")
     assert run.steps == 1 << 10
     assert counts["machine"] == 1
     assert counts["sha256"] == counts["machine"]
@@ -240,7 +239,7 @@ def test_open_rejects_out_of_window():
 def test_absorbing_run_opens_cleanly(pp, x, value, halted_at):
     out = vdf_eval(pp, x)
     assert (out.value, out.steps) == (value, halted_at)
-    assert pp.is_final(out.value)
+    assert out.value in pp.final_states
     # every state in the window is final, so no replay takes a transition
     for t in pp.challenge_window():
         verdict = vdf_verify(pp, x, out.value, t, vdf_open(pp, x, t))
@@ -251,8 +250,8 @@ def test_window_where_the_run_halts():
     # this run reaches a final state at step 27, inside the window [24, 32)
     pp = VdfParams(8, 32, 8, 6, b"straddle-49")
     want, states, scanned = reference_run(pp, "0110", pp.num_steps)
-    assert pp.is_final(states[27]) and not pp.is_final(states[26])
-    run = vdf_run(pp, "0110")
+    assert states[27] in pp.final_states and states[26] not in pp.final_states
+    run = vdf_eval(pp, "0110")
     assert run.states == tuple(states[-pp.lam - 1 :])
     assert run.scanned == tuple(scanned[-pp.lam - 1 : -1])
     assert run.value == want
@@ -308,7 +307,7 @@ def test_attack_forges_every_challenge():
     honest = vdf_eval(BIG, BIG_X)
     forgery = vdf_attack(BIG, BIG_X, rng)
     assert forgery.steps == BIG.lam
-    assert not BIG.is_final(forgery.states[0])
+    assert forgery.states[0] not in BIG.final_states
     assert forgery.value != honest.value
     for t in BIG.challenge_window():
         verdict = vdf_verify(BIG, BIG_X, forgery.value, t, forgery.respond(t))

@@ -339,7 +339,7 @@ def _integer_chain_value(formula) -> int:
     def value(point):
         i = len(point)
         if i == formula.num_vars:
-            return int(all(any(point[lit.var - 1] != lit.negated for lit in cl.literals) for cl in formula.clauses))
+            return int(all(any(point[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in formula.clauses))
         g0, g1 = value(point + (0,)), value(point + (1,))
         return g0 + g1 if formula.quantifiers[i] is Quantifier.EXISTS else g0 * g1
 
