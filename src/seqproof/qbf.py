@@ -52,6 +52,9 @@ class Qbf:
         for cl in self.clauses:
             if len(cl) != 3:
                 raise ValueError("a clause holds exactly three literals")
+            # bool and float pass the range check but do not print as DIMACS
+            if not all(type(lit) is int for lit in cl):
+                raise ValueError(f"clause {cl} has a literal that is not an int")
             if not all(0 < abs(lit) <= self.num_vars for lit in cl):
                 raise ValueError(f"clause {cl} has a literal 0 or past x{self.num_vars}")
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .fiatshamir import DecodeError, decode_u64, encode_u64
 from .turing import (
     SYM_MARK,
+    SYM_ONE,
+    SYM_ZERO,
     TmConfiguration,
     TmDescription,
     initial_configuration,
@@ -47,20 +49,30 @@ def _seeded_delta(seed: bytes, state_bits: int):
 
     The hashed bytes are the seed, then q as 16 big-endian bytes, then sym
     as one byte.  The seed is absorbed once per machine; each step copies
-    that hash state and feeds it the 17 bytes (q << 8 | sym), which equal
-    q's 16 bytes followed by sym's one for sym < 256.  The first 16 digest
-    bytes, big-endian, give the next state (low `state_bits` bits), the
-    written bit (the next bit) and the move (the bits above, mod 3, minus 1).
+    that hash state and feeds it q's 16 bytes and sym's prebuilt byte.  A
+    symbol outside {0, 1, 2} raises ValueError.  The first 16 digest bytes,
+    big-endian, are the top 128 bits of the whole digest read as one
+    integer: their low `state_bits` bits give the next state, the bit above
+    the written bit, and the bits above that, mod 3, minus 1, the move.
     """
     keyed = hashlib.sha256(seed)
+    copy = keyed.copy
+    from_bytes = int.from_bytes
+    sym_bytes = {s: bytes([s]) for s in (SYM_ZERO, SYM_ONE, SYM_MARK)}
     mask = (1 << state_bits) - 1
-    move_shift = state_bits + 1
+    write_shift = 128 + state_bits
 
     def delta(q: int, sym: int) -> tuple[int, int, int]:
-        h = keyed.copy()
-        h.update((q << 8 | sym).to_bytes(17, "big"))
-        bits = int.from_bytes(h.digest()[:16], "big")
-        return bits & mask, (bits >> state_bits) & 1, ((bits >> move_shift) % 3) - 1
+        try:
+            sym_byte = sym_bytes[sym]
+        except KeyError:
+            raise ValueError(f"tape symbol {sym!r} is not 0, 1 or 2") from None
+        h = copy()
+        h.update(q.to_bytes(16, "big"))
+        h.update(sym_byte)
+        bits = from_bytes(h.digest(), "big")
+        rest = bits >> write_shift
+        return (bits >> 128) & mask, rest & 1, ((rest >> 1) % 3) - 1
 
     return delta
 

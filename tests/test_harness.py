@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from seqproof import harness
+from seqproof import harness, shvdf
 from seqproof.cli import main
 
 from seqproof.harness import (
@@ -97,6 +97,23 @@ def test_vdf_growth_small():
     assert all(r["verify_steps"] <= 8 for r in rows)
     with pytest.raises(ValueError, match="2\\^22"):
         exp_vdf_growth(lam=32, log2_steps_list=(23,), space=8)
+
+
+def test_vdf_growth_steps_the_machine_once_per_row(monkeypatch):
+    stepped = []
+    run = shvdf.tm_run
+
+    def counted(*args, **kwargs):
+        result = run(*args, **kwargs)
+        stepped.append(result.steps)
+        return result
+
+    monkeypatch.setattr(shvdf, "tm_run", counted)
+    report = exp_vdf_growth(lam=8, log2_steps_list=(4, 5, 6), space=8, seed=0)
+    assert report.passed
+    rows = report.metrics["rows"]
+    assert sum(stepped) == sum(2 ** r["log2_steps"] for r in rows) == 112
+    assert all(r["open_steps"] == r["eval_steps"] == 2 ** r["log2_steps"] for r in rows)
 
 
 def _state_bits_at_lam(monkeypatch):

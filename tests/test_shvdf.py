@@ -190,6 +190,23 @@ def test_seeded_rule_matches_its_specification(state_bits, seed_len):
             assert delta(q, sym) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200), st.integers(1, MAX_STATE_BITS), st.data())
+def test_seeded_rule_matches_its_specification_property(seed, state_bits, data):
+    q = data.draw(st.integers(0, (1 << state_bits) - 1))
+    sym = data.draw(st.sampled_from((0, 1, 2)))
+    assert _seeded_delta(seed, state_bits)(q, sym) == _spec_delta(seed, state_bits, q, sym)
+
+
+@pytest.mark.parametrize("sym", [-1, 3, 256])
+def test_the_seeded_rule_refuses_a_symbol_outside_the_alphabet(sym):
+    # a symbol of 256 once hashed as q + 1 reading 0, and an index into a
+    # tuple of three would read -1 as the mark
+    delta = _seeded_delta(b"alias", 48)
+    with pytest.raises(ValueError, match="tape symbol"):
+        delta(4, sym)
+
+
 def test_the_seed_is_hashed_once_per_machine_not_once_per_step(monkeypatch):
     pp = vdf_setup(16, 10, 16, "budget", state_bits=32)
     sha256, machine = hashlib.sha256, VdfParams.machine
