@@ -156,7 +156,6 @@ def exp_vdf_growth(
         out = vdf_eval(pp, x)
         eval_seconds = time.perf_counter() - start
         t = sample_challenge(pp, rng)
-        # the run is vdf_open's run too: respond(t) opens it without a rerun
         start = time.perf_counter()
         verdict = vdf_verify(pp, x, out.value, t, out.respond(t))
         verify_seconds = time.perf_counter() - start

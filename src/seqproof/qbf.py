@@ -52,11 +52,10 @@ class Qbf:
         for cl in self.clauses:
             if len(cl) != 3:
                 raise ValueError("a clause holds exactly three literals")
-            # bool and float pass the range check but do not print as DIMACS
-            if not all(type(lit) is int for lit in cl):
-                raise ValueError(f"clause {cl} has a literal that is not an int")
-            if not all(0 < abs(lit) <= self.num_vars for lit in cl):
-                raise ValueError(f"clause {cl} has a literal 0 or past x{self.num_vars}")
+            # a bool or float literal would pass the range check alone, but
+            # to_qdimacs would print it as text that parse_qbf refuses
+            if not all(type(lit) is int and 0 < abs(lit) <= self.num_vars for lit in cl):
+                raise ValueError(f"clause {cl} has a literal other than ±v for an int v in 1..{self.num_vars}")
 
     @property
     def num_clauses(self) -> int:

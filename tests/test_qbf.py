@@ -129,18 +129,10 @@ def test_model_validation():
 def test_a_literal_must_be_an_int(lit):
     # both equal 1 and pass the range check, but print as "True" or "1.0",
     # which parse_qbf refuses
-    with pytest.raises(ValueError, match="not an int"):
+    with pytest.raises(ValueError, match="other than ±v for an int v"):
         Qbf(1, (Quantifier.EXISTS,), ((lit, 1, 1),))
-    with pytest.raises(ValueError, match="not an int"):
+    with pytest.raises(ValueError, match="other than ±v for an int v"):
         Qbf(2, (Quantifier.EXISTS, Quantifier.FORALL), ((1, -2, 1), (2, 2, lit)))
-
-
-def test_a_seeded_formula_survives_the_text_round_trip():
-    rng = random.Random(16)
-    for _ in range(50):
-        f = random_qbf(rng, rng.randrange(1, 9), rng.randrange(1, 9))
-        assert all(type(lit) is int for cl in f.clauses for lit in cl)
-        assert parse_qbf(to_qdimacs(f)) == f
 
 
 @settings(max_examples=80)

@@ -200,8 +200,8 @@ def test_seeded_rule_matches_its_specification_property(seed, state_bits, data):
 
 @pytest.mark.parametrize("sym", [-1, 3, 256])
 def test_the_seeded_rule_refuses_a_symbol_outside_the_alphabet(sym):
-    # a symbol of 256 once hashed as q + 1 reading 0, and an index into a
-    # tuple of three would read -1 as the mark
+    # hashing q << 8 | sym would read a symbol of 256 as q + 1 reading 0,
+    # and an index into a tuple of three would read -1 as the mark
     delta = _seeded_delta(b"alias", 48)
     with pytest.raises(ValueError, match="tape symbol"):
         delta(4, sym)
