@@ -3,11 +3,15 @@
 Exit status is 0 exactly when the requested check holds: a verifier
 accepted, an experiment's pass criterion was met, or an artifact was
 produced.  Malformed inputs and rejections exit 1.
+
+The parser is built from the COMMANDS table on the first `main` call and
+reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -265,26 +269,19 @@ COMMANDS = (
 )
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for the command that argv names, or for every command.
-
-    Only the rows whose words start argv are built; when none does (help, a
-    typo, a bare group) every row is, so argparse prints what it prints for
-    the whole table.  A pruned build names every choice in its usage lines.
-    """
-    rows = [row for row in COMMANDS if tuple(argv[: len(row[0])]) == row[0]] or COMMANDS
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every row of COMMANDS, built on first use and kept."""
     parser = argparse.ArgumentParser(
         prog="seqproof",
         description="interactive proofs, a breakable delay function, and measurements",
     )
     parsers, subparsers = {(): parser}, {}
-    for words, help_, handler, arguments in rows:
+    for words, help_, handler, arguments in COMMANDS:
         for depth in range(1, len(words) + 1):
             above, name = words[: depth - 1], words[:depth]
             if above not in subparsers:
-                choices = dict.fromkeys(w[depth - 1] for w, *_ in COMMANDS if w[: depth - 1] == above)
-                metavar = "{" + ",".join(choices) + "}" if rows is not COMMANDS else None
-                subparsers[above] = parsers[above].add_subparsers(dest="_".join(above + ("command",)), required=True, metavar=metavar)
+                subparsers[above] = parsers[above].add_subparsers(dest="_".join(above + ("command",)), required=True)
             if name not in parsers:
                 parsers[name] = subparsers[above].add_parser(name[-1], help=help_ if name == words else GROUPS[name[-1]])
         for flag, keywords in arguments:
@@ -294,8 +291,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -47,6 +47,10 @@ class Qbf:
             raise ValueError("need at least one variable")
         if len(self.quantifiers) != self.num_vars:
             raise ValueError("one quantifier per variable required")
+        # the chain reads anything but EXISTS as FORALL, and to_qdimacs needs .value
+        for q in self.quantifiers:
+            if type(q) is not Quantifier:
+                raise ValueError(f"quantifier {q!r} is not a Quantifier")
         if not self.clauses:
             raise ValueError("need at least one clause")
         for cl in self.clauses:

@@ -627,13 +627,11 @@ def cheat_prover(
     elif name == "constant-poly":
         session = _ConstantPolyProver(formula, p)
     elif name.startswith("random-round"):
-        inner = name[len("random-round") :]
-        if inner.startswith("(") and inner.endswith(")"):
-            k = int(inner[1:-1])
-        elif not inner:
-            k = 0
-        else:
-            raise ValueError(f"unknown cheat strategy {strategy!r}")
+        inner = name[len("random-round") :] or "(0)"
+        try:
+            k = int(inner[1:-1] if inner[0] + inner[-1] == "()" else "")
+        except ValueError:
+            raise ValueError(f"unknown cheat strategy {strategy!r}") from None
         rng = prover_rng if prover_rng is not None else random.Random(0)
         session = _RandomRoundProver(formula, p, k, rng)
     else:

@@ -17,8 +17,7 @@ SYM_MARK = 2
 
 _SYM_TEXT = {SYM_ZERO: "0", SYM_ONE: "1", SYM_MARK: "^"}
 _TEXT_SYM = {v: k for k, v in _SYM_TEXT.items()}
-_DIR_TEXT = {-1: "L", 0: "S", 1: "R"}
-_TEXT_DIR = {v: k for k, v in _DIR_TEXT.items()}
+_TEXT_DIR = {"L": -1, "S": 0, "R": 1}
 
 # configuration-count guard for the halting decider: |Q| * S * 2^S
 MAX_DECIDER_BOUND = 1 << 28
@@ -29,8 +28,7 @@ class TmDescription:
     start in state 0.
 
     `delta(q, sym) -> (q', sym', direction)` with direction in {-1, 0, +1};
-    it is only consulted on non-halting states.  `table` and `halt_states`
-    are populated for machines built from explicit rule tables.
+    it is only consulted on non-halting states.
     """
 
     def __init__(
@@ -38,16 +36,12 @@ class TmDescription:
         num_states: int,
         delta: Callable[[int, int], tuple[int, int, int]],
         is_halting: Callable[[int], bool],
-        table: dict | None = None,
-        halt_states: frozenset[int] | None = None,
     ):
         if num_states < 1:
             raise ValueError("need at least one state")
         self.num_states = num_states
         self.delta = delta
         self.is_halting = is_halting
-        self.table = table
-        self.halt_states = halt_states
 
     @classmethod
     def from_table(
@@ -77,7 +71,7 @@ class TmDescription:
             except KeyError:
                 raise ValueError(f"machine has no rule for state {q} reading {_SYM_TEXT[sym]}")
 
-        return cls(num_states, delta, halt.__contains__, table=table, halt_states=halt)
+        return cls(num_states, delta, halt.__contains__)
 
 
 @dataclass
@@ -215,14 +209,3 @@ def parse_machine(text: str) -> TmDescription:
         raise ValueError("missing 'states' line")
     return TmDescription.from_table(num_states, rules, halt_states)
 
-
-def format_machine(desc: TmDescription) -> str:
-    """Serialize a table-backed machine; parse(format(m)) behaves like m."""
-    if desc.table is None:
-        raise ValueError("only table-backed machines can be serialized")
-    lines = [f"states {desc.num_states}"]
-    if desc.halt_states:
-        lines.append("halt " + " ".join(map(str, sorted(desc.halt_states))))
-    for (q, sym), (q2, sym2, d) in sorted(desc.table.items()):
-        lines.append(f"{q} {_SYM_TEXT[sym]} -> {q2} {_SYM_TEXT[sym2]} {_DIR_TEXT[d]}")
-    return "\n".join(lines) + "\n"

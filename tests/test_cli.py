@@ -374,10 +374,11 @@ def _argv_corpus():
 
 
 @pytest.mark.parametrize("argv", _argv_corpus(), ids=" ".join)
-def test_the_invoked_commands_parser_parses_like_the_whole_table(argv):
-    # a typo, help or a bare group builds every row; a named command builds its
-    # own row, and its errors still print the whole table's usage line
-    assert _parse(build_parser(argv), argv) == _parse(build_parser([]), argv)
+def test_the_kept_parser_parses_like_a_fresh_one(argv):
+    # main reuses one parser per process, so a parse must leave nothing behind
+    # in it: two parses with the kept parser and one with a fresh build agree
+    kept = build_parser()
+    assert _parse(kept, argv) == _parse(kept, argv) == _parse(build_parser.__wrapped__(), argv)
 
 
 def test_command_errors_keep_their_wording():
@@ -390,25 +391,19 @@ def test_command_errors_keep_their_wording():
         (["exp", "bogus"], "error: argument exp_command: invalid choice: 'bogus' (choose from"),
         (["exp", "min-vars", "--steps", "1", "extra"], "usage: seqproof [-h] {prove-tqbf,verify-tqbf,vdf,exp} ...\n"),
     ):
-        code, out, err = _parse(build_parser(argv), argv)
+        code, out, err = _parse(build_parser(), argv)
         assert code == 2 and out == "" and message in err
 
 
-def test_main_builds_only_the_invoked_commands_parsers(tmp_path, formula_file, monkeypatch):
-    transcript, pp, proof = (str(tmp_path / name) for name in ("t", "pp.bin", "x.proof"))
-    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript]) == 0
-    assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", "8",
-                 "--seed", "s", "--pp", pp]) == 0
-    assert main(["vdf", "open", "--pp", pp, "--input", "1", "--proof", proof]) == 0
+def test_main_builds_the_parser_once_per_process(tmp_path, formula_file, monkeypatch):
+    transcript = str(tmp_path / "t")
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
-    assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 0
-    assert len(built) <= 2
-    built.clear()
-    assert main(["vdf", "verify", "--proof", proof]) == 0
-    assert len(built) <= 3
-    built.clear()
-    build_parser([])
+    build_parser.cache_clear()  # as in a process that has not called main yet
+    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript]) == 0
     assert len(built) == 14  # the root, the two groups and the eleven commands
+    built.clear()
+    assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 0
+    assert built == []

@@ -135,6 +135,15 @@ def test_a_literal_must_be_an_int(lit):
         Qbf(2, (Quantifier.EXISTS, Quantifier.FORALL), ((1, -2, 1), (2, 2, lit)))
 
 
+@pytest.mark.parametrize("q", ["e", "a", None, True])
+def test_a_quantifier_must_be_a_quantifier(q):
+    # "e" would validate, read as FORALL in the chain and break to_qdimacs
+    with pytest.raises(ValueError, match="not a Quantifier"):
+        Qbf(1, (q,), ((1, 1, 1),))
+    with pytest.raises(ValueError, match="not a Quantifier"):
+        Qbf(2, (Quantifier.EXISTS, q), ((1, -2, 1),))
+
+
 @settings(max_examples=80)
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
 def test_roundtrip_identity(n, m, seed):

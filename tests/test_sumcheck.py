@@ -322,6 +322,13 @@ def test_cheat_strategy_parsing():
     assert len(t.rounds) == 2
 
 
+@pytest.mark.parametrize("strategy", ["random-round(x)", "random-round()", "random-round(", "random-round1"])
+def test_a_bad_round_index_is_refused_by_the_strategy_name(strategy):
+    with pytest.raises(ValueError) as exc:
+        cheat_prover(strategy, EXISTS_TAUT, 223, InteractiveChallenges(0))
+    assert str(exc.value) == f"unknown cheat strategy {strategy!r}"
+
+
 def test_compute_round_poly_matches_protocol_degrees():
     f = ArithPoly(ALT_TRUE, 37)
     ops = build_operator_chain(ALT_TRUE)

@@ -7,7 +7,6 @@ from seqproof.turing import (
     TmConfiguration,
     TmDescription,
     decide_spacehalt,
-    format_machine,
     initial_configuration,
     parse_machine,
     tm_run,
@@ -173,13 +172,32 @@ def test_pigeonhole_double_bound_spot_check():
     assert not m.is_halting(res.config.state)
 
 
-def test_machine_text_roundtrip():
-    text = format_machine(M1)
-    again = parse_machine(text)
-    assert again.num_states == M1.num_states
-    assert again.table == M1.table
-    assert again.halt_states == M1.halt_states
-    assert format_machine(again) == text
+LOOP_TEXT = """\
+states 1
+0 ^ -> 0 ^ R
+0 0 -> 0 0 R
+0 1 -> 0 1 R
+"""
+
+
+def m1_from_table():
+    rules = {
+        (0, SYM_MARK): (0, SYM_MARK, 1),
+        (0, SYM_ZERO): (0, SYM_ONE, 1),
+        (0, SYM_ONE): (1, SYM_ONE, 0),
+    }
+    return TmDescription.from_table(2, rules, halt_states=(1,))
+
+
+@pytest.mark.parametrize("text,machine", [(M1_TEXT, m1_from_table), (LOOP_TEXT, looping_machine)], ids=["M1", "loop"])
+def test_machine_text_runs_like_its_rule_table(text, machine):
+    parsed, table_built = parse_machine(text), machine()
+    for x, space in (("", 2), ("0", 3), ("001", 5), ("1", 4), ("0000", 5), ("0110", 6)):
+        for steps in range(space + 3):
+            runs = [tm_run(m, initial_configuration(x, space), steps) for m in (parsed, table_built)]
+            ends = [(r.config.state, r.config.tape, r.config.head, r.steps) for r in runs]
+            assert ends[0] == ends[1], (x, space, steps)
+        assert decide_spacehalt(parsed, x, space) == decide_spacehalt(table_built, x, space)
 
 
 @pytest.mark.parametrize(
