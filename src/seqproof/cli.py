@@ -16,8 +16,8 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import VDF_ORACLE, FiatShamirChallenges
-from .fiatshamir import InteractiveChallenges, RecordedChallenges
+from .fiatshamir import MAGIC, TAG_MODE, TQBF_ORACLE, VDF_ORACLE, FiatShamirChallenges
+from .fiatshamir import InteractiveChallenges, RecordedChallenges, encode_message
 from .harness import (
     exp_attack,
     exp_soundness,
@@ -25,13 +25,12 @@ from .harness import (
     min_formula_vars,
 )
 from .noninteractive import (
-    fs_prove_tqbf,
     fs_vdf_verify,
     load_bundle,
     load_transcript,
     open_bundle,
     save_bundle,
-    save_transcript,
+    transcript_to_bytes,
     verify_bundle,
 )
 from .qbf import parse_qbf
@@ -58,10 +57,8 @@ def _read_params(path: str):
 
 def _cmd_prove_tqbf(args) -> int:
     formula = _read_formula(getattr(args, "in"))
-    if args.fs:
-        transcript = fs_prove_tqbf(formula, args.prime)
-    else:
-        transcript = sumcheck_prove(formula, args.prime, InteractiveChallenges(args.seed))
+    source = FiatShamirChallenges(TQBF_ORACLE) if args.fs else InteractiveChallenges(args.seed)
+    transcript = sumcheck_prove(formula, args.prime, source)
     print(f"mode {transcript.mode}")
     print(f"prime {transcript.p}")
     print(f"rounds {len(transcript.rounds)}")
@@ -70,7 +67,11 @@ def _cmd_prove_tqbf(args) -> int:
         print("formula is false; no membership proof exists", file=sys.stderr)
         return 1
     if args.out:
-        save_transcript(args.out, transcript)
+        if args.fs:  # the hashed source holds every message after the mode message, encoded
+            data = MAGIC + encode_message(TAG_MODE, source.mode.encode()) + source.transcript_bytes()
+        else:
+            data = transcript_to_bytes(transcript)
+        Path(args.out).write_bytes(data)
         print(f"wrote {args.out}")
     return 0
 

@@ -156,11 +156,16 @@ TQBF_ORACLE = OracleSpec(b"TQBF-SC-v1")
 VDF_ORACLE = OracleSpec(b"SHVDF-v1")
 
 
-def ro_challenge(spec: OracleSpec, transcript: bytes, size: int, lo: int = 0) -> int:
-    """Deterministic challenge in [lo, lo+size) from the transcript so far."""
+def ro_challenge(spec: OracleSpec, transcript: bytes, size: int, lo: int = 0, state=None) -> int:
+    """Deterministic challenge in [lo, lo+size) from the transcript so far.
+
+    state, if given, is a running sha256 of spec's separator and every byte
+    before `transcript`; it absorbs `transcript` and keeps absorbing after.
+    A refused size leaves it untouched.
+    """
     if not 1 <= size < MAX_CHALLENGE_RANGE:
         raise ValueError(f"challenge range size {size} out of bounds")
-    h = hashlib.sha256(spec.domain_separator)
+    h = hashlib.sha256(spec.domain_separator) if state is None else state
     h.update(transcript)
     return lo + int.from_bytes(h.digest(), "big") % size
 
@@ -184,13 +189,19 @@ class InteractiveChallenges:
 
 
 class FiatShamirChallenges:
-    """Challenges derived by hashing everything absorbed so far."""
+    """Challenges derived by hashing everything absorbed so far.
+
+    One running hash state serves every challenge: each feeds it only the
+    messages absorbed since the previous one, so each byte is hashed once.
+    """
 
     mode = MODE_FIAT_SHAMIR
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
         self._parts: list[bytes] = []
+        self._hashed = 0  # how many of _parts the running state has absorbed
+        self._state = hashlib.sha256(spec.domain_separator)
 
     def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
         self._parts.append(encode_message(tag, encode()))
@@ -199,7 +210,10 @@ class FiatShamirChallenges:
         return b"".join(self._parts)
 
     def challenge_interval(self, lo: int, size: int) -> int:
-        return ro_challenge(self.spec, self.transcript_bytes(), size, lo)
+        fresh = b"".join(self._parts[self._hashed :])
+        r = ro_challenge(self.spec, fresh, size, lo, self._state)
+        self._hashed = len(self._parts)
+        return r
 
 
 class RecordedChallenges:

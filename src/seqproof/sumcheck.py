@@ -34,6 +34,7 @@ multiplies no clause at a point:
 from __future__ import annotations
 
 import random
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -612,6 +613,9 @@ def sumcheck_prove(formula: Qbf, p: int | None, challenges) -> Transcript:
     return _drive(session, formula, session.p, challenges)
 
 
+_RANDOM_ROUND = re.compile(r"random-round(?:\((0|[1-9][0-9]*)\))?")
+
+
 def cheat_prover(
     strategy: str,
     formula: Qbf,
@@ -620,20 +624,17 @@ def cheat_prover(
     prover_rng: random.Random | None = None,
 ) -> Transcript:
     """Run a dishonest prover; strategy is "wrong-claim", "constant-poly", or
-    "random-round(k)" with k a 0-based round index."""
-    name = strategy.strip()
-    if name == "wrong-claim":
+    "random-round(k)" with k a 0-based round index, written in ASCII digits
+    without a leading zero; "random-round" alone is round 0.  Any other
+    spelling is refused, since the harness seeds its rngs from the text."""
+    random_round = _RANDOM_ROUND.fullmatch(strategy)
+    if strategy == "wrong-claim":
         session = _WrongClaimProver(formula, p)
-    elif name == "constant-poly":
+    elif strategy == "constant-poly":
         session = _ConstantPolyProver(formula, p)
-    elif name.startswith("random-round"):
-        inner = name[len("random-round") :] or "(0)"
-        try:
-            k = int(inner[1:-1] if inner[0] + inner[-1] == "()" else "")
-        except ValueError:
-            raise ValueError(f"unknown cheat strategy {strategy!r}") from None
+    elif random_round:
         rng = prover_rng if prover_rng is not None else random.Random(0)
-        session = _RandomRoundProver(formula, p, k, rng)
+        session = _RandomRoundProver(formula, p, int(random_round[1] or 0), rng)
     else:
         raise ValueError(f"unknown cheat strategy {strategy!r}")
     return _drive(session, formula, p, challenges)

@@ -31,6 +31,8 @@ SPANS_USED = (
     "sumcheck.round_poly.final",
     "turing.run",
     "shvdf.verify",
+    "fiatshamir.ro",
+    "noninteractive.encode",
 )
 
 
@@ -84,6 +86,7 @@ def test_tracer_wraps_every_layer_and_leaves_nothing_behind(tmp_path, capsys):
     for name in SPANS_USED:
         assert rec.calls[name] > 0, name
     assert rec.counts["sumcheck.f_evals"] > 0
+    assert rec.counts["fiatshamir.ro.bytes_hashed"] > 0
     assert rec.counts["turing.steps.live"] > 0
     assert rec.counts["harness.trials"] > 0
     after = _bindings(sp)

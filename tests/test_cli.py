@@ -2,14 +2,25 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import random
 from pathlib import Path
 
 import pytest
 
 from seqproof import shvdf
 from seqproof.cli import COMMANDS, build_parser, main
-from seqproof.noninteractive import load_bundle, load_transcript, save_bundle, save_transcript
+from seqproof.fiatshamir import InteractiveChallenges
+from seqproof.noninteractive import (
+    fs_prove_tqbf,
+    load_bundle,
+    load_transcript,
+    save_bundle,
+    save_transcript,
+    transcript_to_bytes,
+)
+from seqproof.qbf import eval_qbf_bruteforce, random_qbf, to_qdimacs
 from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
+from seqproof.sumcheck import sumcheck_prove
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
 FALSE_FORMULA = "p cnf 1 1\na 1 0\n1 0\n"
@@ -43,6 +54,28 @@ def test_prove_then_verify_fs(tmp_path, formula_file, capsys):
     blob[-1] ^= 0x01
     (tmp_path / "alt.transcript").write_bytes(bytes(blob))
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 1
+
+
+def _seeded_true_formula(n: int, m: int, seed: int):
+    rng = random.Random(seed)
+    return next(f for f in iter(lambda: random_qbf(rng, n, m), None) if eval_qbf_bruteforce(f))
+
+
+@pytest.mark.parametrize("n, prime", [(n, None) for n in range(1, 17)] + [(3, 1009)])
+def test_prove_tqbf_writes_the_bytes_the_library_encodes(tmp_path, capsys, n, prime):
+    formula = _seeded_true_formula(n, 3, n)
+    path, out = tmp_path / "f.qdimacs", tmp_path / "f.transcript"
+    path.write_text(to_qdimacs(formula))
+    with_prime = [] if prime is None else ["--prime", str(prime)]
+    cases = (
+        (["--fs"], fs_prove_tqbf(formula, prime)),
+        (["--seed", str(n)], sumcheck_prove(formula, prime, InteractiveChallenges(n))),
+    )
+    for flags, transcript in cases:
+        assert main(["prove-tqbf", "--in", str(path), "--out", str(out), *flags, *with_prime]) == 0
+        assert out.read_bytes() == transcript_to_bytes(transcript)
+        assert main(["verify-tqbf", "--in", str(path), "--transcript", str(out)]) == 0
+    assert capsys.readouterr().out.count("accepted") == 2
 
 
 def test_prove_false_formula_fails(tmp_path, capsys):

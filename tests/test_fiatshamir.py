@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from seqproof.field import UniPoly
 from seqproof.fiatshamir import (
     MAGIC,
+    MAX_CHALLENGE_RANGE,
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
     TAG_NAMES,
@@ -147,6 +148,26 @@ def test_fiat_shamir_challenges_chain():
         50,
         10,
     ) == second
+
+
+_ABSORB = st.tuples(st.just("absorb"), st.sampled_from(sorted(TAG_NAMES)), st.binary(max_size=300))
+_CHALLENGE = st.tuples(st.just("challenge"), st.integers(0, 2**64), st.integers(1, MAX_CHALLENGE_RANGE - 1))
+_REFUSED = st.tuples(st.just("refused"), st.integers(0, 2**64), st.sampled_from((0, MAX_CHALLENGE_RANGE)))
+
+
+@given(st.sampled_from((TQBF_ORACLE, VDF_ORACLE)), st.lists(st.one_of(_ABSORB, _CHALLENGE, _REFUSED), max_size=30))
+def test_the_running_hash_draws_what_hashing_from_scratch_draws(spec, steps):
+    src = FiatShamirChallenges(spec)
+    for kind, a, b in steps:
+        if kind == "absorb":
+            src.absorb(a, lambda: b)
+        elif kind == "challenge":
+            assert src.challenge_interval(a, b) == ro_challenge(spec, src.transcript_bytes(), b, a)
+        else:
+            with pytest.raises(ValueError, match="out of bounds"):
+                src.challenge_interval(a, b)
+    # a refused size as the last step must not have moved the state either
+    assert src.challenge_interval(3, 1009) == ro_challenge(spec, src.transcript_bytes(), 1009, 3)
 
 
 def test_interactive_source_ignores_absorbs():

@@ -6,6 +6,7 @@ import pytest
 from seqproof.fiatshamir import (
     MAGIC,
     TAG_MODE,
+    TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
     TAG_SC_PRIME,
@@ -15,6 +16,9 @@ from seqproof.fiatshamir import (
     InteractiveChallenges,
     Message,
     encode_file,
+    encode_message,
+    encode_u64,
+    transcript_encode,
 )
 from seqproof.noninteractive import (
     VdfBundle,
@@ -36,8 +40,8 @@ from seqproof.noninteractive import (
     transcript_to_messages,
     vdf_challenge,
 )
-from seqproof.qbf import parse_qbf
-from seqproof import shvdf
+from seqproof.qbf import eval_qbf_bruteforce, parse_qbf, random_qbf
+from seqproof import fiatshamir, shvdf
 from seqproof.shvdf import VdfParams, vdf_eval, vdf_open
 from seqproof.sumcheck import sumcheck_prove
 
@@ -70,6 +74,29 @@ def test_fs_rejects_bad_prime():
     tr = fs_prove_tqbf(ALT_TRUE, 37)
     verdict = fs_verify_tqbf(ALT_TRUE, dataclasses.replace(tr, p=36))
     assert verdict.reason == "statement-mismatch"
+
+
+def test_each_absorbed_byte_is_hashed_once(monkeypatch):
+    rng = random.Random(10)
+    formula = next(f for f in iter(lambda: random_qbf(rng, 10, 8), None) if eval_qbf_bruteforce(f))
+    lengths = []
+    ro = fiatshamir.ro_challenge
+
+    def counted(spec, transcript, *args, **kwargs):  # as the benchmark's tracer reads it
+        lengths.append(len(transcript))
+        return ro(spec, transcript, *args, **kwargs)
+
+    monkeypatch.setattr(fiatshamir, "ro_challenge", counted)
+    tr = fs_prove_tqbf(formula)
+    proved = list(lengths)
+    lengths.clear()
+    assert fs_verify_tqbf(formula, tr)
+    # the bytes the source absorbed are the file's messages after the mode message
+    absorbed = len(transcript_encode(transcript_to_messages(tr)[1:]))
+    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_u64(tr.rounds[-1].challenge)))
+    for run in (proved, lengths):
+        assert len(run) == len(tr.rounds) == 65
+        assert sum(run) == absorbed - last_challenge
 
 
 def test_transcript_file_roundtrip(tmp_path):

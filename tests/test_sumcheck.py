@@ -322,7 +322,21 @@ def test_cheat_strategy_parsing():
     assert len(t.rounds) == 2
 
 
-@pytest.mark.parametrize("strategy", ["random-round(x)", "random-round()", "random-round(", "random-round1"])
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        "random-round(x)",
+        "random-round()",
+        "random-round(",
+        "random-round1",
+        "random-round(0_1)",
+        "random-round( 1 )",
+        "random-round(+1)",
+        "random-round(01)",
+        "random-round(\u0661)",  # ARABIC-INDIC DIGIT ONE
+        " wrong-claim ",
+    ],
+)
 def test_a_bad_round_index_is_refused_by_the_strategy_name(strategy):
     with pytest.raises(ValueError) as exc:
         cheat_prover(strategy, EXISTS_TAUT, 223, InteractiveChallenges(0))
