@@ -1,9 +1,9 @@
-"""Seeded stream of distinct small formulas for the tests; the package never
-calls it."""
+"""Seeded formulas for the tests: a stream of distinct small ones, and the
+first true one of a shape.  The package never calls it."""
 
 import random
 
-from seqproof.qbf import random_qbf
+from seqproof.qbf import eval_qbf_bruteforce, random_qbf
 
 
 def sample_distinct_qbfs(max_vars: int, max_clauses: int, count: int, seed: int = 0):
@@ -19,3 +19,9 @@ def sample_distinct_qbfs(max_vars: int, max_clauses: int, count: int, seed: int 
             seen.add(f)
             out.append(f)
     return out
+
+
+def seeded_true_formula(n: int, m: int, seed: int):
+    """The first formula of shape (n, m) drawn from random.Random(seed) that brute force says is true."""
+    rng = random.Random(seed)
+    return next(f for f in iter(lambda: random_qbf(rng, n, m), None) if eval_qbf_bruteforce(f))

@@ -2,11 +2,11 @@ import argparse
 import contextlib
 import dataclasses
 import io
-import random
 from pathlib import Path
 
 import pytest
 
+from qbf_sampler import seeded_true_formula
 from seqproof import shvdf
 from seqproof.cli import COMMANDS, build_parser, main
 from seqproof.fiatshamir import InteractiveChallenges
@@ -18,7 +18,7 @@ from seqproof.noninteractive import (
     save_transcript,
     transcript_to_bytes,
 )
-from seqproof.qbf import eval_qbf_bruteforce, random_qbf, to_qdimacs
+from seqproof.qbf import to_qdimacs
 from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
 from seqproof.sumcheck import sumcheck_prove
 
@@ -56,14 +56,9 @@ def test_prove_then_verify_fs(tmp_path, formula_file, capsys):
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 1
 
 
-def _seeded_true_formula(n: int, m: int, seed: int):
-    rng = random.Random(seed)
-    return next(f for f in iter(lambda: random_qbf(rng, n, m), None) if eval_qbf_bruteforce(f))
-
-
 @pytest.mark.parametrize("n, prime", [(n, None) for n in range(1, 17)] + [(3, 1009)])
 def test_prove_tqbf_writes_the_bytes_the_library_encodes(tmp_path, capsys, n, prime):
-    formula = _seeded_true_formula(n, 3, n)
+    formula = seeded_true_formula(n, 3, n)
     path, out = tmp_path / "f.qdimacs", tmp_path / "f.transcript"
     path.write_text(to_qdimacs(formula))
     with_prime = [] if prime is None else ["--prime", str(prime)]

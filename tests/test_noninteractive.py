@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qbf_sampler import seeded_true_formula
 from seqproof.fiatshamir import (
     MAGIC,
     TAG_MODE,
@@ -40,7 +41,7 @@ from seqproof.noninteractive import (
     transcript_to_messages,
     vdf_challenge,
 )
-from seqproof.qbf import eval_qbf_bruteforce, parse_qbf, random_qbf
+from seqproof.qbf import parse_qbf
 from seqproof import fiatshamir, shvdf
 from seqproof.shvdf import VdfParams, vdf_eval, vdf_open
 from seqproof.sumcheck import sumcheck_prove
@@ -77,8 +78,7 @@ def test_fs_rejects_bad_prime():
 
 
 def test_each_absorbed_byte_is_hashed_once(monkeypatch):
-    rng = random.Random(10)
-    formula = next(f for f in iter(lambda: random_qbf(rng, 10, 8), None) if eval_qbf_bruteforce(f))
+    formula = seeded_true_formula(10, 8, 10)
     lengths = []
     ro = fiatshamir.ro_challenge
 
