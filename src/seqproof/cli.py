@@ -16,8 +16,8 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import MAGIC, TAG_MODE, TQBF_ORACLE, VDF_ORACLE, FiatShamirChallenges
-from .fiatshamir import InteractiveChallenges, RecordedChallenges, encode_message
+from .fiatshamir import TQBF_ORACLE, VDF_ORACLE, FiatShamirChallenges
+from .fiatshamir import InteractiveChallenges, RecordedChallenges
 from .harness import (
     exp_attack,
     exp_soundness,
@@ -26,6 +26,7 @@ from .harness import (
 )
 from .noninteractive import (
     fs_vdf_verify,
+    hashed_transcript_bytes,
     load_bundle,
     load_transcript,
     open_bundle,
@@ -67,10 +68,7 @@ def _cmd_prove_tqbf(args) -> int:
         print("formula is false; no membership proof exists", file=sys.stderr)
         return 1
     if args.out:
-        if args.fs:  # the hashed source holds every message after the mode message, encoded
-            data = MAGIC + encode_message(TAG_MODE, source.mode.encode()) + source.transcript_bytes()
-        else:
-            data = transcript_to_bytes(transcript)
+        data = hashed_transcript_bytes(source) if args.fs else transcript_to_bytes(transcript)
         Path(args.out).write_bytes(data)
         print(f"wrote {args.out}")
     return 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fiatshamir import (
+    MAGIC,
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
     TAG_MODE,
@@ -39,6 +40,7 @@ from .fiatshamir import (
     decode_poly,
     decode_u64,
     encode_file,
+    encode_message,
     encode_u64,
     replay_challenges,
 )
@@ -160,6 +162,13 @@ def transcript_from_messages(msgs: list[Message]) -> Transcript:
 
 def transcript_to_bytes(transcript: Transcript) -> bytes:
     return encode_file(transcript_to_messages(transcript))
+
+
+def hashed_transcript_bytes(source: FiatShamirChallenges) -> bytes:
+    """The file transcript_to_bytes writes for the conversation a hashed
+    source drove, built from the bytes the source hashed: the magic, the mode
+    message, then every message absorbed, each encoded once."""
+    return MAGIC + encode_message(TAG_MODE, source.mode.encode()) + source.transcript_bytes()
 
 
 def transcript_from_bytes(data: bytes) -> Transcript:
