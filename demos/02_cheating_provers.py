@@ -40,13 +40,8 @@ def main():
             wins = 0
             for i in range(TRIALS):
                 coins = InteractiveChallenges(random.Random(f"demo2:{p}:{strategy}:{i}:v"))
-                transcript = cheat_prover(
-                    strategy,
-                    formula,
-                    p,
-                    coins,
-                    prover_rng=random.Random(f"demo2:{p}:{strategy}:{i}:p"),
-                )
+                # the prover's seed: only random-round draws from an rng
+                transcript = cheat_prover(strategy, formula, p, coins, prover_rng=f"demo2:{p}:{strategy}:{i}:p")
                 wins += sumcheck_verify(formula, p, transcript).accepted
             print(f"  {strategy:13s}  accepted {wins:4d}/{TRIALS}  rate {wins / TRIALS:.4f}")
         print()

@@ -1,10 +1,16 @@
 """Prime moduli, univariate polynomials over F_p, interpolation at 0..d.
 
-Residues are plain ints in [0, p); the modulus of a statement is checked once,
-by `check_prime`.  Interpolation at the nodes 0..size-1 multiplies the values
-by the inverse Vandermonde matrix at those nodes: size^2 products a call.
-The matrix is built in O(size^2) once per (size, p) and kept in an LRU cache
-of BASIS_CACHE_ENTRIES = 32 entries; the protocol interpolates at most 73
+Residues are plain ints in [0, p).  `check_prime` refuses a modulus that is
+not a prime at most 2^40; every prover and the verifier call it.  A soundness
+run checks thousands of statements at one prime, so a modulus that has passed
+the primality test is kept in an LRU cache of PRIME_CACHE_ENTRIES = 16 entries
+and not tested again.  The cap is checked on every call, before the cache, and
+a refused modulus is never kept, so it is refused on every call.
+
+Interpolation at the nodes 0..size-1 multiplies the values by the inverse
+Vandermonde matrix at those nodes: size^2 products a call.  The matrix is
+built in O(size^2) once per (size, p) and kept in an LRU cache of
+BASIS_CACHE_ENTRIES = 32 entries; the protocol interpolates at most 73
 values, so the cache holds at most 32 * 73^2 = 170,528 residues.
 """
 
@@ -90,14 +96,25 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
+# moduli kept after passing the primality test: a process checks a handful
+PRIME_CACHE_ENTRIES = 16
+
+
+@lru_cache(maxsize=PRIME_CACHE_ENTRIES)
+def _tested_prime(p: int) -> None:
+    """Refuse a p (at most the cap) that is not prime; the cache keeps only
+    the moduli that pass, since a call that raises is not cached."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def check_prime(p: int) -> None:
     """Refuse a modulus that is not a prime at most 2^40."""
     # the cap first: is_prime is exact only for n < 3.18 * 10^23, and a hostile
     # modulus can have any number of digits
     if p > MAX_PRIME:
         raise ValueError(f"modulus of {p.bit_length()} bits exceeds cap 2^40")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _tested_prime(p)
 
 
 class UniPoly:

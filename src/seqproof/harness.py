@@ -25,6 +25,7 @@ from .shvdf import (
 from .sumcheck import (
     chain_value,
     check_statement,
+    check_strategy,
     cheat_prover,
     sumcheck_prove,
     sumcheck_verify,
@@ -70,11 +71,14 @@ def exp_soundness(
     The pass criterion allows three binomial standard deviations above the
     bound.  An honest control on true formulas must accept every time.
     Per-trial randomness is derived from (seed, strategy, trial index), so
-    trials are order-independent.
+    trials are order-independent.  The statement and every strategy are
+    checked before the first formula is drawn.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful rate")
     check_statement(n, m, p)  # before any m-clause formula is drawn
+    for strategy in strategies:
+        check_strategy(strategy, n)
     bound = soundness_bound(n, m, p)
     sigma = math.sqrt(bound * (1 - bound) / trials)
     threshold = bound + 3 * sigma
@@ -85,8 +89,8 @@ def exp_soundness(
         for i in range(trials):
             formula = random_qbf(random.Random(f"{seed}:{strategy}:{i}:formula"), n, m)
             coins = InteractiveChallenges(random.Random(f"{seed}:{strategy}:{i}:coins"))
-            prover_rng = random.Random(f"{seed}:{strategy}:{i}:prover")
-            transcript = cheat_prover(strategy, formula, p, coins, prover_rng=prover_rng)
+            # a seed, not an rng: only the random-round prover seeds one
+            transcript = cheat_prover(strategy, formula, p, coins, prover_rng=f"{seed}:{strategy}:{i}:prover")
             if sumcheck_verify(formula, p, transcript).accepted:
                 accepted += 1
         rate = accepted / trials

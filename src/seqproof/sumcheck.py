@@ -38,6 +38,7 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import add, mul
 
 from .field import MAX_PRIME, UniPoly, check_prime, lagrange_interpolate, next_prime_at_least, sqrt_mod
@@ -199,13 +200,25 @@ def _coordinate_sets(bits: int, width: int) -> list[int]:
     return sets
 
 
+# chains kept, one per quantifier prefix: a soundness run draws thousands of
+# statements over at most 2^n prefixes, and n is 1 or 2 in the acceptance runs
+CHAIN_CACHE_ENTRIES = 64
+
+
 def build_operator_chain(formula: Qbf) -> tuple[Operator, ...]:
     """Quantifier for x_i, then re-linearization of x_1..x_i, for each i.
 
-    The chain has exactly n(n+3)/2 operators for n variables.
+    The chain has exactly n(n+3)/2 operators for n variables.  It depends on
+    the quantifiers alone, so formulas with the same quantifiers share one
+    chain, built once and kept in an LRU cache of CHAIN_CACHE_ENTRIES entries.
     """
+    return _operator_chain(tuple(formula.quantifiers))
+
+
+@lru_cache(maxsize=CHAIN_CACHE_ENTRIES)
+def _operator_chain(quantifiers: tuple[Quantifier, ...]) -> tuple[Operator, ...]:
     ops = []
-    for i, q in enumerate(formula.quantifiers, start=1):
+    for i, q in enumerate(quantifiers, start=1):
         kind = OpKind.SUM if q is Quantifier.EXISTS else OpKind.PROD
         ops.append(Operator(kind, i, i))
         for j in range(1, i + 1):
@@ -475,13 +488,20 @@ def default_prime(formula: Qbf) -> int:
 
 
 def _combine(op: Operator, s: UniPoly, bindings, p: int) -> int:
-    """What the running claim must equal if s is consistent with the chain."""
+    """What the running claim must equal if s is consistent with the chain.
+
+    s(0) is the constant coefficient and s(1) the sum of the coefficients,
+    read off without evaluating; the zero polynomial has neither.
+    """
+    cs = s.coeffs
+    s0 = cs[0] if cs else 0
+    s1 = sum(cs)
     if op.kind is OpKind.SUM:
-        return (s.evaluate(0) + s.evaluate(1)) % p
+        return (s0 + s1) % p
     if op.kind is OpKind.PROD:
-        return s.evaluate(0) * s.evaluate(1) % p
+        return s0 * s1 % p
     r = bindings[op.var - 1]
-    return (r * s.evaluate(1) + (1 - r) * s.evaluate(0)) % p
+    return (r * s1 + (1 - r) * s0) % p
 
 
 # ── prover sessions ────────────────────────────────────────────────────────
@@ -553,8 +573,6 @@ class _RandomRoundProver(HonestProver):
 
     def __init__(self, formula: Qbf, p: int, k: int, rng: random.Random):
         super().__init__(formula, p)
-        if not 0 <= k < len(self.ops):
-            raise ValueError(f"round {k} outside the chain of length {len(self.ops)}")
         self.k_target = k
         self.rng = rng
 
@@ -616,27 +634,50 @@ def sumcheck_prove(formula: Qbf, p: int | None, challenges) -> Transcript:
 _RANDOM_ROUND = re.compile(r"random-round(?:\((0|[1-9][0-9]*)\))?")
 
 
+def check_strategy(strategy: str, num_vars: int) -> int | None:
+    """The round a "random-round(k)" strategy cheats at, or None for
+    "wrong-claim" and "constant-poly".
+
+    k is a 0-based round index, written in ASCII digits without a leading
+    zero; "random-round" alone is round 0.  Any other spelling is refused,
+    since the harness seeds its rngs from the text, and so is a k outside
+    the chain of n(n+3)/2 rounds on num_vars variables.
+    """
+    if strategy in ("wrong-claim", "constant-poly"):
+        return None
+    random_round = _RANDOM_ROUND.fullmatch(strategy)
+    if not random_round:
+        raise ValueError(f"unknown cheat strategy {strategy!r}")
+    k, num_rounds = int(random_round[1] or 0), num_vars * (num_vars + 3) // 2
+    if k >= num_rounds:
+        raise ValueError(f"round {k} outside the chain of length {num_rounds}")
+    return k
+
+
 def cheat_prover(
     strategy: str,
     formula: Qbf,
     p: int,
     challenges,
-    prover_rng: random.Random | None = None,
+    prover_rng: random.Random | int | str | None = None,
 ) -> Transcript:
     """Run a dishonest prover; strategy is "wrong-claim", "constant-poly", or
-    "random-round(k)" with k a 0-based round index, written in ASCII digits
-    without a leading zero; "random-round" alone is round 0.  Any other
-    spelling is refused, since the harness seeds its rngs from the text."""
-    random_round = _RANDOM_ROUND.fullmatch(strategy)
+    "random-round(k)", as `check_strategy` reads it.
+
+    prover_rng is the random-round prover's rng, or the seed of one (None
+    seeds 0); a seed is turned into an rng only by that prover, the only
+    one that draws from it.
+    """
+    k = check_strategy(strategy, formula.num_vars)
     if strategy == "wrong-claim":
         session = _WrongClaimProver(formula, p)
     elif strategy == "constant-poly":
         session = _ConstantPolyProver(formula, p)
-    elif random_round:
-        rng = prover_rng if prover_rng is not None else random.Random(0)
-        session = _RandomRoundProver(formula, p, int(random_round[1] or 0), rng)
     else:
-        raise ValueError(f"unknown cheat strategy {strategy!r}")
+        rng = prover_rng
+        if not isinstance(rng, random.Random):
+            rng = random.Random(0 if rng is None else rng)
+        session = _RandomRoundProver(formula, p, k, rng)
     return _drive(session, formula, p, challenges)
 
 

@@ -3,7 +3,9 @@
 Refactors of the message schedule, the provers or the codecs must leave
 these digests unchanged; a changed digest means a changed file format or a
 changed Fiat-Shamir challenge.  The formulas are true and n <= 6.  Cheating
-provers' transcripts are pinned with the reason each is rejected for.
+provers' transcripts are pinned with the reason each is rejected for, and
+soundness reports by the digest of their JSON, which counts every trial's
+verdict.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ from seqproof.noninteractive import (
     transcript_to_messages,
     vdf_challenge,
 )
+from seqproof.harness import exp_soundness
 from seqproof.qbf import parse_qbf
 from seqproof.shvdf import VdfParams, vdf_attack, vdf_eval, vdf_open, vdf_setup
 from seqproof.sumcheck import cheat_prover, default_prime, sumcheck_prove, sumcheck_verify
@@ -119,6 +122,14 @@ CHEAT_CASES = (
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
 LAMBDA16 = vdf_setup(16, 10, 32, "a1b2c3")
 
+# (n, m, p, seed, digest of exp_soundness(n, m, p, trials=1000, seed=seed).to_json())
+SOUNDNESS_REPORTS = (
+    (1, 1, 223, 3, "4a7c628e66c681a54793f14a37c6e0e1d2813d32a13955a5e8697900693f80f0"),
+    (1, 1, 223, 11, "1cf56edb10d0046b64704d38bcf9197e6f0cec485889f682d679d3bcd8917869"),
+    (2, 2, 1009, 3, "085af8c4acf8d1139ae07fb43b4fd5423642dd7f667b95f437f8e6c036f23e29"),
+    (2, 2, 1009, 11, "c2e9e4f7271b74886b7d413ca9dd508bfe79bf50a2ee703b8c9d733c53363a32"),
+)
+
 # (parameters, input, explicit challenge, digest of the hashed-challenge
 # bundle, digest of the explicit-challenge bundle)
 BUNDLE_CASES = (
@@ -184,3 +195,9 @@ def test_forged_bundle_bytes_pinned(index):
     bundle = VdfBundle(pp, x, forgery.value, t, forgery.respond(t))
     assert fs_vdf_verify(bundle)
     assert _digest(bundle_to_bytes(bundle)) == digest
+
+
+@pytest.mark.parametrize("case", SOUNDNESS_REPORTS, ids=lambda case: "-".join(map(str, case[:4])))
+def test_soundness_report_bytes_pinned(case):
+    n, m, p, seed, digest = case
+    assert _digest(exp_soundness(n, m, p, trials=1000, seed=seed).to_json().encode()) == digest

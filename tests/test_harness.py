@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from seqproof import harness, shvdf
+from seqproof import field, harness, shvdf
 from seqproof.cli import main
 
 from seqproof.harness import (
@@ -182,3 +182,62 @@ def test_soundness_refuses_an_empty_statement_before_drawing(monkeypatch, capsys
             exp_soundness(n, m, 223)
     assert main(["exp", "soundness", "--n", "0", "--m", "1"]) == 1
     assert capsys.readouterr().err == "error: a statement needs at least one variable and one clause\n"
+
+
+@pytest.mark.parametrize(
+    "strategies, message",
+    [
+        (("wrong-claim", "random-round(x)"), "unknown cheat strategy 'random-round(x)'"),
+        (("constant-poly", "random-round(99)"), "round 99 outside the chain of length 5"),
+        (("random-round(5)",), "round 5 outside the chain of length 5"),
+    ],
+)
+def test_soundness_refuses_a_bad_strategy_before_the_first_trial(monkeypatch, strategies, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a formula was drawn")
+
+    monkeypatch.setattr(harness, "random_qbf", no_draw)
+    with pytest.raises(ValueError) as exc:
+        exp_soundness(2, 2, 1009, trials=1000, strategies=strategies)
+    assert str(exc.value) == message
+
+
+def test_soundness_tests_its_prime_once(monkeypatch):
+    tested = []
+    is_prime = field.is_prime
+    monkeypatch.setattr(field, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    field._tested_prime.cache_clear()
+    assert exp_soundness(2, 2, 1009, trials=1000, seed=2).passed
+    assert tested == [1009]
+    # a refused modulus is not kept: it is tested, and refused, on every call
+    for calls in (2, 3):
+        with pytest.raises(ValueError, match="^6 is not prime$"):
+            field.check_prime(6)
+        assert tested.count(6) == calls - 1
+    assert field._tested_prime.cache_info().currsize == 1
+
+
+def test_the_prime_cache_stays_at_its_bound():
+    kept = field._tested_prime
+    kept.cache_clear()
+    assert kept.cache_info().maxsize == field.PRIME_CACHE_ENTRIES
+    primes = [p for p in range(2, 1000) if field.is_prime(p)][: 2 * field.PRIME_CACHE_ENTRIES]
+    for p in primes:
+        field.check_prime(p)
+    assert kept.cache_info().currsize == field.PRIME_CACHE_ENTRIES
+
+
+def test_only_random_round_trials_seed_a_prover_rng(monkeypatch):
+    seeds = []
+    base = random.Random
+
+    class Recorded(base):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    report = exp_soundness(1, 1, 223, trials=1000, seed=6, control_trials=5)
+    assert report.passed
+    provers = [x for x in seeds if isinstance(x, str) and x.endswith(":prover")]
+    assert provers == [f"6:random-round:{i}:prover" for i in range(1000)]

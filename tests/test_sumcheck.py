@@ -14,6 +14,7 @@ from seqproof.fiatshamir import (
 )
 from seqproof.noninteractive import fs_prove_tqbf, fs_verify_tqbf
 from seqproof.qbf import Quantifier, eval_qbf_bruteforce, parse_qbf, random_qbf
+from seqproof import sumcheck as sc
 from seqproof.sumcheck import (
     OpKind,
     Operator,
@@ -29,6 +30,7 @@ from seqproof.sumcheck import (
     sumcheck_verify,
     HonestProver,
     _WrongClaimProver,
+    _combine,
 )
 
 EXISTS_TAUT = parse_qbf("p cnf 1 1\ne 1 0\n1 0\n")
@@ -341,6 +343,52 @@ def test_a_bad_round_index_is_refused_by_the_strategy_name(strategy):
     with pytest.raises(ValueError) as exc:
         cheat_prover(strategy, EXISTS_TAUT, 223, InteractiveChallenges(0))
     assert str(exc.value) == f"unknown cheat strategy {strategy!r}"
+
+
+def test_formulas_with_the_same_quantifiers_share_one_chain():
+    chain = sc._operator_chain
+    chain.cache_clear()
+    assert chain.cache_info().maxsize == sc.CHAIN_CACHE_ENTRIES
+    twin = parse_qbf("p cnf 2 1\na 1 0\ne 2 0\n-1 2 2 0\n")  # ALT_TRUE's quantifiers, other clauses
+    ops = build_operator_chain(ALT_TRUE)
+    assert build_operator_chain(twin) is ops
+    # the provers and the verifier read the kept chain
+    assert HonestProver(twin, 37).ops is ops
+    assert sumcheck_verify(ALT_TRUE, 37, sumcheck_prove(ALT_TRUE, 37, InteractiveChallenges(1))).accepted
+    assert chain.cache_info().misses == 1
+    assert build_operator_chain(parse_qbf("p cnf 2 2\ne 1 2 0\n1 2 0\n-1 -2 0\n")) != ops
+    # n = 7 has 128 prefixes, twice the cache; each kept chain is the one a fresh build gives
+    rng = random.Random(7)
+    for _ in range(3 * sc.CHAIN_CACHE_ENTRIES):
+        formula = random_qbf(rng, 7, 1)
+        ops = build_operator_chain(formula)
+        assert ops == chain.__wrapped__(formula.quantifiers)
+        assert len(ops) == 7 * 10 // 2
+    assert chain.cache_info().currsize == sc.CHAIN_CACHE_ENTRIES
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+def test_combine_reads_both_ends_off_the_coefficients(kind):
+    # what _combine computed by evaluating s at 0 and at 1
+    def by_evaluation(op, s, bindings, p):
+        s0, s1 = s.evaluate(0), s.evaluate(1)
+        if op.kind is OpKind.SUM:
+            return (s0 + s1) % p
+        if op.kind is OpKind.PROD:
+            return s0 * s1 % p
+        r = bindings[op.var - 1]
+        return (r * s1 + (1 - r) * s0) % p
+
+    rng = random.Random(f"combine:{kind.value}")
+    for p, m in ((223, 1), (1009, 2), (next_prime_at_least(1 << 39), 24)):
+        for degree in [-1, 0, 1, 2] + [rng.randrange(3 * m + 1) for _ in range(40)] + [3 * m]:
+            s = UniPoly([rng.randrange(p) for _ in range(degree + 1)], p)
+            var = rng.randrange(1, 4)
+            bindings = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(3)]
+            op = Operator(kind, var, 3)
+            assert _combine(op, s, bindings, p) == by_evaluation(op, s, bindings, p), (s, bindings)
+    zero = UniPoly((), 223)
+    assert zero.coeffs == () and _combine(Operator(kind, 1, 1), zero, [5], 223) == 0
 
 
 def test_compute_round_poly_matches_protocol_degrees():
