@@ -28,11 +28,11 @@ from .noninteractive import (
     fs_vdf_verify,
     hashed_transcript_bytes,
     load_bundle,
-    load_transcript,
     open_bundle,
     save_bundle,
     transcript_to_bytes,
     verify_bundle,
+    verify_transcript_bytes,
 )
 from .qbf import parse_qbf
 from .shvdf import (
@@ -42,7 +42,7 @@ from .shvdf import (
     vdf_eval,
     vdf_setup,
 )
-from .sumcheck import sumcheck_prove, sumcheck_verify
+from .sumcheck import sumcheck_prove
 
 
 def _read_formula(path: str):
@@ -76,8 +76,7 @@ def _cmd_prove_tqbf(args) -> int:
 
 def _cmd_verify_tqbf(args) -> int:
     formula = _read_formula(getattr(args, "in"))
-    transcript = load_transcript(args.transcript)
-    verdict = sumcheck_verify(formula, transcript.p, transcript)
+    verdict = verify_transcript_bytes(formula, Path(args.transcript).read_bytes())
     if verdict.accepted:
         print("accepted")
         return 0

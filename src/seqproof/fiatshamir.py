@@ -4,16 +4,24 @@ Every protocol message is a (tag, payload) pair encoded as tag byte, 4-byte
 big-endian length, payload.  The encoding is injective, so hashing the
 concatenation commits to the whole conversation so far.
 
+One framing loop, `read_frames`, reads every transcript and bundle file
+into (tag, payload) pairs; `Message` objects are built only for callers
+that ask for them.
+
 A challenge source absorbs each message as its tag and a zero-argument
 encoder, and calls the encoder only if it reads the bytes: hashed challenges
-do, rng coins and replayed challenges do not.  Each source names the mode of
-the transcripts it yields; only this module pairs modes with sources.
+do, rng coins and replayed challenges do not.  A hashed source may also
+replay the bytes of a file already read instead of calling encoders: the
+decoders accept only canonical encodings, so those bytes are the ones the
+encoders would give.  Each source names the mode of the transcripts it
+yields; only this module pairs modes with sources.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -81,32 +89,44 @@ def transcript_encode(messages) -> bytes:
     return b"".join(encode_message(m.tag, m.payload) for m in messages)
 
 
-def transcript_decode(data: bytes) -> list[Message]:
+_HEADER = struct.Struct(">BI")  # tag byte, 4-byte big-endian payload length
+
+
+def read_frames(data: bytes, pos: int = 0) -> list[tuple[int, bytes]]:
+    """The (tag, payload) pairs framed in data from pos on; the one framing loop."""
     out = []
-    pos = 0
-    while pos < len(data):
-        if pos + 5 > len(data):
+    end = len(data)
+    while pos < end:
+        if pos + 5 > end:
             raise DecodeError("truncated message header")
-        tag = data[pos]
+        tag, length = _HEADER.unpack_from(data, pos)
         if tag not in TAG_NAMES:
             raise DecodeError(f"unregistered message tag {tag:#x}")
-        length = int.from_bytes(data[pos + 1 : pos + 5], "big")
         pos += 5
-        if pos + length > len(data):
+        if pos + length > end:
             raise DecodeError("truncated message payload")
-        out.append(Message(tag, data[pos : pos + length]))
+        out.append((tag, data[pos : pos + length]))
         pos += length
     return out
+
+
+def transcript_decode(data: bytes) -> list[Message]:
+    return [Message(tag, payload) for tag, payload in read_frames(data)]
 
 
 def encode_file(messages) -> bytes:
     return MAGIC + transcript_encode(messages)
 
 
-def decode_file(data: bytes) -> list[Message]:
+def file_frames(data: bytes) -> list[tuple[int, bytes]]:
+    """The (tag, payload) pairs of a file: the magic, then framed messages."""
     if data[: len(MAGIC)] != MAGIC:
         raise DecodeError("bad magic header")
-    return transcript_decode(data[len(MAGIC) :])
+    return read_frames(data, len(MAGIC))
+
+
+def decode_file(data: bytes) -> list[Message]:
+    return [Message(tag, payload) for tag, payload in file_frames(data)]
 
 
 # ── fixed-width payload codecs ─────────────────────────────────────────────
@@ -123,19 +143,22 @@ def decode_u64(data: bytes) -> int:
 
 
 def encode_poly(poly: UniPoly) -> bytes:
-    return len(poly.coeffs).to_bytes(4, "big") + b"".join(
-        encode_u64(c) for c in poly.coeffs
-    )
+    """4-byte coefficient count, then each coefficient as a u64."""
+    coeffs = poly.coeffs
+    try:
+        return struct.pack(f">I{len(coeffs)}Q", len(coeffs), *coeffs)
+    except struct.error:  # a value past its width: refuse as the to_bytes join does
+        return len(coeffs).to_bytes(4, "big") + b"".join(map(encode_u64, coeffs))
 
 
 def decode_poly(data: bytes, p: int) -> UniPoly:
     if len(data) < 4:
         raise DecodeError("truncated polynomial")
-    count = int.from_bytes(data[:4], "big")
+    (count,) = struct.unpack_from(">I", data)
     if len(data) != 4 + 8 * count:
         raise DecodeError("polynomial length mismatch")
-    coeffs = [int.from_bytes(data[4 + 8 * i : 12 + 8 * i], "big") for i in range(count)]
-    if any(c >= p for c in coeffs):
+    coeffs = struct.unpack_from(f">{count}Q", data, 4)
+    if coeffs and max(coeffs) >= p:
         raise DecodeError("coefficient outside the field")
     if coeffs and coeffs[-1] == 0:
         raise DecodeError("non-canonical trailing zero coefficient")
@@ -216,6 +239,45 @@ class FiatShamirChallenges:
         return r
 
 
+class ReadChallenges:
+    """Hashed challenges over the bytes of a file already read.
+
+    data holds framed messages, the first one absorbed at offset 0.  absorb
+    checks that the next frame carries the tag and steps past it without
+    calling the encoder; each challenge feeds the running hash the bytes
+    since the previous one, as FiatShamirChallenges does with the messages
+    it encodes.  The two draw the same challenges when data is the canonical
+    encoding of what is absorbed, which the decoders guarantee.
+    """
+
+    mode = MODE_FIAT_SHAMIR
+
+    def __init__(self, spec: OracleSpec, data: bytes):
+        self.spec = spec
+        self._data = data
+        self._pos = 0  # the next frame
+        self._hashed = 0  # how many bytes the running state has absorbed
+        self._state = hashlib.sha256(spec.domain_separator)
+
+    def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
+        data, pos = self._data, self._pos
+        if pos + 5 > len(data):
+            raise DecodeError(f"transcript ends before the {TAG_NAMES[tag]} message")
+        found, length = _HEADER.unpack_from(data, pos)
+        if found != tag:
+            raise DecodeError(
+                f"expected {TAG_NAMES[tag]} message, found {TAG_NAMES.get(found, f'tag {found:#x}')}"
+            )
+        if pos + 5 + length > len(data):
+            raise DecodeError("truncated message payload")
+        self._pos = pos + 5 + length
+
+    def challenge_interval(self, lo: int, size: int) -> int:
+        r = ro_challenge(self.spec, self._data[self._hashed : self._pos], size, lo, self._state)
+        self._hashed = self._pos
+        return r
+
+
 class RecordedChallenges:
     """Replays challenges already fixed in a transcript."""
 
@@ -239,7 +301,13 @@ class RecordedChallenges:
         return self._pop()
 
 
-def replay_challenges(mode: str, spec: OracleSpec, recorded):
+def replay_challenges(mode: str, spec: OracleSpec, recorded, read: bytes | None = None):
     """The verifier's source for a transcript or bundle of the given mode:
-    the hash under spec for Fiat-Shamir, the recorded challenges otherwise."""
-    return FiatShamirChallenges(spec) if mode == MODE_FIAT_SHAMIR else RecordedChallenges(recorded)
+    the hash under spec for Fiat-Shamir, the recorded challenges otherwise.
+
+    read, if given, is the file's bytes from the first absorbed message on;
+    a hashed source then hashes them instead of encoding what it absorbs.
+    """
+    if mode != MODE_FIAT_SHAMIR:
+        return RecordedChallenges(recorded)
+    return FiatShamirChallenges(spec) if read is None else ReadChallenges(spec, read)

@@ -36,12 +36,12 @@ from .fiatshamir import (
     FiatShamirChallenges,
     Message,
     RecordedChallenges,
-    decode_file,
     decode_poly,
     decode_u64,
     encode_file,
     encode_message,
     encode_u64,
+    file_frames,
     replay_challenges,
 )
 from .qbf import Qbf, QbfParseError, parse_qbf, to_qdimacs
@@ -79,14 +79,18 @@ def _decode_mode(payload: bytes) -> str:
     return mode
 
 
-def _expect(msgs: list[Message], i: int, tag: int) -> Message:
-    if i >= len(msgs):
+def _expect(frames: list[tuple[int, bytes]], i: int, tag: int) -> bytes:
+    """The payload of frame i, which must carry tag."""
+    if i >= len(frames):
         raise DecodeError(f"transcript ends before the {TAG_NAMES[tag]} message")
-    if msgs[i].tag != tag:
-        raise DecodeError(
-            f"expected {TAG_NAMES[tag]} message, found {TAG_NAMES[msgs[i].tag]}"
-        )
-    return msgs[i]
+    found, payload = frames[i]
+    if found != tag:
+        raise DecodeError(f"expected {TAG_NAMES[tag]} message, found {TAG_NAMES[found]}")
+    return payload
+
+
+def _pairs(msgs: list[Message]) -> list[tuple[int, bytes]]:
+    return [(m.tag, m.payload) for m in msgs]
 
 
 # ── hashed-challenge sum-check ─────────────────────────────────────────────
@@ -129,12 +133,18 @@ def transcript_to_messages(transcript: Transcript) -> list[Message]:
 
 
 def transcript_from_messages(msgs: list[Message]) -> Transcript:
-    """Inverse of transcript_to_messages, reading the schedule in its order."""
-    mode = _decode_mode(_expect(msgs, 0, TAG_MODE).payload)
-    p = decode_u64(_expect(msgs, 1, TAG_SC_PRIME).payload)
+    """Inverse of transcript_to_messages."""
+    return _read_transcript(_pairs(msgs))
+
+
+def _read_transcript(frames: list[tuple[int, bytes]]) -> Transcript:
+    """The schedule reader: a transcript from its (tag, payload) pairs, in
+    the schedule's order."""
+    mode = _decode_mode(_expect(frames, 0, TAG_MODE))
+    p = decode_u64(_expect(frames, 1, TAG_SC_PRIME))
     if p < 2:
         raise DecodeError("modulus too small")
-    raw = _expect(msgs, 2, TAG_SC_FORMULA).payload
+    raw = _expect(frames, 2, TAG_SC_FORMULA)
     try:
         formula = parse_qbf(raw.decode())
     except (UnicodeDecodeError, QbfParseError) as exc:
@@ -146,14 +156,14 @@ def transcript_from_messages(msgs: list[Message]) -> Transcript:
         )
     if to_qdimacs(formula).encode() != raw:
         raise DecodeError("formula payload is not in canonical form")
-    claim = decode_u64(_expect(msgs, 3, TAG_SC_CLAIM).payload)
+    claim = decode_u64(_expect(frames, 3, TAG_SC_CLAIM))
     num_rounds = len(build_operator_chain(formula))
-    if len(msgs) != 4 + 2 * num_rounds:
+    if len(frames) != 4 + 2 * num_rounds:
         raise DecodeError("round count does not match the formula")
     rounds = tuple(
         RoundMessage(
-            decode_poly(_expect(msgs, 4 + 2 * k, TAG_SC_POLY).payload, p),
-            decode_u64(_expect(msgs, 5 + 2 * k, TAG_SC_CHALLENGE).payload),
+            decode_poly(_expect(frames, 4 + 2 * k, TAG_SC_POLY), p),
+            decode_u64(_expect(frames, 5 + 2 * k, TAG_SC_CHALLENGE)),
         )
         for k in range(num_rounds)
     )
@@ -172,7 +182,22 @@ def hashed_transcript_bytes(source: FiatShamirChallenges) -> bytes:
 
 
 def transcript_from_bytes(data: bytes) -> Transcript:
-    return transcript_from_messages(decode_file(data))
+    return _read_transcript(file_frames(data))
+
+
+def verify_transcript_bytes(formula: Qbf, data: bytes) -> Verdict:
+    """Decode a transcript file and check it against formula, hashing a
+    Fiat-Shamir transcript's challenges from the bytes read.
+
+    The verdict is sumcheck_verify's on the decoded transcript: the decoder
+    accepts only canonical encodings, so the bytes read are the bytes the
+    verifier's messages encode to.  Raises DecodeError as
+    transcript_from_bytes does.
+    """
+    t = transcript_from_bytes(data)
+    absorbed = data[len(MAGIC) + 5 + len(t.mode) :]  # after the magic and the mode message
+    source = replay_challenges(t.mode, TQBF_ORACLE, (rm.challenge for rm in t.rounds), absorbed)
+    return sumcheck_verify(formula, t.p, t, source)
 
 
 def save_transcript(path, transcript: Transcript) -> None:
@@ -248,26 +273,30 @@ def bundle_to_messages(bundle: VdfBundle) -> list[Message]:
 
 
 def bundle_from_messages(msgs: list[Message]) -> VdfBundle:
-    if len(msgs) != 6:
-        raise DecodeError(f"expected six bundle messages, found {len(msgs)}")
-    mode = _decode_mode(_expect(msgs, 0, TAG_MODE).payload)
-    pp = params_from_bytes(_expect(msgs, 1, TAG_VDF_PP).payload)
+    return _read_bundle(_pairs(msgs))
+
+
+def _read_bundle(frames: list[tuple[int, bytes]]) -> VdfBundle:
+    if len(frames) != 6:
+        raise DecodeError(f"expected six bundle messages, found {len(frames)}")
+    mode = _decode_mode(_expect(frames, 0, TAG_MODE))
+    pp = params_from_bytes(_expect(frames, 1, TAG_VDF_PP))
     try:
-        x = _expect(msgs, 2, TAG_VDF_INPUT).payload.decode()
+        x = _expect(frames, 2, TAG_VDF_INPUT).decode()
     except UnicodeDecodeError:
         raise DecodeError("unreadable input payload")
     if any(c not in "01" for c in x):
         raise DecodeError("input must be a bit string")
     if len(x) > pp.space - 1:
         raise DecodeError("input does not fit on the tape")
-    raw = _expect(msgs, 3, TAG_VDF_OUTPUT).payload
+    raw = _expect(frames, 3, TAG_VDF_OUTPUT)
     if len(raw) != _output_width(pp):
         raise DecodeError(f"expected {_output_width(pp)} output bytes, got {len(raw)}")
     y = int.from_bytes(raw, "big")
     if y >= pp.num_states:
         raise DecodeError("output outside the machine")
-    t = decode_u64(_expect(msgs, 4, TAG_VDF_CHALLENGE).payload)
-    proof = proof_from_bytes(pp, _expect(msgs, 5, TAG_VDF_PROOF).payload)
+    t = decode_u64(_expect(frames, 4, TAG_VDF_CHALLENGE))
+    proof = proof_from_bytes(pp, _expect(frames, 5, TAG_VDF_PROOF))
     return VdfBundle(pp, x, y, t, proof, mode)
 
 
@@ -276,7 +305,7 @@ def bundle_to_bytes(bundle: VdfBundle) -> bytes:
 
 
 def bundle_from_bytes(data: bytes) -> VdfBundle:
-    return bundle_from_messages(decode_file(data))
+    return _read_bundle(file_frames(data))
 
 
 def save_bundle(path, bundle: VdfBundle) -> None:

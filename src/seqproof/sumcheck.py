@@ -183,12 +183,22 @@ class ArithPoly:
         return vectors[start]
 
 
-def _coordinate_sets(bits: int, width: int) -> list[int]:
+# coordinate sets kept, one per (bits, width): a proof asks for at most n + 1
+# shapes, (n, 8) for its tables and (n - j, 8, 16 or 32) for final round j.
+# At n = 16 every shape that can be asked for, 49 of them, holds 8.0 MB of
+# ints in all, 3.2 MB in (16, 8) and (15, 32) alone, so the cache holds at
+# most 8.0 MB there whatever its bound; at n = 10, 0.1 MB.
+COORDINATE_CACHE_ENTRIES = 32
+
+
+@lru_cache(maxsize=COORDINATE_CACHE_ENTRIES)
+def _coordinate_sets(bits: int, width: int) -> tuple[int, ...]:
     """For each coordinate v of the cube {0,1}^bits, the points whose bit v
     is 1, as an int with one width-bit field per point: the low bit of
     field c (bit c*width) is bit v of c.  A block of 2^v clear then 2^v set
     fields, doubled until it spans the cube; shifted down by 2^v fields,
-    the same int is the set where bit v is 0."""
+    the same int is the set where bit v is 0.  Built once per shape and
+    kept in an LRU cache of COORDINATE_CACHE_ENTRIES entries."""
     sets, ones = [], 1
     for v in range(bits):
         block, size = ones << (width << v), 2 << v
@@ -197,7 +207,7 @@ def _coordinate_sets(bits: int, width: int) -> list[int]:
             size *= 2
         sets.append(block)
         ones |= ones << (width << v)
-    return sets
+    return tuple(sets)
 
 
 # chains kept, one per quantifier prefix: a soundness run draws thousands of

@@ -6,6 +6,7 @@ traced benchmark empty or crash it; this test makes that a test failure.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,6 +35,8 @@ SPANS_USED = (
     "fiatshamir.ro",
     "noninteractive.encode",
 )
+# the spans a verify-tqbf call must open: its decode and its verdict
+VERIFY_TQBF_SPANS = ("noninteractive.decode", "sumcheck.verify")
 
 
 def _load_tracing():
@@ -75,16 +78,21 @@ def test_tracer_wraps_every_layer_and_leaves_nothing_behind(tmp_path, capsys):
     before = _bindings(sp)
     rec = tracing.Recorder()
     tracer = tracing.Tracer(rec)
+    opened = {}  # spans each command opened
     try:
         tracer.install(sp)
         for argv in calls:
+            calls_before = Counter(rec.calls)
             assert sp.cli.main([str(a) for a in argv]) == 0, argv
+            opened[argv[0]] = {name for name in rec.calls if rec.calls[name] > calls_before[name]}
     finally:
         tracer.uninstall()
     capsys.readouterr()
 
     for name in SPANS_USED:
         assert rec.calls[name] > 0, name
+    for name in VERIFY_TQBF_SPANS:
+        assert name in opened["verify-tqbf"], name
     assert rec.counts["sumcheck.f_evals"] > 0
     assert rec.counts["fiatshamir.ro.bytes_hashed"] > 0
     assert rec.counts["turing.steps.live"] > 0

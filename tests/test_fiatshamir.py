@@ -1,4 +1,4 @@
-"""Message framing, payload codecs, and the three challenge sources."""
+"""Message framing, payload codecs, and the challenge sources."""
 
 import random
 
@@ -15,12 +15,14 @@ from seqproof.fiatshamir import (
     TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_POLY,
+    TAG_SC_PRIME,
     TQBF_ORACLE,
     VDF_ORACLE,
     DecodeError,
     FiatShamirChallenges,
     InteractiveChallenges,
     Message,
+    ReadChallenges,
     RecordedChallenges,
     decode_file,
     decode_poly,
@@ -29,6 +31,9 @@ from seqproof.fiatshamir import (
     encode_message,
     encode_poly,
     encode_u64,
+    file_frames,
+    read_frames,
+    replay_challenges,
     ro_challenge,
     transcript_decode,
     transcript_encode,
@@ -64,6 +69,15 @@ def test_framing_roundtrip(pairs):
     assert decode_file(encode_file(messages)) == messages
 
 
+def test_frames_are_the_messages_as_pairs():
+    messages = [Message(TAG_SC_CLAIM, b"one"), Message(TAG_SC_POLY, b""), Message(TAG_SC_PRIME, b"3")]
+    data = encode_file(messages)
+    pairs = [(m.tag, m.payload) for m in messages]
+    assert file_frames(data) == pairs
+    assert read_frames(data, len(MAGIC)) == pairs
+    assert read_frames(data, len(data)) == []
+
+
 def test_decode_rejects_malformed_streams():
     good = encode_message(TAG_SC_POLY, b"1234")
     with pytest.raises(DecodeError, match="magic"):
@@ -79,6 +93,67 @@ def test_u64_codec():
     assert decode_u64(encode_u64(2**64 - 1)) == 2**64 - 1
     with pytest.raises(DecodeError, match="8 bytes"):
         decode_u64(b"\x00" * 7)
+
+
+def _u64_join(coeffs) -> bytes:
+    """The polynomial payload as it was first written: count, then each u64."""
+    return len(coeffs).to_bytes(4, "big") + b"".join(c.to_bytes(8, "big") for c in coeffs)
+
+
+def _u64_reader(data: bytes, p: int) -> UniPoly:
+    """The to_bytes reader decode_poly replaced, refusals in the same order."""
+    if len(data) < 4:
+        raise DecodeError("truncated polynomial")
+    count = int.from_bytes(data[:4], "big")
+    if len(data) != 4 + 8 * count:
+        raise DecodeError("polynomial length mismatch")
+    coeffs = [int.from_bytes(data[4 + 8 * i : 12 + 8 * i], "big") for i in range(count)]
+    if any(c >= p for c in coeffs):
+        raise DecodeError("coefficient outside the field")
+    if coeffs and coeffs[-1] == 0:
+        raise DecodeError("non-canonical trailing zero coefficient")
+    return UniPoly(coeffs, p)
+
+
+def _outcome(decode, data, p):
+    try:
+        return decode(data, p).coeffs
+    except DecodeError as exc:
+        return f"refused: {exc}"
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_MAX_COEFFS = 3 * 24 + 1  # degree 3m at the most clauses the prime cap allows
+
+
+@given(coeffs=st.lists(_U64, max_size=_MAX_COEFFS))
+def test_poly_codec_writes_the_u64_join(coeffs):
+    p = 1 << 64  # every u64 is a residue, so the polynomial keeps its coefficients
+    poly = UniPoly(coeffs, p)
+    data = encode_poly(poly)
+    assert data == _u64_join(poly.coeffs)
+    assert decode_poly(data, p) == poly
+
+
+@given(
+    coeffs=st.lists(st.one_of(st.integers(0, 300), _U64), max_size=_MAX_COEFFS + 2),
+    count=st.one_of(st.none(), st.integers(0, _MAX_COEFFS + 2)),
+    cut=st.one_of(st.just(0), st.integers(1, 9)),
+    p=st.sampled_from((2, 7, 223, 1 << 40, 1 << 64, 1 << 65)),
+)
+def test_poly_decoder_reads_and_refuses_as_the_u64_reader(coeffs, count, cut, p):
+    count = len(coeffs) if count is None else count  # None: a count that matches
+    data = count.to_bytes(4, "big") + b"".join(c.to_bytes(8, "big") for c in coeffs)
+    data = data[: max(0, len(data) - cut)]
+    assert _outcome(decode_poly, data, p) == _outcome(_u64_reader, data, p)
+
+
+def test_poly_encoder_refuses_what_the_u64_join_refuses():
+    poly = UniPoly([1, 1 << 64], 1 << 65)
+    with pytest.raises(OverflowError) as expected:
+        _u64_join(poly.coeffs)
+    with pytest.raises(OverflowError, match=str(expected.value)):
+        encode_poly(poly)
 
 
 def test_poly_codec_is_canonical():
@@ -168,6 +243,45 @@ def test_the_running_hash_draws_what_hashing_from_scratch_draws(spec, steps):
                 src.challenge_interval(a, b)
     # a refused size as the last step must not have moved the state either
     assert src.challenge_interval(3, 1009) == ro_challenge(spec, src.transcript_bytes(), 1009, 3)
+
+
+@given(st.sampled_from((TQBF_ORACLE, VDF_ORACLE)), st.lists(st.one_of(_ABSORB, _CHALLENGE, _REFUSED), max_size=30))
+def test_the_read_source_draws_what_the_encoding_source_draws(spec, steps):
+    def unread():
+        raise AssertionError("the read source called an encoder")
+
+    encoding = FiatShamirChallenges(spec)
+    data = b"".join(encode_message(tag, payload) for kind, tag, payload in steps if kind == "absorb")
+    read = replay_challenges(MODE_FIAT_SHAMIR, spec, [], data)
+    assert isinstance(read, ReadChallenges) and read.mode == MODE_FIAT_SHAMIR
+    for kind, a, b in steps:
+        if kind == "absorb":
+            encoding.absorb(a, lambda: b)
+            read.absorb(a, unread)
+        elif kind == "challenge":
+            assert read.challenge_interval(a, b) == encoding.challenge_interval(a, b)
+        else:
+            with pytest.raises(ValueError, match="out of bounds"):
+                read.challenge_interval(a, b)
+    assert read.challenge_interval(3, 1009) == encoding.challenge_interval(3, 1009)
+
+
+def test_the_read_source_checks_each_frame_it_steps_past():
+    data = encode_message(TAG_SC_CLAIM, b"one") + encode_message(TAG_SC_POLY, b"two")
+    read = ReadChallenges(TQBF_ORACLE, data)
+    with pytest.raises(DecodeError, match="expected sc-poly message, found sc-claim"):
+        read.absorb(TAG_SC_POLY, lambda: b"")
+    read.absorb(TAG_SC_CLAIM, lambda: b"")
+    read.absorb(TAG_SC_POLY, lambda: b"")
+    with pytest.raises(DecodeError, match="ends before the sc-challenge message"):
+        read.absorb(TAG_SC_CHALLENGE, lambda: b"")
+    with pytest.raises(DecodeError, match="found tag 0xee"):
+        ReadChallenges(TQBF_ORACLE, b"\xee\x00\x00\x00\x00").absorb(TAG_SC_CLAIM, lambda: b"")
+    with pytest.raises(DecodeError, match="truncated message payload"):
+        ReadChallenges(TQBF_ORACLE, data[:7]).absorb(TAG_SC_CLAIM, lambda: b"")
+    # without bytes read, a hashed source encodes; other modes replay the record
+    assert isinstance(replay_challenges(MODE_FIAT_SHAMIR, TQBF_ORACLE, []), FiatShamirChallenges)
+    assert isinstance(replay_challenges(MODE_INTERACTIVE, TQBF_ORACLE, [4], data), RecordedChallenges)
 
 
 def test_interactive_source_ignores_absorbs():

@@ -3,7 +3,9 @@
 Arbitrary bytes, and golden files with one to three bytes overwritten, go
 to each decoder; anything other than a value or DecodeError fails.  Every
 transcript or bundle that decodes must then get a verdict, not an
-exception, from its verifier.
+exception, from its verifier, and the transcript file verifier must give a
+verdict or DecodeError on the bytes themselves.  A transcript that decodes
+must encode back to the bytes it was read from.
 """
 
 import dataclasses
@@ -40,6 +42,7 @@ from seqproof.noninteractive import (
     transcript_from_bytes,
     transcript_to_bytes,
     verify_bundle,
+    verify_transcript_bytes,
 )
 from seqproof.field import UniPoly
 from seqproof.qbf import Quantifier, parse_qbf, random_qbf
@@ -64,16 +67,20 @@ def _transcript_verdict(transcript):
     return fs_verify_tqbf(transcript.formula, transcript)
 
 
+def _file_verdict(data):
+    """The file verifier against the formula the file names."""
+    return verify_transcript_bytes(transcript_from_bytes(data).formula, data)
+
+
+GOLDEN_TRANSCRIPTS = [
+    transcript_to_bytes(fs_prove_tqbf(FORMULA)),
+    transcript_to_bytes(sumcheck_prove(FORMULA, None, InteractiveChallenges(1))),
+]
+
 # (decoder, verifier of what it decodes or None, golden files)
 CASES = {
-    "transcript": (
-        transcript_from_bytes,
-        _transcript_verdict,
-        [
-            transcript_to_bytes(fs_prove_tqbf(FORMULA)),
-            transcript_to_bytes(sumcheck_prove(FORMULA, None, InteractiveChallenges(1))),
-        ],
-    ),
+    "transcript": (transcript_from_bytes, _transcript_verdict, GOLDEN_TRANSCRIPTS),
+    "transcript-file": (_file_verdict, lambda verdict: verdict, GOLDEN_TRANSCRIPTS),
     "bundle": (
         bundle_from_bytes,
         verify_bundle,
@@ -117,11 +124,28 @@ def test_arbitrary_bytes_decode_or_refuse(name, data, framed):
     edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), min_size=1, max_size=3),
 )
 def test_mutated_golden_files_decode_or_refuse(name, pick, edits):
-    files = CASES[name][2]
+    _decode_and_check(name, _mutated(CASES[name][2], pick, edits))
+
+
+def _mutated(files, pick, edits) -> bytes:
     data = bytearray(files[pick % len(files)])
     for where, byte in edits:
         data[int(where * len(data))] = byte
-    _decode_and_check(name, bytes(data))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pick=st.integers(0, 1),
+    edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), min_size=1, max_size=3),
+)
+def test_a_mutated_transcript_that_decodes_encodes_back_to_its_bytes(pick, edits):
+    data = _mutated(GOLDEN_TRANSCRIPTS, pick, edits)
+    try:
+        transcript = transcript_from_bytes(data)
+    except DecodeError:
+        return
+    assert transcript_to_bytes(transcript) == data
 
 
 def _long_replay_bundle() -> bytes:

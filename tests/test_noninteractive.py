@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qbf_sampler import seeded_true_formula
+from qbf_sampler import sample_distinct_qbfs, seeded_true_formula
 from seqproof.fiatshamir import (
     MAGIC,
     TAG_MODE,
@@ -40,11 +40,12 @@ from seqproof.noninteractive import (
     transcript_to_bytes,
     transcript_to_messages,
     vdf_challenge,
+    verify_transcript_bytes,
 )
 from seqproof.qbf import parse_qbf
-from seqproof import fiatshamir, shvdf
+from seqproof import fiatshamir, noninteractive, shvdf, sumcheck
 from seqproof.shvdf import VdfParams, vdf_eval, vdf_open
-from seqproof.sumcheck import sumcheck_prove
+from seqproof.sumcheck import cheat_prover, default_prime, sumcheck_prove, sumcheck_verify
 
 ALT_TRUE = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
@@ -97,6 +98,117 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
     for run in (proved, lengths):
         assert len(run) == len(tr.rounds) == 65
         assert sum(run) == absorbed - last_challenge
+
+
+def test_each_byte_read_is_hashed_once(monkeypatch):
+    formula = seeded_true_formula(10, 8, 10)
+    data = transcript_to_bytes(fs_prove_tqbf(formula))
+    lengths = []
+    ro = fiatshamir.ro_challenge
+
+    def counted(spec, transcript, *args, **kwargs):  # as the benchmark's tracer reads it
+        lengths.append(len(transcript))
+        return ro(spec, transcript, *args, **kwargs)
+
+    def unread(*_args):
+        raise AssertionError("the file verifier encoded a message it had read")
+
+    monkeypatch.setattr(fiatshamir, "ro_challenge", counted)
+    monkeypatch.setattr(sumcheck, "encode_poly", unread)
+    monkeypatch.setattr(sumcheck, "encode_u64", unread)
+    assert verify_transcript_bytes(formula, data)
+    # the bytes hashed are the file's messages after the mode message, but the last challenge
+    absorbed = len(data) - len(MAGIC) - len(encode_message(TAG_MODE, b"fiat-shamir"))
+    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_u64(0)))
+    assert len(lengths) == 65
+    assert sum(lengths) == absorbed - last_challenge
+
+
+def test_the_file_verifier_writes_the_formula_text_only_to_check_it(monkeypatch):
+    formula = seeded_true_formula(4, 3, 2)
+    data = transcript_to_bytes(fs_prove_tqbf(formula))
+    written = []
+    to_qdimacs = sumcheck.to_qdimacs
+
+    def counted(f):
+        written.append(f)
+        return to_qdimacs(f)
+
+    for module in (sumcheck, noninteractive):
+        monkeypatch.setattr(module, "to_qdimacs", counted)
+    assert verify_transcript_bytes(formula, data)
+    assert written == [formula]  # the decoder's canonical-form check
+    written.clear()
+    assert fs_verify_tqbf(formula, transcript_from_bytes(data))
+    assert len(written) == 2  # that check, then the message the hashed source encodes
+
+
+def test_the_file_paths_build_no_message_objects(monkeypatch):
+    formula = seeded_true_formula(3, 2, 1)
+    transcript = transcript_to_bytes(fs_prove_tqbf(formula))
+    bundle = bundle_to_bytes(fs_vdf_open(GOLDEN, "101"))
+
+    def built(*_args):
+        raise AssertionError("a Message was built on a file path")
+
+    monkeypatch.setattr(Message, "__post_init__", built)
+    assert transcript_from_bytes(transcript).formula == formula
+    assert verify_transcript_bytes(formula, transcript)
+    assert fs_vdf_verify(bundle_from_bytes(bundle))
+    with pytest.raises(AssertionError, match="Message was built"):
+        bundle_to_messages(bundle_from_bytes(bundle))
+
+
+def _file_equals_object_verdict(formula, data: bytes):
+    """The file verifier's verdict on data against sumcheck_verify's on the
+    decoded transcript; both refuse with DecodeError where data does not
+    decode.  Returns the verdict, or None for a refusal."""
+    try:
+        t = transcript_from_bytes(data)
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as refused:
+            verify_transcript_bytes(formula, data)
+        assert str(refused.value) == str(exc)
+        return None
+    expected = sumcheck_verify(formula, t.p, t)
+    got = verify_transcript_bytes(formula, data)
+    assert (got.accepted, got.reason) == (expected.accepted, expected.reason)
+    return got
+
+
+def test_the_file_verifier_agrees_on_honest_and_cheating_transcripts():
+    reasons = set()
+    formulas = sample_distinct_qbfs(5, 4, 24, seed=20)
+    for i, formula in enumerate(formulas):
+        p = default_prime(formula)
+        transcripts = [
+            fs_prove_tqbf(formula),
+            sumcheck_prove(formula, None, InteractiveChallenges(i)),
+            cheat_prover("wrong-claim", formula, p, FiatShamirChallenges(fiatshamir.TQBF_ORACLE)),
+            cheat_prover("constant-poly", formula, p, InteractiveChallenges(i)),
+            cheat_prover("random-round(1)", formula, p, FiatShamirChallenges(fiatshamir.TQBF_ORACLE), i),
+        ]
+        for tr in transcripts:
+            data = transcript_to_bytes(tr)
+            for against in (formula, formulas[i - 1]):
+                reasons.add(_file_equals_object_verdict(against, data).reason)
+    assert {None, "statement-mismatch", "zero-claim", "round-check"} <= reasons
+
+
+def test_the_file_verifier_agrees_on_every_bit_flip_and_truncation():
+    data = transcript_to_bytes(fs_prove_tqbf(ALT_TRUE))
+    reasons = []
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        flipped = bytes(flipped)
+        verdict = _file_equals_object_verdict(ALT_TRUE, flipped)
+        reasons.append("refused" if verdict is None else verdict.reason)
+        if verdict is not None:  # also against the formula the flipped file names
+            _file_equals_object_verdict(transcript_from_bytes(flipped).formula, flipped)
+    assert {"refused", "statement-mismatch", "round-check", "challenge-mismatch"} <= set(reasons)
+    for cut in range(len(data)):
+        assert _file_equals_object_verdict(ALT_TRUE, data[:cut]) is None
 
 
 def test_transcript_file_roundtrip(tmp_path):

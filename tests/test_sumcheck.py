@@ -7,6 +7,7 @@ import pytest
 from chain_oracle import eval_chain
 from qbf_sampler import sample_distinct_qbfs
 from seqproof.field import UniPoly, lagrange_interpolate, next_prime_at_least
+from seqproof.harness import exp_soundness
 from seqproof.fiatshamir import (
     FiatShamirChallenges,
     InteractiveChallenges,
@@ -365,6 +366,38 @@ def test_formulas_with_the_same_quantifiers_share_one_chain():
         assert ops == chain.__wrapped__(formula.quantifiers)
         assert len(ops) == 7 * 10 // 2
     assert chain.cache_info().currsize == sc.CHAIN_CACHE_ENTRIES
+
+
+def test_coordinate_sets_are_built_once_per_shape():
+    kept = sc._coordinate_sets
+    kept.cache_clear()
+    assert kept.cache_info().maxsize == sc.COORDINATE_CACHE_ENTRIES
+    # a soundness run at n = 2 asks for a handful of shapes thousands of times
+    exp_soundness(2, 2, 1009, trials=1000, seed=4, control_trials=5)
+    info = kept.cache_info()
+    assert 0 < info.currsize == info.misses <= sc.COORDINATE_CACHE_ENTRIES
+    assert info.hits > 10 * info.misses
+    # one proof asks for at most n + 1 shapes; a second proof of the shape builds none
+    kept.cache_clear()
+    formula = random_qbf(random.Random(3), 10, 9)
+    sumcheck_prove(formula, None, InteractiveChallenges(1))
+    shapes = kept.cache_info().misses
+    assert 0 < shapes <= 11
+    sumcheck_prove(formula, None, InteractiveChallenges(2))
+    assert kept.cache_info().misses == shapes
+
+
+def test_the_coordinate_cache_stays_at_its_bound():
+    kept = sc._coordinate_sets
+    kept.cache_clear()
+    shapes = [(bits, width) for bits in range(6) for width in (8, 16, 32, 64, 128, 256)]
+    assert len(shapes) > sc.COORDINATE_CACHE_ENTRIES
+    for bits, width in shapes:
+        sets = kept(bits, width)
+        assert isinstance(sets, tuple) and len(sets) == bits
+        assert sets == kept.__wrapped__(bits, width)
+    assert kept.cache_info().currsize == sc.COORDINATE_CACHE_ENTRIES
+    assert kept(5, 256) == kept.__wrapped__(5, 256)
 
 
 @pytest.mark.parametrize("kind", list(OpKind))
