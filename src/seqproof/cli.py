@@ -25,8 +25,8 @@ from .harness import (
     min_formula_vars,
 )
 from .noninteractive import (
+    file_bytes,
     fs_vdf_verify,
-    hashed_transcript_bytes,
     load_bundle,
     open_bundle,
     save_bundle,
@@ -68,7 +68,7 @@ def _cmd_prove_tqbf(args) -> int:
         print("formula is false; no membership proof exists", file=sys.stderr)
         return 1
     if args.out:
-        data = hashed_transcript_bytes(source) if args.fs else transcript_to_bytes(transcript)
+        data = file_bytes(source) if args.fs else transcript_to_bytes(transcript)
         Path(args.out).write_bytes(data)
         print(f"wrote {args.out}")
     return 0

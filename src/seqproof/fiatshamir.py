@@ -4,9 +4,9 @@ Every protocol message is a (tag, payload) pair encoded as tag byte, 4-byte
 big-endian length, payload.  The encoding is injective, so hashing the
 concatenation commits to the whole conversation so far.
 
-One framing loop, `read_frames`, reads every transcript and bundle file
-into (tag, payload) pairs; `Message` objects are built only for callers
-that ask for them.
+Writers encode each frame once with `encode_message`; one framing function,
+`transcript_decode`, reads every transcript and bundle file back into
+(tag, payload) pairs.
 
 A challenge source absorbs each message as its tag and a zero-argument
 encoder, and calls the encoder only if it reads the bytes: hashed challenges
@@ -67,32 +67,16 @@ class DecodeError(ValueError):
     """Malformed transcript bytes."""
 
 
-@dataclass(frozen=True)
-class Message:
-    tag: int
-    payload: bytes
-
-    def __post_init__(self):
-        if self.tag not in TAG_NAMES:
-            raise ValueError(f"unregistered message tag {self.tag:#x}")
-        if len(self.payload) >= 1 << 32:
-            raise ValueError("payload too large for 4-byte length prefix")
-
-
 def encode_message(tag: int, payload: bytes) -> bytes:
     if tag not in TAG_NAMES:
         raise ValueError(f"unregistered message tag {tag:#x}")
     return bytes([tag]) + len(payload).to_bytes(4, "big") + payload
 
 
-def transcript_encode(messages) -> bytes:
-    return b"".join(encode_message(m.tag, m.payload) for m in messages)
-
-
 _HEADER = struct.Struct(">BI")  # tag byte, 4-byte big-endian payload length
 
 
-def read_frames(data: bytes, pos: int = 0) -> list[tuple[int, bytes]]:
+def transcript_decode(data: bytes, pos: int = 0) -> list[tuple[int, bytes]]:
     """The (tag, payload) pairs framed in data from pos on; the one framing loop."""
     out = []
     end = len(data)
@@ -110,23 +94,11 @@ def read_frames(data: bytes, pos: int = 0) -> list[tuple[int, bytes]]:
     return out
 
 
-def transcript_decode(data: bytes) -> list[Message]:
-    return [Message(tag, payload) for tag, payload in read_frames(data)]
-
-
-def encode_file(messages) -> bytes:
-    return MAGIC + transcript_encode(messages)
-
-
 def file_frames(data: bytes) -> list[tuple[int, bytes]]:
     """The (tag, payload) pairs of a file: the magic, then framed messages."""
     if data[: len(MAGIC)] != MAGIC:
         raise DecodeError("bad magic header")
-    return read_frames(data, len(MAGIC))
-
-
-def decode_file(data: bytes) -> list[Message]:
-    return [Message(tag, payload) for tag, payload in file_frames(data)]
+    return transcript_decode(data, len(MAGIC))
 
 
 # ── fixed-width payload codecs ─────────────────────────────────────────────

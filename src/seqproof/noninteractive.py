@@ -34,11 +34,9 @@ from .fiatshamir import (
     VDF_ORACLE,
     DecodeError,
     FiatShamirChallenges,
-    Message,
     RecordedChallenges,
     decode_poly,
     decode_u64,
-    encode_file,
     encode_message,
     encode_u64,
     file_frames,
@@ -89,10 +87,6 @@ def _expect(frames: list[tuple[int, bytes]], i: int, tag: int) -> bytes:
     return payload
 
 
-def _pairs(msgs: list[Message]) -> list[tuple[int, bytes]]:
-    return [(m.tag, m.payload) for m in msgs]
-
-
 # ── hashed-challenge sum-check ─────────────────────────────────────────────
 
 
@@ -112,29 +106,24 @@ def fs_verify_tqbf(formula: Qbf, transcript: Transcript) -> Verdict:
 
 
 class _Transcriber(RecordedChallenges):
-    """Replays recorded challenges; keeps the mode message, then every message absorbed."""
+    """Replays recorded challenges and encodes every message absorbed."""
 
     def __init__(self, mode: str, challenges):
         super().__init__(challenges)
         self.mode = mode
-        self.messages = [Message(TAG_MODE, mode.encode())]
+        self._parts: list[bytes] = []
 
     def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
-        self.messages.append(Message(tag, encode()))
+        self._parts.append(encode_message(tag, encode()))
+
+    def transcript_bytes(self) -> bytes:
+        return b"".join(self._parts)
 
 
-def transcript_to_messages(transcript: Transcript) -> list[Message]:
-    """The mode message, then what the conversation's challenge source absorbs."""
-    source = _Transcriber(transcript.mode, (rm.challenge for rm in transcript.rounds))
-    conversation = Conversation(source, transcript.formula, transcript.p, transcript.claimed_value)
-    for rm in transcript.rounds:
-        conversation.exchange(rm.poly)
-    return source.messages
-
-
-def transcript_from_messages(msgs: list[Message]) -> Transcript:
-    """Inverse of transcript_to_messages."""
-    return _read_transcript(_pairs(msgs))
+def file_bytes(source) -> bytes:
+    """The file for the conversation a challenge source absorbed: the magic,
+    the mode message, then every message absorbed, as the source encoded it."""
+    return MAGIC + encode_message(TAG_MODE, source.mode.encode()) + source.transcript_bytes()
 
 
 def _read_transcript(frames: list[tuple[int, bytes]]) -> Transcript:
@@ -171,14 +160,12 @@ def _read_transcript(frames: list[tuple[int, bytes]]) -> Transcript:
 
 
 def transcript_to_bytes(transcript: Transcript) -> bytes:
-    return encode_file(transcript_to_messages(transcript))
-
-
-def hashed_transcript_bytes(source: FiatShamirChallenges) -> bytes:
-    """The file transcript_to_bytes writes for the conversation a hashed
-    source drove, built from the bytes the source hashed: the magic, the mode
-    message, then every message absorbed, each encoded once."""
-    return MAGIC + encode_message(TAG_MODE, source.mode.encode()) + source.transcript_bytes()
+    """The transcript's file: its conversation replayed into a _Transcriber."""
+    source = _Transcriber(transcript.mode, (rm.challenge for rm in transcript.rounds))
+    conversation = Conversation(source, transcript.formula, transcript.p, transcript.claimed_value)
+    for rm in transcript.rounds:
+        conversation.exchange(rm.poly)
+    return file_bytes(source)
 
 
 def transcript_from_bytes(data: bytes) -> Transcript:
@@ -265,17 +252,6 @@ def fs_vdf_verify(bundle: VdfBundle) -> VdfVerdict:
     return verify_bundle(bundle)
 
 
-def bundle_to_messages(bundle: VdfBundle) -> list[Message]:
-    """The mode message, what the opening schedule absorbs, then the proof."""
-    source = _Transcriber(bundle.mode, [bundle.challenge])
-    vdf_challenge(source, bundle.params, bundle.x, bundle.output_value)
-    return source.messages + [Message(TAG_VDF_PROOF, proof_to_bytes(bundle.params, bundle.proof))]
-
-
-def bundle_from_messages(msgs: list[Message]) -> VdfBundle:
-    return _read_bundle(_pairs(msgs))
-
-
 def _read_bundle(frames: list[tuple[int, bytes]]) -> VdfBundle:
     if len(frames) != 6:
         raise DecodeError(f"expected six bundle messages, found {len(frames)}")
@@ -301,7 +277,10 @@ def _read_bundle(frames: list[tuple[int, bytes]]) -> VdfBundle:
 
 
 def bundle_to_bytes(bundle: VdfBundle) -> bytes:
-    return encode_file(bundle_to_messages(bundle))
+    """The bundle's file: what the opening schedule absorbs, then the proof."""
+    source = _Transcriber(bundle.mode, [bundle.challenge])
+    vdf_challenge(source, bundle.params, bundle.x, bundle.output_value)
+    return file_bytes(source) + encode_message(TAG_VDF_PROOF, proof_to_bytes(bundle.params, bundle.proof))
 
 
 def bundle_from_bytes(data: bytes) -> VdfBundle:

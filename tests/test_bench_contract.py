@@ -37,6 +37,8 @@ SPANS_USED = (
 )
 # the spans a verify-tqbf call must open: its decode and its verdict
 VERIFY_TQBF_SPANS = ("noninteractive.decode", "sumcheck.verify")
+# the spans a vdf verify call must open: its framing and its decode
+VDF_VERIFY_SPANS = ("fiatshamir.decode", "noninteractive.decode")
 
 
 def _load_tracing():
@@ -78,13 +80,14 @@ def test_tracer_wraps_every_layer_and_leaves_nothing_behind(tmp_path, capsys):
     before = _bindings(sp)
     rec = tracing.Recorder()
     tracer = tracing.Tracer(rec)
-    opened = {}  # spans each command opened
+    opened = {}  # spans each command opened, by its command words
     try:
         tracer.install(sp)
         for argv in calls:
             calls_before = Counter(rec.calls)
             assert sp.cli.main([str(a) for a in argv]) == 0, argv
-            opened[argv[0]] = {name for name in rec.calls if rec.calls[name] > calls_before[name]}
+            command = " ".join(a for a in argv[:2] if not a.startswith("--"))
+            opened[command] = {name for name in rec.calls if rec.calls[name] > calls_before[name]}
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -93,6 +96,8 @@ def test_tracer_wraps_every_layer_and_leaves_nothing_behind(tmp_path, capsys):
         assert rec.calls[name] > 0, name
     for name in VERIFY_TQBF_SPANS:
         assert name in opened["verify-tqbf"], name
+    for name in VDF_VERIFY_SPANS:
+        assert name in opened["vdf verify"], name
     assert rec.counts["sumcheck.f_evals"] > 0
     assert rec.counts["fiatshamir.ro.bytes_hashed"] > 0
     assert rec.counts["turing.steps.live"] > 0

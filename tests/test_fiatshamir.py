@@ -21,22 +21,17 @@ from seqproof.fiatshamir import (
     DecodeError,
     FiatShamirChallenges,
     InteractiveChallenges,
-    Message,
     ReadChallenges,
     RecordedChallenges,
-    decode_file,
     decode_poly,
     decode_u64,
-    encode_file,
     encode_message,
     encode_poly,
     encode_u64,
     file_frames,
-    read_frames,
     replay_challenges,
     ro_challenge,
     transcript_decode,
-    transcript_encode,
 )
 
 
@@ -51,8 +46,6 @@ def test_message_wire_format():
 def test_unregistered_tags_rejected():
     with pytest.raises(ValueError, match="unregistered"):
         encode_message(0xEE, b"")
-    with pytest.raises(ValueError, match="unregistered"):
-        Message(0xEE, b"")
     with pytest.raises(DecodeError, match="unregistered"):
         transcript_decode(b"\xee\x00\x00\x00\x00")
 
@@ -64,29 +57,28 @@ def test_unregistered_tags_rejected():
     )
 )
 def test_framing_roundtrip(pairs):
-    messages = [Message(tag, payload) for tag, payload in pairs]
-    assert transcript_decode(transcript_encode(messages)) == messages
-    assert decode_file(encode_file(messages)) == messages
+    data = b"".join(encode_message(tag, payload) for tag, payload in pairs)
+    assert transcript_decode(data) == pairs
+    assert file_frames(MAGIC + data) == pairs
 
 
 def test_frames_are_the_messages_as_pairs():
-    messages = [Message(TAG_SC_CLAIM, b"one"), Message(TAG_SC_POLY, b""), Message(TAG_SC_PRIME, b"3")]
-    data = encode_file(messages)
-    pairs = [(m.tag, m.payload) for m in messages]
+    pairs = [(TAG_SC_CLAIM, b"one"), (TAG_SC_POLY, b""), (TAG_SC_PRIME, b"3")]
+    data = MAGIC + b"".join(encode_message(tag, payload) for tag, payload in pairs)
     assert file_frames(data) == pairs
-    assert read_frames(data, len(MAGIC)) == pairs
-    assert read_frames(data, len(data)) == []
+    assert transcript_decode(data, len(MAGIC)) == pairs
+    assert transcript_decode(data, len(data)) == []
 
 
 def test_decode_rejects_malformed_streams():
     good = encode_message(TAG_SC_POLY, b"1234")
     with pytest.raises(DecodeError, match="magic"):
-        decode_file(b"SEQPLOOF" + good)
+        file_frames(b"SEQPLOOF" + good)
     with pytest.raises(DecodeError, match="truncated message header"):
         transcript_decode(good + b"\x05\x00")
     with pytest.raises(DecodeError, match="truncated message payload"):
         transcript_decode(good[:-1])
-    assert decode_file(MAGIC) == []
+    assert file_frames(MAGIC) == []
 
 
 def test_u64_codec():

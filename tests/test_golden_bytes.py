@@ -18,15 +18,14 @@ from seqproof.fiatshamir import (
     VDF_ORACLE,
     FiatShamirChallenges,
     InteractiveChallenges,
-    transcript_encode,
 )
 from seqproof.noninteractive import (
     VdfBundle,
     bundle_to_bytes,
+    file_bytes,
     fs_vdf_open,
     fs_vdf_verify,
     transcript_to_bytes,
-    transcript_to_messages,
     vdf_challenge,
 )
 from seqproof.harness import exp_soundness
@@ -162,7 +161,7 @@ def test_transcript_bytes_pinned(index):
     hashed = sumcheck_prove(formula, p, coins)
     assert interactive.claimed_value != 0
     # the hashed bytes are the file bytes after the mode message
-    assert coins.transcript_bytes() == transcript_encode(transcript_to_messages(hashed)[1:])
+    assert file_bytes(coins) == transcript_to_bytes(hashed)
     got = (_digest(transcript_to_bytes(interactive)), _digest(transcript_to_bytes(hashed)))
     assert got == TRANSCRIPT_DIGESTS[index]
 

@@ -4,8 +4,8 @@ Arbitrary bytes, and golden files with one to three bytes overwritten, go
 to each decoder; anything other than a value or DecodeError fails.  Every
 transcript or bundle that decodes must then get a verdict, not an
 exception, from its verifier, and the transcript file verifier must give a
-verdict or DecodeError on the bytes themselves.  A transcript that decodes
-must encode back to the bytes it was read from.
+verdict or DecodeError on the bytes themselves.  A transcript or bundle that
+decodes must encode back to the bytes it was read from.
 """
 
 import dataclasses
@@ -27,9 +27,8 @@ from seqproof.fiatshamir import (
     TAG_VDF_PROOF,
     DecodeError,
     InteractiveChallenges,
-    Message,
     RecordedChallenges,
-    encode_file,
+    encode_message,
     encode_u64,
 )
 from seqproof.noninteractive import (
@@ -148,6 +147,20 @@ def test_a_mutated_transcript_that_decodes_encodes_back_to_its_bytes(pick, edits
     assert transcript_to_bytes(transcript) == data
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    pick=st.integers(0, 2),
+    edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), min_size=1, max_size=3),
+)
+def test_a_mutated_bundle_that_decodes_encodes_back_to_its_bytes(pick, edits):
+    data = _mutated(CASES["bundle"][2], pick, edits)
+    try:
+        bundle = bundle_from_bytes(data)
+    except DecodeError:
+        return
+    assert bundle_to_bytes(bundle) == data
+
+
 def _long_replay_bundle() -> bytes:
     """An interactive bundle with lam = 2^20 - 1 and T = 2^20, challenged at
     step 1 from a non-final state: without a cap on lam, its verifier would
@@ -157,16 +170,15 @@ def _long_replay_bundle() -> bytes:
     params = b"".join(encode_u64(v) for v in fields) + b"huge"
     count = steps - 1
     proof = (1 << 23).to_bytes(3, "big") + count.to_bytes(4, "big") + bytes((count + 3) // 4)
-    return encode_file(
-        [
-            Message(TAG_MODE, b"interactive"),
-            Message(TAG_VDF_PP, params),
-            Message(TAG_VDF_INPUT, b"1011"),
-            Message(TAG_VDF_OUTPUT, encode_u64(5)),
-            Message(TAG_VDF_CHALLENGE, encode_u64(1)),
-            Message(TAG_VDF_PROOF, proof),
-        ]
+    frames = (
+        (TAG_MODE, b"interactive"),
+        (TAG_VDF_PP, params),
+        (TAG_VDF_INPUT, b"1011"),
+        (TAG_VDF_OUTPUT, encode_u64(5)),
+        (TAG_VDF_CHALLENGE, encode_u64(1)),
+        (TAG_VDF_PROOF, proof),
     )
+    return MAGIC + b"".join(encode_message(tag, payload) for tag, payload in frames)
 
 
 def test_a_bundle_that_names_a_huge_lam_is_refused_before_any_replay(tmp_path, capsys):

@@ -15,18 +15,14 @@ from seqproof.fiatshamir import (
     DecodeError,
     FiatShamirChallenges,
     InteractiveChallenges,
-    Message,
-    encode_file,
     encode_message,
     encode_u64,
-    transcript_encode,
+    file_frames,
 )
 from seqproof.noninteractive import (
     VdfBundle,
     bundle_from_bytes,
-    bundle_from_messages,
     bundle_to_bytes,
-    bundle_to_messages,
     fs_prove_tqbf,
     fs_vdf_open,
     fs_vdf_verify,
@@ -36,9 +32,7 @@ from seqproof.noninteractive import (
     save_bundle,
     save_transcript,
     transcript_from_bytes,
-    transcript_from_messages,
     transcript_to_bytes,
-    transcript_to_messages,
     vdf_challenge,
     verify_transcript_bytes,
 )
@@ -49,6 +43,11 @@ from seqproof.sumcheck import cheat_prover, default_prime, sumcheck_prove, sumch
 
 ALT_TRUE = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
+
+
+def _file(frames) -> bytes:
+    """A file framing the given (tag, payload) pairs after the magic."""
+    return MAGIC + b"".join(encode_message(tag, payload) for tag, payload in frames)
 
 
 def test_fs_prove_verify_roundtrip():
@@ -93,7 +92,7 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
     lengths.clear()
     assert fs_verify_tqbf(formula, tr)
     # the bytes the source absorbed are the file's messages after the mode message
-    absorbed = len(transcript_encode(transcript_to_messages(tr)[1:]))
+    absorbed = len(b"".join(encode_message(*f) for f in file_frames(transcript_to_bytes(tr))[1:]))
     last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_u64(tr.rounds[-1].challenge)))
     for run in (proved, lengths):
         assert len(run) == len(tr.rounds) == 65
@@ -141,22 +140,6 @@ def test_the_file_verifier_writes_the_formula_text_only_to_check_it(monkeypatch)
     written.clear()
     assert fs_verify_tqbf(formula, transcript_from_bytes(data))
     assert len(written) == 2  # that check, then the message the hashed source encodes
-
-
-def test_the_file_paths_build_no_message_objects(monkeypatch):
-    formula = seeded_true_formula(3, 2, 1)
-    transcript = transcript_to_bytes(fs_prove_tqbf(formula))
-    bundle = bundle_to_bytes(fs_vdf_open(GOLDEN, "101"))
-
-    def built(*_args):
-        raise AssertionError("a Message was built on a file path")
-
-    monkeypatch.setattr(Message, "__post_init__", built)
-    assert transcript_from_bytes(transcript).formula == formula
-    assert verify_transcript_bytes(formula, transcript)
-    assert fs_vdf_verify(bundle_from_bytes(bundle))
-    with pytest.raises(AssertionError, match="Message was built"):
-        bundle_to_messages(bundle_from_bytes(bundle))
 
 
 def _file_equals_object_verdict(formula, data: bytes):
@@ -232,33 +215,31 @@ def test_transcript_decode_errors():
     with pytest.raises(DecodeError, match="round count"):
         transcript_from_bytes(blob + blob[-13:])
 
-    from seqproof.noninteractive import transcript_from_messages, transcript_to_messages
-
-    msgs = transcript_to_messages(tr)
+    frames = file_frames(blob)
     with pytest.raises(DecodeError, match="expected mode"):
-        transcript_from_messages(msgs[1:] + msgs[:1])
+        transcript_from_bytes(_file(frames[1:] + frames[:1]))
     with pytest.raises(DecodeError, match="unknown mode"):
-        transcript_from_messages([Message(TAG_MODE, b"other")] + msgs[1:])
+        transcript_from_bytes(_file([(TAG_MODE, b"other")] + frames[1:]))
     with pytest.raises(DecodeError, match="round count"):
-        transcript_from_messages(msgs[:-2])
+        transcript_from_bytes(_file(frames[:-2]))
     with pytest.raises(DecodeError, match="modulus"):
-        bad = [msgs[0], Message(msgs[1].tag, (1).to_bytes(8, "big"))] + msgs[2:]
-        transcript_from_messages(bad)
+        bad = [frames[0], (frames[1][0], (1).to_bytes(8, "big"))] + frames[2:]
+        transcript_from_bytes(_file(bad))
     with pytest.raises(DecodeError, match="bad formula"):
-        bad = msgs[:2] + [Message(msgs[2].tag, b"p cnf oops")] + msgs[3:]
-        transcript_from_messages(bad)
+        bad = frames[:2] + [(frames[2][0], b"p cnf oops")] + frames[3:]
+        transcript_from_bytes(_file(bad))
 
 
 def test_transcript_decode_refuses_oversized_formula_before_building_its_chain():
     # header only: the 3000-variable chain would have 4.5 million operators
     n = 3000
     text = f"p cnf {n} 1\ne " + " ".join(map(str, range(1, n + 1))) + " 0\n1 0\n"
-    blob = encode_file(
+    blob = _file(
         [
-            Message(TAG_MODE, b"fiat-shamir"),
-            Message(TAG_SC_PRIME, (1 << 39).to_bytes(8, "big")),
-            Message(TAG_SC_FORMULA, text.encode()),
-            Message(TAG_SC_CLAIM, (1).to_bytes(8, "big")),
+            (TAG_MODE, b"fiat-shamir"),
+            (TAG_SC_PRIME, (1 << 39).to_bytes(8, "big")),
+            (TAG_SC_FORMULA, text.encode()),
+            (TAG_SC_CLAIM, (1).to_bytes(8, "big")),
         ]
     )
     with pytest.raises(DecodeError, match="capped at 16 variables"):
@@ -267,13 +248,14 @@ def test_transcript_decode_refuses_oversized_formula_before_building_its_chain()
 
 def test_transcript_decode_requires_the_canonical_formula_text():
     tr = fs_prove_tqbf(ALT_TRUE)
-    msgs = transcript_to_messages(tr)
-    assert transcript_from_messages(msgs) == tr
+    frames = file_frames(transcript_to_bytes(tr))
+    assert transcript_from_bytes(_file(frames)) == tr
     # same formula, but not the bytes the challenges hashed
-    for text in (b"c note\n" + msgs[2].payload, msgs[2].payload.replace(b"\n", b"\n\n")):
-        bad = msgs[:2] + [Message(msgs[2].tag, text)] + msgs[3:]
+    tag, payload = frames[2]
+    for text in (b"c note\n" + payload, payload.replace(b"\n", b"\n\n")):
+        bad = frames[:2] + [(tag, text)] + frames[3:]
         with pytest.raises(DecodeError, match="canonical"):
-            transcript_from_messages(bad)
+            transcript_from_bytes(_file(bad))
 
 
 def hashed_challenge(pp, x, y):
@@ -361,18 +343,18 @@ def test_fs_vdf_verify_rejects_tampering():
 
 def test_bundle_decode_errors():
     bundle = fs_vdf_open(GOLDEN, "101")
-    msgs = bundle_to_messages(bundle)
+    frames = file_frames(bundle_to_bytes(bundle))
     with pytest.raises(DecodeError, match="six bundle messages"):
-        bundle_from_messages(msgs[:-1])
+        bundle_from_bytes(_file(frames[:-1]))
     with pytest.raises(DecodeError, match="bit string"):
-        bad = msgs[:2] + [Message(msgs[2].tag, b"10x")] + msgs[3:]
-        bundle_from_messages(bad)
+        bad = frames[:2] + [(frames[2][0], b"10x")] + frames[3:]
+        bundle_from_bytes(_file(bad))
     with pytest.raises(DecodeError, match="does not fit"):
-        bad = msgs[:2] + [Message(msgs[2].tag, b"0101")] + msgs[3:]
-        bundle_from_messages(bad)
+        bad = frames[:2] + [(frames[2][0], b"0101")] + frames[3:]
+        bundle_from_bytes(_file(bad))
     with pytest.raises(DecodeError, match="outside the machine"):
-        bad = msgs[:3] + [Message(msgs[3].tag, (1 << 20).to_bytes(8, "big"))] + msgs[4:]
-        bundle_from_messages(bad)
+        bad = frames[:3] + [(frames[3][0], (1 << 20).to_bytes(8, "big"))] + frames[4:]
+        bundle_from_bytes(_file(bad))
 
 
 def _flip_rejects(blob: bytes, pos: int, mask: int, decode, check) -> bool:
