@@ -48,12 +48,12 @@ def main():
     # round k belongs to the chain's k-th operator; the last challenge bound
     # to each variable gives the point where the verifier evaluates the matrix
     point = [None] * n
-    for k, (op, msg) in enumerate(zip(ops, transcript.rounds)):
-        point[op.var - 1] = msg.challenge
+    for k, (op, s, r) in enumerate(zip(ops, transcript.polys, transcript.challenges)):
+        point[op.var - 1] = r
         print(
             f"  round {k:2d}: {op.kind.value:4s} over x{op.var}"
-            f"  degree {len(msg.poly.coeffs) - 1}"
-            f"  coeffs {list(msg.poly.coeffs)}  challenge {msg.challenge}"
+            f"  degree {len(s) - 1}"
+            f"  coeffs {list(s)}  challenge {r}"
         )
     print(f"final evaluation point: {tuple(point)}\n")
 

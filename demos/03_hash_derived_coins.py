@@ -34,8 +34,8 @@ def main():
     formula = parse_qbf(TEXT)
     transcript = fs_prove_tqbf(formula)
     blob = transcript_to_bytes(transcript)
-    print(f"self-contained proof: {len(blob)} bytes, {len(transcript.rounds)} rounds")
-    print(f"first challenges: {[m.challenge for m in transcript.rounds[:4]]}")
+    print(f"self-contained proof: {len(blob)} bytes, {len(transcript.polys)} rounds")
+    print(f"first challenges: {list(transcript.challenges[:4])}")
 
     again = transcript_to_bytes(fs_prove_tqbf(formula))
     print(f"proving twice gives identical bytes: {again == blob}")

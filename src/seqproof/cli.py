@@ -62,7 +62,7 @@ def _cmd_prove_tqbf(args) -> int:
     transcript = sumcheck_prove(formula, args.prime, source)
     print(f"mode {transcript.mode}")
     print(f"prime {transcript.p}")
-    print(f"rounds {len(transcript.rounds)}")
+    print(f"rounds {len(transcript.polys)}")
     print(f"claimed {transcript.claimed_value}")
     if transcript.claimed_value == 0:
         print("formula is false; no membership proof exists", file=sys.stderr)

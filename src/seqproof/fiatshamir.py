@@ -25,8 +25,6 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .field import UniPoly
-
 MAGIC = b"SEQPROOF"
 
 TAG_MODE = 0x01
@@ -114,16 +112,16 @@ def decode_u64(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def encode_poly(poly: UniPoly) -> bytes:
+def encode_poly(coeffs: tuple[int, ...]) -> bytes:
     """4-byte coefficient count, then each coefficient as a u64."""
-    coeffs = poly.coeffs
     try:
         return struct.pack(f">I{len(coeffs)}Q", len(coeffs), *coeffs)
     except struct.error:  # a value past its width: refuse as the to_bytes join does
         return len(coeffs).to_bytes(4, "big") + b"".join(map(encode_u64, coeffs))
 
 
-def decode_poly(data: bytes, p: int) -> UniPoly:
+def decode_poly(data: bytes, p: int) -> tuple[int, ...]:
+    """The coefficients as read; refused unless canonical over F_p."""
     if len(data) < 4:
         raise DecodeError("truncated polynomial")
     (count,) = struct.unpack_from(">I", data)
@@ -134,7 +132,7 @@ def decode_poly(data: bytes, p: int) -> UniPoly:
         raise DecodeError("coefficient outside the field")
     if coeffs and coeffs[-1] == 0:
         raise DecodeError("non-canonical trailing zero coefficient")
-    return UniPoly(coeffs, p)
+    return coeffs
 
 
 # ── random oracle ──────────────────────────────────────────────────────────

@@ -1,11 +1,16 @@
 """Prime moduli, univariate polynomials over F_p, interpolation at 0..d.
 
-Residues are plain ints in [0, p).  `check_prime` refuses a modulus that is
-not a prime at most 2^40; every prover and the verifier call it.  A soundness
-run checks thousands of statements at one prime, so a modulus that has passed
-the primality test is kept in an LRU cache of PRIME_CACHE_ENTRIES = 16 entries
-and not tested again.  The cap is checked on every call, before the cache, and
-a refused modulus is never kept, so it is refused on every call.
+Residues are plain ints in [0, p).  A univariate polynomial is the tuple of
+its coefficients, lowest degree first, in canonical form: each in [0, p), no
+trailing zero, so the zero polynomial is the empty tuple.  `canonical` puts
+coefficients in that form and `poly_eval` evaluates them.
+
+`check_prime` refuses a modulus that is not a prime at most 2^40; every
+prover and the verifier call it.  A soundness run checks thousands of
+statements at one prime, so a modulus that has passed the primality test is
+kept in an LRU cache of PRIME_CACHE_ENTRIES = 16 entries and not tested
+again.  The cap is checked on every call, before the cache, and a refused
+modulus is never kept, so it is refused on every call.
 
 Interpolation at the nodes 0..size-1 multiplies the values by the inverse
 Vandermonde matrix at those nodes: size^2 products a call.  The matrix is
@@ -117,46 +122,21 @@ def check_prime(p: int) -> None:
     _tested_prime(p)
 
 
-class UniPoly:
-    """Univariate polynomial over F_p, coefficients lowest degree first.
+def canonical(coeffs, p: int) -> tuple[int, ...]:
+    """The polynomial with these coefficients over F_p, lowest degree first,
+    in canonical form: each reduced into [0, p), no trailing zero."""
+    cs = [c % p for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
-    Canonical form: no trailing zero coefficients; the zero polynomial is the
-    empty tuple and its degree is -inf, so degree bounds compare cleanly.
-    """
 
-    __slots__ = ("coeffs", "p")
-
-    def __init__(self, coeffs, p: int):
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self.p = p
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and other.p == self.p
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.p))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return f"UniPoly(zero, p={self.p})"
-        return f"UniPoly({list(self.coeffs)}, p={self.p})"
+def poly_eval(coeffs, x: int, p: int) -> int:
+    """The polynomial with these coefficients at x, mod p (Horner's rule)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 # bases kept, one per (size, p): a proof interpolates at n + 3 sizes or fewer
@@ -200,8 +180,9 @@ def _inverse_vandermonde(size: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*columns))
 
 
-def lagrange_interpolate(values, p: int) -> UniPoly:
-    """Polynomial of degree < len(values) taking values[x] at x = 0, 1, 2, ...
+def lagrange_interpolate(values, p: int) -> tuple[int, ...]:
+    """Canonical coefficients of the polynomial of degree < len(values)
+    taking values[x] at x = 0, 1, 2, ...
 
     Each coefficient is one dot product of the values with a row of the
     inverse Vandermonde matrix at 0..size-1, so a call costs size^2 products
@@ -212,4 +193,4 @@ def lagrange_interpolate(values, p: int) -> UniPoly:
     (ValueError).
     """
     rows = _inverse_vandermonde(len(values), p)
-    return UniPoly([sum(map(mul, row, values)) for row in rows], p)
+    return canonical([sum(map(mul, row, values)) for row in rows], p)

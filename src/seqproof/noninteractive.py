@@ -58,7 +58,6 @@ from .shvdf import (
 from .sumcheck import (
     MAX_PROTOCOL_VARS,
     Conversation,
-    RoundMessage,
     Transcript,
     Verdict,
     build_operator_chain,
@@ -149,22 +148,17 @@ def _read_transcript(frames: list[tuple[int, bytes]]) -> Transcript:
     num_rounds = len(build_operator_chain(formula))
     if len(frames) != 4 + 2 * num_rounds:
         raise DecodeError("round count does not match the formula")
-    rounds = tuple(
-        RoundMessage(
-            decode_poly(_expect(frames, 4 + 2 * k, TAG_SC_POLY), p),
-            decode_u64(_expect(frames, 5 + 2 * k, TAG_SC_CHALLENGE)),
-        )
-        for k in range(num_rounds)
-    )
-    return Transcript(formula, p, claim, rounds, mode)
+    polys = tuple(decode_poly(_expect(frames, 4 + 2 * k, TAG_SC_POLY), p) for k in range(num_rounds))
+    challenges = tuple(decode_u64(_expect(frames, 5 + 2 * k, TAG_SC_CHALLENGE)) for k in range(num_rounds))
+    return Transcript(formula, p, claim, polys, challenges, mode)
 
 
 def transcript_to_bytes(transcript: Transcript) -> bytes:
     """The transcript's file: its conversation replayed into a _Transcriber."""
-    source = _Transcriber(transcript.mode, (rm.challenge for rm in transcript.rounds))
+    source = _Transcriber(transcript.mode, transcript.challenges)
     conversation = Conversation(source, transcript.formula, transcript.p, transcript.claimed_value)
-    for rm in transcript.rounds:
-        conversation.exchange(rm.poly)
+    for s in transcript.polys:
+        conversation.exchange(s)
     return file_bytes(source)
 
 
@@ -182,8 +176,8 @@ def verify_transcript_bytes(formula: Qbf, data: bytes) -> Verdict:
     transcript_from_bytes does.
     """
     t = transcript_from_bytes(data)
-    absorbed = data[len(MAGIC) + 5 + len(t.mode) :]  # after the magic and the mode message
-    source = replay_challenges(t.mode, TQBF_ORACLE, (rm.challenge for rm in t.rounds), absorbed)
+    absorbed = data[len(MAGIC) + len(encode_message(TAG_MODE, t.mode.encode())) :]
+    source = replay_challenges(t.mode, TQBF_ORACLE, t.challenges, absorbed)
     return sumcheck_verify(formula, t.p, t, source)
 
 

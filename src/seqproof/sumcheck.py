@@ -41,9 +41,8 @@ from enum import Enum
 from functools import lru_cache
 from operator import add, mul
 
-from .field import MAX_PRIME, UniPoly, check_prime, lagrange_interpolate, next_prime_at_least, sqrt_mod
+from .field import MAX_PRIME, canonical, check_prime, lagrange_interpolate, next_prime_at_least, poly_eval, sqrt_mod
 from .fiatshamir import (
-    MODE_INTERACTIVE,
     TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
@@ -279,7 +278,7 @@ def _eq_suffixes(rs, p: int) -> list[list[int]]:
     return vectors
 
 
-def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> UniPoly:
+def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tuple[int, ...]:
     """Honest message for round k: the suffix after ops[k] as a univariate
     polynomial in ops[k]'s variable, interpolated from its values at
     0..degree, which are read off f's chain tables or, in the final block,
@@ -407,20 +406,15 @@ def _final_round_values(f: ArithPoly, j: int, bindings) -> list[int]:
 
 
 @dataclass(frozen=True)
-class RoundMessage:
-    """Round k's polynomial and challenge; the operator is the chain's k-th."""
-
-    poly: UniPoly
-    challenge: int
-
-
-@dataclass(frozen=True)
 class Transcript:
+    """Round k's polynomial and challenge are polys[k] and challenges[k]."""
+
     formula: Qbf
     p: int
     claimed_value: int
-    rounds: tuple[RoundMessage, ...]
-    mode: str = MODE_INTERACTIVE
+    polys: tuple[tuple[int, ...], ...]
+    challenges: tuple[int, ...]
+    mode: str
 
 
 class Conversation:
@@ -440,7 +434,7 @@ class Conversation:
         challenges.absorb(TAG_SC_FORMULA, lambda: to_qdimacs(formula).encode())
         challenges.absorb(TAG_SC_CLAIM, lambda: encode_u64(claim))
 
-    def exchange(self, s: UniPoly) -> int:
+    def exchange(self, s: tuple[int, ...]) -> int:
         """Send a round polynomial; return the challenge that answers it."""
         self.challenges.absorb(TAG_SC_POLY, lambda: encode_poly(s))
         r = self.challenges.challenge_interval(0, self.p)
@@ -497,15 +491,14 @@ def default_prime(formula: Qbf) -> int:
     return _default_prover(formula).p
 
 
-def _combine(op: Operator, s: UniPoly, bindings, p: int) -> int:
+def _combine(op: Operator, s: tuple[int, ...], bindings, p: int) -> int:
     """What the running claim must equal if s is consistent with the chain.
 
     s(0) is the constant coefficient and s(1) the sum of the coefficients,
     read off without evaluating; the zero polynomial has neither.
     """
-    cs = s.coeffs
-    s0 = cs[0] if cs else 0
-    s1 = sum(cs)
+    s0 = s[0] if s else 0
+    s1 = sum(s)
     if op.kind is OpKind.SUM:
         return (s0 + s1) % p
     if op.kind is OpKind.PROD:
@@ -533,7 +526,7 @@ class HonestProver:
     def claimed_value(self) -> int:
         return self.honest_value
 
-    def round_poly(self, k: int, claim: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> tuple[int, ...]:
         return compute_round_poly(self.ops, k, self.bindings, self.f, self.formula)
 
     def receive_challenge(self, k: int, r: int) -> None:
@@ -548,17 +541,17 @@ class _WrongClaimProver(HonestProver):
     def claimed_value(self) -> int:
         return (self.honest_value + 1) % self.p
 
-    def round_poly(self, k: int, claim: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> tuple[int, ...]:
         op = self.ops[k]
         s = super().round_poly(k, claim)
         if _combine(op, s, self.bindings, self.p) != claim:
             s = self._bend(op, s, claim)
         return s
 
-    def _bend(self, op: Operator, s: UniPoly, target: int) -> UniPoly:
+    def _bend(self, op: Operator, s: tuple[int, ...], target: int) -> tuple[int, ...]:
         p = self.p
         d = round_degree_bound(op, self.formula)
-        v = [s.evaluate(j) for j in range(d + 1)]
+        v = [poly_eval(s, j, p) for j in range(d + 1)]
         if op.kind is OpKind.SUM:
             v[0] = (target - v[1]) % p
         elif op.kind is OpKind.PROD:
@@ -589,10 +582,10 @@ class _RandomRoundProver(HonestProver):
     def claimed_value(self) -> int:
         return self.honest_value if self.honest_value != 0 else 1
 
-    def round_poly(self, k: int, claim: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> tuple[int, ...]:
         if k == self.k_target:
             d = round_degree_bound(self.ops[k], self.formula)
-            return UniPoly([self.rng.randrange(self.p) for _ in range(d + 1)], self.p)
+            return canonical([self.rng.randrange(self.p) for _ in range(d + 1)], self.p)
         return super().round_poly(k, claim)
 
 
@@ -604,7 +597,7 @@ class _ConstantPolyProver(HonestProver):
     def claimed_value(self) -> int:
         return self.honest_value if self.honest_value != 0 else 1
 
-    def round_poly(self, k: int, claim: int) -> UniPoly:
+    def round_poly(self, k: int, claim: int) -> tuple[int, ...]:
         op = self.ops[k]
         if op.kind is OpKind.SUM:
             c = claim * pow(2, -1, self.p) % self.p  # p >= 6, so 2 is a unit
@@ -613,7 +606,7 @@ class _ConstantPolyProver(HonestProver):
             c = claim if root is None else root
         else:
             c = claim
-        return UniPoly((c,), self.p)
+        return canonical((c,), self.p)
 
 
 # ── protocol drivers ───────────────────────────────────────────────────────
@@ -623,14 +616,15 @@ def _drive(session, formula: Qbf, p: int, challenges) -> Transcript:
     """Run the conversation, carrying the running claim as the verifier does."""
     claim = y = session.claimed_value()
     conversation = Conversation(challenges, formula, p, claim)
-    rounds = []
+    polys, rs = [], []
     for k in range(len(session.ops)):
         s = session.round_poly(k, y)
         r = conversation.exchange(s)
         session.receive_challenge(k, r)
-        rounds.append(RoundMessage(s, r))
-        y = s.evaluate(r)
-    return Transcript(formula, p, claim, tuple(rounds), challenges.mode)
+        polys.append(s)
+        rs.append(r)
+        y = poly_eval(s, r, p)
+    return Transcript(formula, p, claim, tuple(polys), tuple(rs), challenges.mode)
 
 
 def sumcheck_prove(formula: Qbf, p: int | None, challenges) -> Transcript:
@@ -707,12 +701,13 @@ def sumcheck_verify(formula: Qbf, p: int, transcript: Transcript, challenges=Non
     ops = build_operator_chain(formula)
     if t.formula != formula or t.p != p:
         return Verdict(False, "statement-mismatch")
-    if len(t.rounds) != len(ops) or not 0 <= t.claimed_value < p:
+    if not len(t.polys) == len(t.challenges) == len(ops) or not 0 <= t.claimed_value < p:
         return Verdict(False, "malformed-transcript")
-    if any(rm.poly.p != p or not 0 <= rm.challenge < p for rm in t.rounds):
+    canonical_over_p = all(not s or (min(s) >= 0 and max(s) < p and s[-1]) for s in t.polys)
+    if not canonical_over_p or not all(0 <= r < p for r in t.challenges):
         return Verdict(False, "malformed-transcript")
     if challenges is None:
-        challenges = replay_challenges(t.mode, TQBF_ORACLE, [rm.challenge for rm in t.rounds])
+        challenges = replay_challenges(t.mode, TQBF_ORACLE, t.challenges)
 
     y = t.claimed_value
     conversation = Conversation(challenges, formula, p, y)
@@ -720,17 +715,16 @@ def sumcheck_verify(formula: Qbf, p: int, transcript: Transcript, challenges=Non
         return Verdict(False, "zero-claim")
 
     bindings: list[int | None] = [None] * formula.num_vars
-    for op, rm in zip(ops, t.rounds):
-        s = rm.poly
-        if s.degree > round_degree_bound(op, formula):
+    for op, s, recorded in zip(ops, t.polys, t.challenges):
+        if len(s) - 1 > round_degree_bound(op, formula):
             return Verdict(False, "degree-overflow")
         if _combine(op, s, bindings, p) != y:
             return Verdict(False, "round-check")
         r = conversation.exchange(s)
-        if rm.challenge != r:
+        if recorded != r:
             return Verdict(False, "challenge-mismatch")
         bindings[op.var - 1] = r
-        y = s.evaluate(r)
+        y = poly_eval(s, r, p)
 
     if ArithPoly(formula, p).evaluate(bindings) != y:
         return Verdict(False, "final-check")

@@ -35,8 +35,9 @@ SPANS_USED = (
     "fiatshamir.ro",
     "noninteractive.encode",
 )
-# the spans a verify-tqbf call must open: its decode and its verdict
-VERIFY_TQBF_SPANS = ("noninteractive.decode", "sumcheck.verify")
+# the spans a verify-tqbf call must open: its framing and round polynomials,
+# its decode and its verdict
+VERIFY_TQBF_SPANS = ("fiatshamir.decode", "noninteractive.decode", "sumcheck.verify")
 # the spans a vdf verify call must open: its framing and its decode
 VDF_VERIFY_SPANS = ("fiatshamir.decode", "noninteractive.decode")
 

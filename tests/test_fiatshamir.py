@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from seqproof.field import UniPoly
+from seqproof.field import canonical
 from seqproof.fiatshamir import (
     MAGIC,
     MAX_CHALLENGE_RANGE,
@@ -92,7 +92,7 @@ def _u64_join(coeffs) -> bytes:
     return len(coeffs).to_bytes(4, "big") + b"".join(c.to_bytes(8, "big") for c in coeffs)
 
 
-def _u64_reader(data: bytes, p: int) -> UniPoly:
+def _u64_reader(data: bytes, p: int) -> tuple[int, ...]:
     """The to_bytes reader decode_poly replaced, refusals in the same order."""
     if len(data) < 4:
         raise DecodeError("truncated polynomial")
@@ -104,12 +104,12 @@ def _u64_reader(data: bytes, p: int) -> UniPoly:
         raise DecodeError("coefficient outside the field")
     if coeffs and coeffs[-1] == 0:
         raise DecodeError("non-canonical trailing zero coefficient")
-    return UniPoly(coeffs, p)
+    return canonical(coeffs, p)
 
 
 def _outcome(decode, data, p):
     try:
-        return decode(data, p).coeffs
+        return decode(data, p)
     except DecodeError as exc:
         return f"refused: {exc}"
 
@@ -121,9 +121,9 @@ _MAX_COEFFS = 3 * 24 + 1  # degree 3m at the most clauses the prime cap allows
 @given(coeffs=st.lists(_U64, max_size=_MAX_COEFFS))
 def test_poly_codec_writes_the_u64_join(coeffs):
     p = 1 << 64  # every u64 is a residue, so the polynomial keeps its coefficients
-    poly = UniPoly(coeffs, p)
+    poly = canonical(coeffs, p)
     data = encode_poly(poly)
-    assert data == _u64_join(poly.coeffs)
+    assert data == _u64_join(poly)
     assert decode_poly(data, p) == poly
 
 
@@ -141,17 +141,17 @@ def test_poly_decoder_reads_and_refuses_as_the_u64_reader(coeffs, count, cut, p)
 
 
 def test_poly_encoder_refuses_what_the_u64_join_refuses():
-    poly = UniPoly([1, 1 << 64], 1 << 65)
+    poly = canonical([1, 1 << 64], 1 << 65)
     with pytest.raises(OverflowError) as expected:
-        _u64_join(poly.coeffs)
+        _u64_join(poly)
     with pytest.raises(OverflowError, match=str(expected.value)):
         encode_poly(poly)
 
 
 def test_poly_codec_is_canonical():
-    poly = UniPoly([3, 0, 5], 7)
-    assert decode_poly(encode_poly(poly), 7).coeffs == (3, 0, 5)
-    assert encode_poly(UniPoly([], 7)) == b"\x00\x00\x00\x00"
+    poly = canonical([3, 0, 5], 7)
+    assert decode_poly(encode_poly(poly), 7) == (3, 0, 5)
+    assert encode_poly(canonical([], 7)) == b"\x00\x00\x00\x00"
     with pytest.raises(DecodeError, match="trailing zero"):
         decode_poly(b"\x00\x00\x00\x01" + encode_u64(0), 7)
     with pytest.raises(DecodeError, match="outside the field"):

@@ -43,7 +43,7 @@ from seqproof.noninteractive import (
     verify_bundle,
     verify_transcript_bytes,
 )
-from seqproof.field import UniPoly
+from seqproof.field import canonical
 from seqproof.qbf import Quantifier, parse_qbf, random_qbf
 from seqproof.shvdf import (
     FORMAT_VERSION,
@@ -202,12 +202,12 @@ def test_a_bent_round_at_the_variable_cap_is_rejected_in_milliseconds():
     assert honest.claimed_value != 0
     # adding x(x - 1) keeps the last round's values at 0 and 1, so its round
     # check passes; the challenge hashed from the bent polynomial does not
-    k = len(honest.rounds) - 1
-    s = honest.rounds[k].poly
-    bent = UniPoly([c + d for c, d in zip(list(s.coeffs) + [0] * 3, [0, -1, 1] + [0] * len(s.coeffs))], honest.p)
-    rounds = list(honest.rounds)
-    rounds[k] = dataclasses.replace(rounds[k], poly=bent)
-    blob = transcript_to_bytes(dataclasses.replace(honest, rounds=tuple(rounds)))
+    k = len(honest.polys) - 1
+    s = honest.polys[k]
+    bent = canonical([c + d for c, d in zip(list(s) + [0] * 3, [0, -1, 1] + [0] * len(s))], honest.p)
+    polys = list(honest.polys)
+    polys[k] = bent
+    blob = transcript_to_bytes(dataclasses.replace(honest, polys=tuple(polys)))
     start = time.perf_counter()
     verdict = fs_verify_tqbf(formula, transcript_from_bytes(blob))
     assert time.perf_counter() - start < 0.5

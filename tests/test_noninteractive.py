@@ -93,9 +93,9 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
     assert fs_verify_tqbf(formula, tr)
     # the bytes the source absorbed are the file's messages after the mode message
     absorbed = len(b"".join(encode_message(*f) for f in file_frames(transcript_to_bytes(tr))[1:]))
-    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_u64(tr.rounds[-1].challenge)))
+    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_u64(tr.challenges[-1])))
     for run in (proved, lengths):
-        assert len(run) == len(tr.rounds) == 65
+        assert len(run) == len(tr.polys) == 65
         assert sum(run) == absorbed - last_challenge
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from chain_oracle import eval_chain
 from qbf_sampler import sample_distinct_qbfs
-from seqproof.field import UniPoly, lagrange_interpolate, next_prime_at_least
+from seqproof.field import canonical, lagrange_interpolate, next_prime_at_least, poly_eval
 from seqproof.harness import exp_soundness
 from seqproof.fiatshamir import (
     FiatShamirChallenges,
@@ -20,6 +20,7 @@ from seqproof.sumcheck import (
     OpKind,
     Operator,
     Transcript,
+    Verdict,
     ArithPoly,
     build_operator_chain,
     chain_value,
@@ -138,10 +139,10 @@ def test_nonzero_iff_true_small_box():
 def test_prove_frozen_single_var():
     t = sumcheck_prove(EXISTS_TAUT, 223, InteractiveChallenges(5))
     assert t.claimed_value == 1
-    assert len(t.rounds) == 2
+    assert len(t.polys) == 2
     assert sumcheck_verify(EXISTS_TAUT, 223, t).accepted
     # the last round message is the arithmetized matrix itself: 3x - 3x^2 + x^3
-    assert t.rounds[1].poly == UniPoly((0, 3, -3, 1), 223)
+    assert t.polys[1] == canonical((0, 3, -3, 1), 223)
 
 
 def test_prove_false_formula_claims_zero_and_is_rejected():
@@ -213,22 +214,18 @@ def _honest_transcript(seed=3):
     return sumcheck_prove(ALT_TRUE, 37, InteractiveChallenges(seed))
 
 
-def _replace_round(t: Transcript, k: int, poly: UniPoly) -> Transcript:
-    rounds = list(t.rounds)
-    rm = rounds[k]
-    rounds[k] = dataclasses.replace(rm, poly=poly)
-    return dataclasses.replace(t, rounds=tuple(rounds))
+def _replace_round(t: Transcript, k: int, poly: tuple[int, ...]) -> Transcript:
+    polys = list(t.polys)
+    polys[k] = poly
+    return dataclasses.replace(t, polys=tuple(polys))
 
 
 def test_reject_degree_overflow():
     t = _honest_transcript()
-    s = t.rounds[0].poly
+    s = t.polys[0]
     # add x(x-1): same values at 0 and 1, degree now 2 > bound 1
-    bumped = UniPoly(
-        [
-            (c + d) % 37
-            for c, d in zip(list(s.coeffs) + [0] * 3, [0, -1, 1] + [0] * len(s.coeffs))
-        ],
+    bumped = canonical(
+        [(c + d) % 37 for c, d in zip(list(s) + [0] * 3, [0, -1, 1] + [0] * len(s))],
         37,
     )
     v = sumcheck_verify(ALT_TRUE, 37, _replace_round(t, 0, bumped))
@@ -237,8 +234,8 @@ def test_reject_degree_overflow():
 
 def test_reject_round_check():
     t = _honest_transcript()
-    s = t.rounds[0].poly
-    shifted = UniPoly([(s.coeffs[0] + 1) % 37] + list(s.coeffs[1:]), 37)
+    s = t.polys[0]
+    shifted = canonical([(s[0] + 1) % 37] + list(s[1:]), 37)
     v = sumcheck_verify(ALT_TRUE, 37, _replace_round(t, 0, shifted))
     assert not v.accepted and v.reason == "round-check"
 
@@ -250,11 +247,11 @@ def test_reject_final_check():
     # value at the final challenge disagrees with the matrix
     t = _honest_transcript()
     p = 37
-    k = len(t.rounds) - 1
-    s = t.rounds[k].poly
-    r_prev = t.rounds[2].challenge  # challenge bound to x2 before the last round
-    target = (r_prev * s.evaluate(1) + (1 - r_prev) * s.evaluate(0)) % p
-    vals = [s.evaluate(j) for j in range(7)]
+    k = len(t.polys) - 1
+    s = t.polys[k]
+    r_prev = t.challenges[2]  # challenge bound to x2 before the last round
+    target = (r_prev * poly_eval(s, 1, p) + (1 - r_prev) * poly_eval(s, 0, p)) % p
+    vals = [poly_eval(s, j, p) for j in range(7)]
     vals[2] = (vals[2] + 1) % p  # perturb an unconstrained interpolation point
     if r_prev != 1:
         vals[0] = ((target - r_prev * vals[1]) * pow((1 - r_prev) % p, p - 2, p)) % p
@@ -273,17 +270,37 @@ def test_reject_statement_mismatch():
 
 def test_reject_malformed_round_count():
     t = _honest_transcript()
-    short = dataclasses.replace(t, rounds=t.rounds[:-1])
+    short = dataclasses.replace(t, polys=t.polys[:-1], challenges=t.challenges[:-1])
     v = sumcheck_verify(ALT_TRUE, 37, short)
     assert not v.accepted and v.reason == "malformed-transcript"
 
 
+# each keeps round 0's values mod p, so its round checks pass
+NON_CANONICAL = {
+    "trailing-zero": lambda s, p: s + (0,),
+    "coefficient-past-p": lambda s, p: (s[0] + p,) + s[1:],
+    "negative-coefficient": lambda s, p: (s[0] - p,) + s[1:],
+}
+
+
+@pytest.mark.parametrize("mode", ["interactive", "fiat-shamir"])
+@pytest.mark.parametrize("bend", [*NON_CANONICAL, "uneven-lengths"])
+def test_reject_round_polys_outside_the_field(mode, bend):
+    coins = InteractiveChallenges(3) if mode == "interactive" else FiatShamirChallenges(TQBF_ORACLE)
+    t = sumcheck_prove(ALT_TRUE, 37, coins)
+    assert t.mode == mode and t.polys[0]
+    if bend == "uneven-lengths":
+        bad = dataclasses.replace(t, challenges=t.challenges[:-1])
+    else:
+        bad = _replace_round(t, 0, NON_CANONICAL[bend](t.polys[0], 37))
+    assert sumcheck_verify(ALT_TRUE, 37, bad) == Verdict(False, "malformed-transcript")
+
+
 def test_reject_fs_challenge_tamper():
     t = sumcheck_prove(ALT_TRUE, 37, FiatShamirChallenges(TQBF_ORACLE))
-    rounds = list(t.rounds)
-    rm = rounds[1]
-    rounds[1] = dataclasses.replace(rm, challenge=(rm.challenge + 1) % 37)
-    bad = dataclasses.replace(t, rounds=tuple(rounds))
+    challenges = list(t.challenges)
+    challenges[1] = (challenges[1] + 1) % 37
+    bad = dataclasses.replace(t, challenges=tuple(challenges))
     v = sumcheck_verify(ALT_TRUE, 37, bad)
     assert not v.accepted and v.reason in ("challenge-mismatch", "malformed-transcript")
 
@@ -322,7 +339,7 @@ def test_cheat_strategy_parsing():
     with pytest.raises(ValueError):
         cheat_prover("random-round(99)", EXISTS_TAUT, 223, InteractiveChallenges(0))
     t = cheat_prover("random-round", EXISTS_TAUT, 223, InteractiveChallenges(0))
-    assert len(t.rounds) == 2
+    assert len(t.polys) == 2
 
 
 @pytest.mark.parametrize(
@@ -404,7 +421,7 @@ def test_the_coordinate_cache_stays_at_its_bound():
 def test_combine_reads_both_ends_off_the_coefficients(kind):
     # what _combine computed by evaluating s at 0 and at 1
     def by_evaluation(op, s, bindings, p):
-        s0, s1 = s.evaluate(0), s.evaluate(1)
+        s0, s1 = poly_eval(s, 0, p), poly_eval(s, 1, p)
         if op.kind is OpKind.SUM:
             return (s0 + s1) % p
         if op.kind is OpKind.PROD:
@@ -415,13 +432,13 @@ def test_combine_reads_both_ends_off_the_coefficients(kind):
     rng = random.Random(f"combine:{kind.value}")
     for p, m in ((223, 1), (1009, 2), (next_prime_at_least(1 << 39), 24)):
         for degree in [-1, 0, 1, 2] + [rng.randrange(3 * m + 1) for _ in range(40)] + [3 * m]:
-            s = UniPoly([rng.randrange(p) for _ in range(degree + 1)], p)
+            s = canonical([rng.randrange(p) for _ in range(degree + 1)], p)
             var = rng.randrange(1, 4)
             bindings = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(3)]
             op = Operator(kind, var, 3)
             assert _combine(op, s, bindings, p) == by_evaluation(op, s, bindings, p), (s, bindings)
-    zero = UniPoly((), 223)
-    assert zero.coeffs == () and _combine(Operator(kind, 1, 1), zero, [5], 223) == 0
+    zero = canonical((), 223)
+    assert zero == () and _combine(Operator(kind, 1, 1), zero, [5], 223) == 0
 
 
 def test_compute_round_poly_matches_protocol_degrees():
@@ -429,7 +446,7 @@ def test_compute_round_poly_matches_protocol_degrees():
     ops = build_operator_chain(ALT_TRUE)
     bindings = [None, None]
     s0 = compute_round_poly(ops, 0, bindings, f, ALT_TRUE)
-    assert s0.degree <= 1
+    assert len(s0) - 1 <= 1
     assert bindings == [None, None]  # restored
 
 
@@ -466,7 +483,7 @@ def test_chain_value_matches_the_exact_integer_chain():
     assert proved >= 30
 
 
-def _reference_round_poly(ops, k, bindings, f, formula) -> UniPoly:
+def _reference_round_poly(ops, k, bindings, f, formula) -> tuple[int, ...]:
     """The round polynomial interpolated from the recursive chain at 0..d."""
     i = ops[k].var - 1
     point = list(bindings)
@@ -535,7 +552,7 @@ def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
         for k, op in enumerate(ops):
             if op.kind is OpKind.LIN and op.block == n:
                 s = compute_round_poly(ops, k, session.bindings, session.f, formula)
-                assert s.degree <= session.f.degree(op.var)
+                assert len(s) - 1 <= session.f.degree(op.var)
                 assert s == _reference_round_poly(ops, k, session.bindings, session.f, formula), (seed, k)
                 rounds += 1
             session.receive_challenge(k, coins.challenge_interval(0, p))
