@@ -27,6 +27,7 @@ from operator import mul
 
 # products of two residues must stay exact; cap keeps everything desk-scale
 MAX_PRIME = 1 << 40
+MAX_PRIME_TEXT = f"2^{MAX_PRIME.bit_length() - 1}"  # the cap as every refusal spells it
 
 
 def is_prime(n: int) -> bool:
@@ -61,12 +62,12 @@ def next_prime_at_least(bound: int) -> int:
         return 2
     if bound > MAX_PRIME:
         # by bit length: a bound past 4300 digits cannot be formatted
-        raise ValueError(f"prime bound of {bound.bit_length()} bits exceeds cap 2^40")
+        raise ValueError(f"prime bound of {bound.bit_length()} bits exceeds cap {MAX_PRIME_TEXT}")
     n = bound
     while not is_prime(n):
         n += 1
         if n > MAX_PRIME:
-            raise ValueError("no prime found below the 2^40 cap")
+            raise ValueError(f"no prime found below the {MAX_PRIME_TEXT} cap")
     return n
 
 
@@ -118,7 +119,7 @@ def check_prime(p: int) -> None:
     # the cap first: is_prime is exact only for n < 3.18 * 10^23, and a hostile
     # modulus can have any number of digits
     if p > MAX_PRIME:
-        raise ValueError(f"modulus of {p.bit_length()} bits exceeds cap 2^40")
+        raise ValueError(f"modulus of {p.bit_length()} bits exceeds cap {MAX_PRIME_TEXT}")
     _tested_prime(p)
 
 

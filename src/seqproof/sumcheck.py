@@ -16,8 +16,8 @@ linearization pass the chain is the multilinear extension of a Boolean
 table, so it keeps the tables T_n (f on the cube) down to T_0 (the chain
 value), 2^(n+1) residues, and reads every round polynomial off them.  It
 multiplies no clause at a point:
-- T_n is one int, the AND over clauses of the OR of their literals' 2^n-bit
-  point sets, unpacked once into the 0/1 table the lower tables join.
+- T_n is one int, the 2^n-point cube minus the points at which some clause
+  is false, unpacked once into the 0/1 table the lower tables join.
 - One running fold per block binds T_{i+1} a challenge at a time for the
   block's linearization rounds and the next quantifier round: O(2^(i+1))
   table work per block, O(2^n) in all.
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import random
 import re
-import sys
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import add, mul
 
-from .field import MAX_PRIME, canonical, check_prime, lagrange_interpolate, next_prime_at_least, poly_eval, sqrt_mod
+from .field import MAX_PRIME, MAX_PRIME_TEXT, canonical, check_prime, lagrange_interpolate, next_prime_at_least, poly_eval, sqrt_mod
 from .fiatshamir import (
     TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
@@ -119,23 +119,19 @@ class ArithPoly:
         """[T_0, ..., T_n], built on first use and kept.
 
         T_n is f on the 2^n cube, bit i-1 of an index being x_i: one byte per
-        point of the AND over clauses of the OR of their literals' point
-        sets.  T_{i-1} joins the two halves of T_i (x_i = 0, x_i = 1) by sum
-        for an existential x_i, by product for a universal one.  T_i[b] is
-        the chain after block i's linearization pass at the Boolean point b,
-        and T_0[0] is the chain value.
+        point, the cube minus the clauses' `_falsified` sets.  T_{i-1} joins
+        the two halves of T_i (x_i = 0, x_i = 1) by sum for an existential x_i,
+        by product for a universal one.  T_i[b] is the chain after block i's
+        linearization pass at the Boolean point b, and T_0[0] is the chain value.
         """
         if self._tables is None:
             p, n = self.p, self.formula.num_vars
             sets = _coordinate_sets(n, 8)
-            truth = -1
+            falsified = 0
             for cl in self.formula.clauses:
-                satisfied = 0
-                for lit in cl:
-                    v = abs(lit) - 1
-                    satisfied |= sets[v] >> (8 << v) if lit < 0 else sets[v]
-                truth &= satisfied
-            table = list(truth.to_bytes(1 << n, "little"))
+                falsified |= _falsified([(abs(lit) - 1, lit < 0) for lit in cl], sets, 8)
+            cube = int.from_bytes(b"\x01" * (1 << n), "little")
+            table = list((cube & ~falsified).to_bytes(1 << n, "little"))
             tables = [table]
             for q in reversed(self.formula.quantifiers):
                 half = len(table) // 2
@@ -194,19 +190,24 @@ COORDINATE_CACHE_ENTRIES = 32
 def _coordinate_sets(bits: int, width: int) -> tuple[int, ...]:
     """For each coordinate v of the cube {0,1}^bits, the points whose bit v
     is 1, as an int with one width-bit field per point: the low bit of
-    field c (bit c*width) is bit v of c.  A block of 2^v clear then 2^v set
-    fields, doubled until it spans the cube; shifted down by 2^v fields,
-    the same int is the set where bit v is 0.  Built once per shape and
-    kept in an LRU cache of COORDINATE_CACHE_ENTRIES entries."""
-    sets, ones = [], 1
-    for v in range(bits):
-        block, size = ones << (width << v), 2 << v
-        while size < 1 << bits:
-            block |= block << size * width
-            size *= 2
-        sets.append(block)
-        ones |= ones << (width << v)
-    return tuple(sets)
+    field c (bit c*width) is bit v of c.  Its little-endian bytes repeat a
+    block of 2^v clear then 2^v set fields; shifted down by 2^v fields, the
+    same int is the set where bit v is 0.  Built once per shape and kept in
+    an LRU cache of COORDINATE_CACHE_ENTRIES entries."""
+    clear, one = bytes(width // 8), (1).to_bytes(width // 8, "little")
+    return tuple(
+        int.from_bytes((clear * (1 << v) + one * (1 << v)) * (1 << (bits - v - 1)), "little") for v in range(bits)
+    )
+
+
+def _falsified(literals, sets, width: int) -> int:
+    """The points at which a clause is false, in `sets`' shape: the AND of
+    its literals' false-sets.  A literal is a (coordinate, negated) pair,
+    false at the points whose bit at coordinate equals negated."""
+    points = -1
+    for coord, negated in literals:
+        points &= sets[coord] if negated else sets[coord] >> (width << coord)
+    return points
 
 
 # chains kept, one per quantifier prefix: a soundness run draws thousands of
@@ -326,7 +327,8 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tup
 
 
 # the falsified-clause pattern of a suffix point is one unsigned field of
-# 8, 16 or 32 bits; check_statement's m <= 24 fits every pattern in 32
+# 8, 16 or 32 bits, read little-endian on every host; check_statement's
+# m <= 24 fits every pattern in 32
 _PATTERN_CODES = {8: "B", 16: "H", 32: "I"}
 
 
@@ -374,19 +376,12 @@ def _final_round_values(f: ArithPoly, j: int, bindings) -> list[int]:
     width = next(w for w in _PATTERN_CODES if w > len(mixed))
     bits = n - j
     sets = _coordinate_sets(bits, width)
-
-    def falsified(suffix) -> int:
-        points = -1
-        for coord, neg in suffix:
-            points &= sets[coord] if neg else sets[coord] >> (width << coord)
-        return points
-
     pattern = 0
     for suffix in struck:
-        pattern |= falsified(suffix)
+        pattern |= _falsified(suffix, sets, width)
     for bit, (suffix, _g) in enumerate(mixed, start=1):
-        pattern |= falsified(suffix) << bit
-    fields = memoryview(pattern.to_bytes(width // 8 << bits, sys.byteorder)).cast(_PATTERN_CODES[width])
+        pattern |= _falsified(suffix, sets, width) << bit
+    fields = struct.unpack(f"<{1 << bits}{_PATTERN_CODES[width]}", pattern.to_bytes(width // 8 << bits, "little"))
     groups: dict[int, int] = {}
     for key, w in zip(fields, f.eq_weights(bindings[j:])):
         groups[key] = groups.get(key, 0) + w
@@ -466,7 +461,7 @@ def check_statement(n: int, m: int, p: int | None = None) -> int:
     if n > MAX_PROTOCOL_VARS:
         raise ValueError(f"protocol capped at {MAX_PROTOCOL_VARS} variables")
     if m > MAX_PRIME.bit_length() or (1 << n) * 3**m > MAX_PRIME:
-        raise ValueError(f"2^n*3^m for n = {n}, m = {m} exceeds the 2^40 prime cap")
+        raise ValueError(f"2^n*3^m for n = {n}, m = {m} exceeds the {MAX_PRIME_TEXT} prime cap")
     least = (1 << n) * 3**m
     if p is not None:
         check_prime(p)

@@ -18,7 +18,7 @@ from seqproof.noninteractive import (
     save_transcript,
     transcript_to_bytes,
 )
-from seqproof.qbf import to_qdimacs
+from seqproof.qbf import eval_qbf_bruteforce, parse_qbf, to_qdimacs
 from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
 from seqproof.sumcheck import sumcheck_prove
 
@@ -116,6 +116,28 @@ def test_verify_rejects_a_composite_prime_with_a_verdict(tmp_path, formula_file,
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 1
     captured = capsys.readouterr()
     assert captured.out == "rejected (statement-mismatch)\n" and captured.err == ""
+
+
+# the same formula as CANONICAL, written with comments, blank lines, a short
+# clause that parsing pads, and the universal run split over two lines
+CANONICAL = "p cnf 3 3\na 1 2 0\ne 3 0\n1 3 3 0\n-1 2 -3 0\n-2 3 1 0\n"
+NON_CANONICAL = "c spelled by hand\n\np cnf 3 3\na 1 0\n\na 2 0\ne 3 0\nc clauses\n1 3 0\n-1 2 -3 0\n\n-2 3 1 0\n"
+
+
+@pytest.mark.parametrize("fs", [False, True])
+def test_verify_reads_the_formula_not_its_spelling(tmp_path, capsys, fs):
+    assert to_qdimacs(parse_qbf(NON_CANONICAL)) == CANONICAL and eval_qbf_bruteforce(parse_qbf(CANONICAL))
+    canonical, spelled, transcript = tmp_path / "c.qdimacs", tmp_path / "s.qdimacs", str(tmp_path / "t.transcript")
+    canonical.write_text(CANONICAL)
+    spelled.write_text(NON_CANONICAL)
+    assert main(["prove-tqbf", "--in", str(canonical), "--out", transcript] + ["--fs"] * fs) == 0
+    capsys.readouterr()
+    assert main(["verify-tqbf", "--in", str(spelled), "--transcript", transcript]) == 0
+    assert capsys.readouterr() == ("accepted\n", "")
+    # one literal differs: -1 2 -3 becomes -1 -2 -3
+    spelled.write_text(NON_CANONICAL.replace("-1 2 -3 0", "-1 -2 -3 0"))
+    assert main(["verify-tqbf", "--in", str(spelled), "--transcript", transcript]) == 1
+    assert capsys.readouterr() == ("rejected (statement-mismatch)\n", "")
 
 
 def test_custom_prime(formula_file, capsys):

@@ -417,6 +417,41 @@ def test_the_coordinate_cache_stays_at_its_bound():
     assert kept(5, 256) == kept.__wrapped__(5, 256)
 
 
+def _fields(points: int, bits: int, width: int) -> list[int]:
+    """The 2^bits width-bit fields of a point set, field c first."""
+    mask = (1 << width) - 1
+    return [points >> (c * width) & mask for c in range(1 << bits)]
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_coordinate_sets_hold_bit_v_of_each_point(width):
+    # field c of set v is bit v of c, and nothing else: no other bit of a
+    # field and no bit past the cube's last field
+    for bits in range(9):
+        sets = sc._coordinate_sets(bits, width)
+        assert len(sets) == bits
+        for v, points in enumerate(sets):
+            assert points >> (width << bits) == 0, (bits, v)
+            assert _fields(points, bits, width) == [c >> v & 1 for c in range(1 << bits)], (bits, v)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_falsified_marks_the_points_where_every_literal_is_false(width):
+    # a literal (v, negated) is false at c when bit v of c equals negated
+    rng = random.Random(2424)
+    for bits in range(1, 9):
+        sets = sc._coordinate_sets(bits, width)
+        triples = [[(rng.randrange(bits), rng.random() < 0.5) for _ in range(3)] for _ in range(12)]
+        # a repeated literal, one literal three times, and x beside not x (never false)
+        v, w = rng.randrange(bits), rng.randrange(bits)
+        triples += [[(v, False), (v, False), (w, True)], [(v, True)] * 3, [(v, False), (v, True), (w, False)]]
+        for literals in triples:
+            points = sc._falsified(literals, sets, width)
+            assert points >> (width << bits) == 0, literals
+            expected = [int(all((c >> u & 1) == negated for u, negated in literals)) for c in range(1 << bits)]
+            assert _fields(points, bits, width) == expected, (bits, literals)
+
+
 @pytest.mark.parametrize("kind", list(OpKind))
 def test_combine_reads_both_ends_off_the_coefficients(kind):
     # what _combine computed by evaluating s at 0 and at 1
