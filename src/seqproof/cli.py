@@ -5,7 +5,10 @@ accepted, an experiment's pass criterion was met, or an artifact was
 produced.  Malformed inputs and rejections exit 1.
 
 The parser is built from the COMMANDS table on the first `main` call and
-reused by every later call in the process.
+reused by every later call in the process.  `main` hands the words after a
+command's name straight to that command's own parser; argv that names no
+command, or that the command's parser leaves unread, goes to the whole tree,
+which prints what it always has.
 """
 
 from __future__ import annotations
@@ -269,7 +272,11 @@ COMMANDS = (
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser for every row of COMMANDS, built on first use and kept."""
+    """The parser for every row of COMMANDS, built on first use and kept.
+
+    Its `command_parsers` maps each row's words to that command's parser,
+    the one the tree hands the rest of argv to after those words.
+    """
     parser = argparse.ArgumentParser(
         prog="seqproof",
         description="interactive proofs, a breakable delay function, and measurements",
@@ -285,11 +292,29 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in arguments:
             parsers[words].add_argument(flag, **keywords)
         parsers[words].set_defaults(func=handler)
+    parser.command_parsers = {words: parsers[words] for words, *_ in COMMANDS}
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the command it names, as the tree would.
+
+    The tree's subcommand action passes that parser the same words and
+    raises only for what it leaves unread; that case, and argv naming no
+    command, goes to the tree itself, for its usage and error text.
+    """
+    parser = build_parser()
+    depth = 2 if argv and argv[0] in GROUPS else 1
+    command = parser.command_parsers.get(tuple(argv[:depth]))
+    if command is not None:
+        args, unread = command.parse_known_args(argv[depth:])
+        if not unread:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -125,24 +125,31 @@ def file_bytes(source) -> bytes:
     return MAGIC + encode_message(TAG_MODE, source.mode.encode()) + source.transcript_bytes()
 
 
-def _read_transcript(frames: list[tuple[int, bytes]]) -> Transcript:
+def _read_transcript(frames: list[tuple[int, bytes]], formula: Qbf | None = None) -> Transcript:
     """The schedule reader: a transcript from its (tag, payload) pairs, in
-    the schedule's order."""
+    the schedule's order.
+
+    A formula whose canonical text is the formula payload stands for it,
+    since parsing that text gives an equal formula; any other payload is
+    parsed.
+    """
     mode = _decode_mode(_expect(frames, 0, TAG_MODE))
     p = decode_u64(_expect(frames, 1, TAG_SC_PRIME))
     if p < 2:
         raise DecodeError("modulus too small")
     raw = _expect(frames, 2, TAG_SC_FORMULA)
-    try:
-        formula = parse_qbf(raw.decode())
-    except (UnicodeDecodeError, QbfParseError) as exc:
-        raise DecodeError(f"bad formula payload: {exc}")
+    reused = formula is not None and to_qdimacs(formula).encode() == raw
+    if not reused:
+        try:
+            formula = parse_qbf(raw.decode())
+        except (UnicodeDecodeError, QbfParseError) as exc:
+            raise DecodeError(f"bad formula payload: {exc}")
     if formula.num_vars > MAX_PROTOCOL_VARS:
         raise DecodeError(
             f"formula has {formula.num_vars} variables; the protocol is capped at "
             f"{MAX_PROTOCOL_VARS} variables"
         )
-    if to_qdimacs(formula).encode() != raw:
+    if not reused and to_qdimacs(formula).encode() != raw:
         raise DecodeError("formula payload is not in canonical form")
     claim = decode_u64(_expect(frames, 3, TAG_SC_CLAIM))
     num_rounds = len(build_operator_chain(formula))
@@ -162,8 +169,10 @@ def transcript_to_bytes(transcript: Transcript) -> bytes:
     return file_bytes(source)
 
 
-def transcript_from_bytes(data: bytes) -> Transcript:
-    return _read_transcript(file_frames(data))
+def transcript_from_bytes(data: bytes, formula: Qbf | None = None) -> Transcript:
+    """Decode a transcript file; a formula given stands for a formula payload
+    that is its canonical text, with the same checks and errors."""
+    return _read_transcript(file_frames(data), formula)
 
 
 def verify_transcript_bytes(formula: Qbf, data: bytes) -> Verdict:
@@ -172,10 +181,11 @@ def verify_transcript_bytes(formula: Qbf, data: bytes) -> Verdict:
 
     The verdict is sumcheck_verify's on the decoded transcript: the decoder
     accepts only canonical encodings, so the bytes read are the bytes the
-    verifier's messages encode to.  Raises DecodeError as
-    transcript_from_bytes does.
+    verifier's messages encode to.  The decoder is handed formula, so a
+    file that carries formula's canonical text does not parse it again.
+    Raises DecodeError as transcript_from_bytes does.
     """
-    t = transcript_from_bytes(data)
+    t = transcript_from_bytes(data, formula)
     absorbed = data[len(MAGIC) + len(encode_message(TAG_MODE, t.mode.encode())) :]
     source = replay_challenges(t.mode, TQBF_ORACLE, t.challenges, absorbed)
     return sumcheck_verify(formula, t.p, t, source)

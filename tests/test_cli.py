@@ -2,14 +2,19 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seqproof
 from qbf_sampler import seeded_true_formula
-from seqproof import shvdf
+from seqproof import cli, noninteractive, shvdf
 from seqproof.cli import COMMANDS, build_parser, main
-from seqproof.fiatshamir import InteractiveChallenges
+from seqproof.fiatshamir import MAGIC, TAG_MODE, TAG_SC_CLAIM, TAG_SC_FORMULA, TAG_SC_PRIME
+from seqproof.fiatshamir import InteractiveChallenges, encode_message, encode_u64, file_frames
 from seqproof.noninteractive import (
     fs_prove_tqbf,
     load_bundle,
@@ -457,3 +462,146 @@ def test_main_builds_the_parser_once_per_process(tmp_path, formula_file, monkeyp
     built.clear()
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 0
     assert built == []
+
+
+# spellings the corpus above leaves out: an attached value, an abbreviated
+# option, a repeated option, the end-of-options marker, a negative number
+MORE_ARGV = [
+    ["verify-tqbf", "--in=f", "--transcript", "t"],
+    ["verify-tqbf", "--in", "f", "--tr", "t"],
+    ["verify-tqbf", "--in", "f", "--in", "g", "--transcript", "t"],
+    ["verify-tqbf", "--in", "f", "--transcript", "t", "--"],
+    ["prove-tqbf", "--", "--in", "f"],
+    ["prove-tqbf", "--in", "f", "--prime", "-7"],
+    ["vdf", "verify", "--proof=p", "--pp", "-1"],
+]
+
+
+def _main_parse(argv):
+    """What main parses argv to, with a fresh parser whose handlers only
+    record: the exit code, or (handler, namespace); with what was printed."""
+    parser, seen = build_parser.__wrapped__(), []
+    for command in parser.command_parsers.values():
+        handler = command.get_default("func")
+        command.set_defaults(func=lambda args, handler=handler: seen.append((handler, vars(args))) or 0)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: parser)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = main(argv)
+            except SystemExit as exc:
+                result = exc.code
+    return (seen[0] if seen else result), out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _argv_corpus() + MORE_ARGV, ids=" ".join)
+def test_main_parses_like_the_whole_tree(argv):
+    # main goes straight to the named command's parser; what it prints and
+    # what the handler reads must be what the whole tree gives
+    got, out, err = _main_parse(argv)
+    want, want_out, want_err = _parse(build_parser.__wrapped__(), argv)
+    assert (out, err) == (want_out, want_err)
+    if isinstance(want, dict):
+        handler, namespace = got
+        assert handler is want["func"]
+        # the tree adds only the command words it chose
+        assert {key for key in want if key not in namespace} <= {"command", "vdf_command", "exp_command"}
+        assert {key: want[key] for key in namespace if key != "func"} == {
+            key: value for key, value in namespace.items() if key != "func"
+        }
+    else:
+        assert got == want
+
+
+def test_verify_tqbf_parses_a_formula_the_transcript_carries_once(tmp_path, monkeypatch, capsys):
+    parsed = []
+    for module in (cli, noninteractive):
+        monkeypatch.setattr(module, "parse_qbf", lambda text, parse=parse_qbf: parsed.append(text) or parse(text))
+    canonical, spelled, transcript = tmp_path / "c.qdimacs", tmp_path / "s.qdimacs", tmp_path / "t.transcript"
+    canonical.write_text(CANONICAL)
+    transcript.write_bytes(transcript_to_bytes(fs_prove_tqbf(parse_qbf(CANONICAL))))
+    # the same formula spelled by hand has the payload as its canonical text;
+    # a formula one literal away does not, so the payload is parsed too
+    for text, calls, printed in (
+        (CANONICAL, 1, "accepted\n"),
+        (NON_CANONICAL, 1, "accepted\n"),
+        (NON_CANONICAL.replace("-1 2 -3 0", "-1 -2 -3 0"), 2, "rejected (statement-mismatch)\n"),
+    ):
+        spelled.write_text(text)
+        parsed.clear()
+        main(["verify-tqbf", "--in", str(spelled), "--transcript", str(transcript)])
+        assert capsys.readouterr() == (printed, "")
+        assert len(parsed) == calls, text
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_verify_tqbf_on_a_flipped_formula_payload_decodes_as_without_the_formula(tmp_path, monkeypatch):
+    # every bit of the payload: main must answer as the path that decodes the
+    # file on its own, then verifies
+    path, transcript = tmp_path / "f.qdimacs", tmp_path / "t.transcript"
+    path.write_text(CANONICAL)
+    data = transcript_to_bytes(fs_prove_tqbf(parse_qbf(CANONICAL)))
+    frames = file_frames(data)
+    tag, payload = frames[2]
+    assert tag == TAG_SC_FORMULA
+    start = len(MAGIC) + len(b"".join(encode_message(*frame) for frame in frames[:2])) + 5
+    assert data[start : start + len(payload)] == payload
+    decode = noninteractive.transcript_from_bytes
+    argv = ["verify-tqbf", "--in", str(path), "--transcript", str(transcript)]
+    outcomes = set()
+    for bit in range(8 * len(payload)):
+        flipped = bytearray(data)
+        flipped[start + bit // 8] ^= 0x80 >> (bit % 8)
+        transcript.write_bytes(bytes(flipped))
+        got = _main_captured(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(noninteractive, "transcript_from_bytes", lambda data, formula=None: decode(data))
+            want = _main_captured(argv)
+        assert got == want, bit
+        outcomes.add(got[2].split(":")[1] if got[2] else got[1])
+    # a flipped digit can name another formula in range, which decodes
+    assert outcomes == {" bad formula payload", " formula payload is not in canonical form\n",
+                        "rejected (statement-mismatch)\n"}
+
+
+def test_verify_tqbf_refuses_a_formula_over_the_cap_given_twice(tmp_path, capsys):
+    # the --in file is the payload's own canonical text, so the decoder uses
+    # the formula it is given; the variable cap must still refuse it
+    text = "p cnf 17 1\ne " + " ".join(map(str, range(1, 18))) + " 0\n1 1 1 0\n"
+    assert to_qdimacs(parse_qbf(text)) == text
+    path, transcript = tmp_path / "big.qdimacs", tmp_path / "big.transcript"
+    path.write_text(text)
+    transcript.write_bytes(MAGIC + b"".join(encode_message(tag, payload) for tag, payload in (
+        (TAG_MODE, b"fiat-shamir"), (TAG_SC_PRIME, encode_u64(1009)),
+        (TAG_SC_FORMULA, text.encode()), (TAG_SC_CLAIM, encode_u64(1)))))
+    assert main(["verify-tqbf", "--in", str(path), "--transcript", str(transcript)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: formula has 17 variables; the protocol is capped at 16 variables\n")
+
+
+def test_the_module_runs_as_a_program_reading_sys_argv(tmp_path, capsys):
+    # main(None) reads sys.argv; run the module as `python -m seqproof.cli`
+    env = dict(os.environ, PYTHONPATH=str(Path(seqproof.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "seqproof.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    (tmp_path / "f.qdimacs").write_text(TRUE_FORMULA)
+    assert run("prove-tqbf", "--in", "f.qdimacs", "--fs", "--out", "f.transcript").returncode == 0
+    done = run("verify-tqbf", "--in", "f.qdimacs", "--transcript", "f.transcript")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "accepted\n", "")
+    done = run("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: seqproof [-h]")
+    done = run("frobnicate")
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2 and done.returncode == 2
+    assert done.stdout == "" and done.stderr == capsys.readouterr().err

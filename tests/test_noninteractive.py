@@ -242,20 +242,23 @@ def test_transcript_decode_refuses_oversized_formula_before_building_its_chain()
             (TAG_SC_CLAIM, (1).to_bytes(8, "big")),
         ]
     )
-    with pytest.raises(DecodeError, match="capped at 16 variables"):
-        transcript_from_bytes(blob)
+    # also when the decoder is handed the formula the payload spells
+    for given in (None, parse_qbf(text)):
+        with pytest.raises(DecodeError, match="capped at 16 variables"):
+            transcript_from_bytes(blob, given)
 
 
 def test_transcript_decode_requires_the_canonical_formula_text():
     tr = fs_prove_tqbf(ALT_TRUE)
     frames = file_frames(transcript_to_bytes(tr))
-    assert transcript_from_bytes(_file(frames)) == tr
-    # same formula, but not the bytes the challenges hashed
-    tag, payload = frames[2]
-    for text in (b"c note\n" + payload, payload.replace(b"\n", b"\n\n")):
-        bad = frames[:2] + [(tag, text)] + frames[3:]
-        with pytest.raises(DecodeError, match="canonical"):
-            transcript_from_bytes(_file(bad))
+    for given in (None, ALT_TRUE):
+        assert transcript_from_bytes(_file(frames), given) == tr
+        # same formula, but not the bytes the challenges hashed
+        tag, payload = frames[2]
+        for text in (b"c note\n" + payload, payload.replace(b"\n", b"\n\n")):
+            bad = frames[:2] + [(tag, text)] + frames[3:]
+            with pytest.raises(DecodeError, match="canonical"):
+                transcript_from_bytes(_file(bad), given)
 
 
 def hashed_challenge(pp, x, y):
