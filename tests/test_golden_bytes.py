@@ -5,14 +5,20 @@ these digests unchanged; a changed digest means a changed file format or a
 changed Fiat-Shamir challenge.  The formulas are true and n <= 6.  Cheating
 provers' transcripts are pinned with the reason each is rejected for, and
 soundness reports by the digest of their JSON, which counts every trial's
-verdict.
+verdict.  Wide formulas (m up to 23) pin the final block's 16- and 32-bit
+pattern fields, and one digest pins what `verify-tqbf` prints for every
+one-bit flip and truncation of a corpus file.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 
 import pytest
 
+from qbf_sampler import seeded_true_formula
+from seqproof import cli, sumcheck
 from seqproof.fiatshamir import (
     TQBF_ORACLE,
     VDF_ORACLE,
@@ -29,7 +35,7 @@ from seqproof.noninteractive import (
     vdf_challenge,
 )
 from seqproof.harness import exp_soundness
-from seqproof.qbf import parse_qbf
+from seqproof.qbf import parse_qbf, to_qdimacs
 from seqproof.shvdf import VdfParams, vdf_attack, vdf_eval, vdf_open, vdf_setup
 from seqproof.sumcheck import cheat_prover, default_prime, sumcheck_prove, sumcheck_verify
 
@@ -200,3 +206,69 @@ def test_forged_bundle_bytes_pinned(index):
 def test_soundness_report_bytes_pinned(case):
     n, m, p, seed, digest = case
     assert _digest(exp_soundness(n, m, p, trials=1000, seed=seed).to_json().encode()) == digest
+
+
+# (n, m, digest of the interactive transcript with coin seed m, digest of the
+# Fiat-Shamir transcript) for seeded_true_formula(n, m, m)
+WIDE_TRANSCRIPT_DIGESTS = (
+    (2, 8, "1474190fc85aa9e5fa5ab08804aaf53452fde02f704a022465f87dc72140415f",
+     "e8e597015714482924c86ab3f53e1cf6e17c361e07e47eabad7be2c66abc7d4b"),
+    (2, 16, "fda063e5ef4892415892144d0b00fa96dbb85e6cc937e54deb65693251a0f78b",
+     "0ae43bd921e714c48332400bfe54ed4c4c4903518a105960ec517853a7c7f75c"),
+    (2, 23, "7aa79540275dbe4b895bb6822812aec1a6e78fdc1a992cbf9d3a863ee26fb872",
+     "d7c95461b7b4e3da41ca0b7a1e0d39b23c3bf8134a6a6759434074529a816801"),
+    (3, 8, "f8edc9ba50c9a9016ce882053a9778cb13cc36e1bb87c6e382d2049dd80415d5",
+     "f196c895c0db1529d86068520b7c9a46cf211f026c6df2e57e18c87736b0b95c"),
+    (3, 16, "9df043e70d30b887f22ba6a163e49f9742b0d27c6d379a78bb2920fbe8e0a36c",
+     "5b4ab2ac2de15df486afbaefbe334c1cd222466ae85b095e20fda9f3fdf0c1ca"),
+    (3, 23, "dc4b44f9ce1f12d98e6ba446ee380074ad2e4fdb3822c07e6ee424b17af608bf",
+     "85595282c1eaf3e3243e6df55211392ee67a14b15d8479bd570b63430d70bb3f"),
+)
+
+
+def test_wide_transcript_bytes_pinned(monkeypatch):
+    widths = set()
+    coordinate_sets = sumcheck._coordinate_sets
+
+    def recorded(bits, width):
+        widths.add(width)
+        return coordinate_sets(bits, width)
+
+    monkeypatch.setattr(sumcheck, "_coordinate_sets", recorded)
+    got = []
+    for n, m, *_ in WIDE_TRANSCRIPT_DIGESTS:
+        formula = seeded_true_formula(n, m, m)
+        interactive = sumcheck_prove(formula, None, InteractiveChallenges(m))
+        coins = FiatShamirChallenges(TQBF_ORACLE)
+        hashed = sumcheck_prove(formula, None, coins)
+        assert file_bytes(coins) == transcript_to_bytes(hashed)
+        got.append((n, m, _digest(transcript_to_bytes(interactive)), _digest(transcript_to_bytes(hashed))))
+    assert tuple(got) == WIDE_TRANSCRIPT_DIGESTS
+    assert {16, 32} <= widths
+
+
+# SHA-256 over (exit code, stdout, stderr) of `verify-tqbf` on each one-bit
+# flip, then each truncation, of CORPUS[1]'s Fiat-Shamir file, then the same
+# for its interactive file (coin seed 1)
+VERIFY_OUTPUTS_DIGEST = "9603afc84f3d718b313a019e9c7fc0356a871f3801e83d5e641c9e8ee78cb40e"
+
+
+def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
+    formula = parse_qbf(CORPUS[1])
+    path, transcript = tmp_path / "f.qdimacs", tmp_path / "t.transcript"
+    path.write_text(to_qdimacs(formula))
+    argv = ["verify-tqbf", "--in", str(path), "--transcript", str(transcript)]
+    digest, calls = hashlib.sha256(), 0
+    for coins in (FiatShamirChallenges(TQBF_ORACLE), InteractiveChallenges(1)):
+        data = transcript_to_bytes(sumcheck_prove(formula, None, coins))
+        flips = (data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :] for bit in range(8 * len(data)))
+        cuts = (data[:cut] for cut in range(len(data)))
+        for variant in (*flips, *cuts):
+            transcript.write_bytes(variant)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            digest.update(repr((rc, out.getvalue(), err.getvalue())).encode())
+            calls += 1
+    assert calls == 5130
+    assert digest.hexdigest() == VERIFY_OUTPUTS_DIGEST
