@@ -9,12 +9,15 @@ Writers encode each frame once with `encode_message`; one framing function,
 (tag, payload) pairs.
 
 A challenge source absorbs each message as its tag and a zero-argument
-encoder, and calls the encoder only if it reads the bytes: hashed challenges
-do, rng coins and replayed challenges do not.  A hashed source may also
-replay the bytes of a file already read instead of calling encoders: the
-decoders accept only canonical encodings, so those bytes are the ones the
-encoders would give.  Each source names the mode of the transcripts it
-yields; only this module pairs modes with sources.
+encoder, and calls the encoder only if it needs the bytes: rng coins and
+replayed challenges ignore them.  The one hashed source keeps the framed
+messages in a byte buffer and hashes each span of it once.  A prover's
+source appends each message's frame to an empty buffer; a verifier's source
+steps through the buffer of a file already read, checking each frame's tag
+and calling no encoder.  The decoders accept only canonical encodings, so
+the bytes stepped through are the ones the encoders would append.  Each
+source names the mode of the transcripts it yields; only this module pairs
+modes with sources.
 """
 
 from __future__ import annotations
@@ -184,53 +187,30 @@ class InteractiveChallenges:
 class FiatShamirChallenges:
     """Challenges derived by hashing everything absorbed so far.
 
-    One running hash state serves every challenge: each feeds it only the
-    messages absorbed since the previous one, so each byte is hashed once.
+    The absorbed messages are framed in one byte buffer.  Without data, each
+    absorb encodes its message and appends the frame; over data, the framed
+    messages of a file already read, each absorb checks that the next frame
+    carries its tag and steps past it without calling the encoder.  Either
+    way one running hash state serves every challenge: each feeds it only
+    the bytes absorbed since the previous one, so each byte is hashed once.
     """
 
     mode = MODE_FIAT_SHAMIR
 
-    def __init__(self, spec: OracleSpec):
+    def __init__(self, spec: OracleSpec, data: bytes | None = None):
         self.spec = spec
-        self._parts: list[bytes] = []
-        self._hashed = 0  # how many of _parts the running state has absorbed
-        self._state = hashlib.sha256(spec.domain_separator)
-
-    def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
-        self._parts.append(encode_message(tag, encode()))
-
-    def transcript_bytes(self) -> bytes:
-        return b"".join(self._parts)
-
-    def challenge_interval(self, lo: int, size: int) -> int:
-        fresh = b"".join(self._parts[self._hashed :])
-        r = ro_challenge(self.spec, fresh, size, lo, self._state)
-        self._hashed = len(self._parts)
-        return r
-
-
-class ReadChallenges:
-    """Hashed challenges over the bytes of a file already read.
-
-    data holds framed messages, the first one absorbed at offset 0.  absorb
-    checks that the next frame carries the tag and steps past it without
-    calling the encoder; each challenge feeds the running hash the bytes
-    since the previous one, as FiatShamirChallenges does with the messages
-    it encodes.  The two draw the same challenges when data is the canonical
-    encoding of what is absorbed, which the decoders guarantee.
-    """
-
-    mode = MODE_FIAT_SHAMIR
-
-    def __init__(self, spec: OracleSpec, data: bytes):
-        self.spec = spec
-        self._data = data
-        self._pos = 0  # the next frame
+        self._appending = data is None
+        self._buffer = bytearray() if data is None else data
+        self._pos = 0  # the end of the last frame absorbed
         self._hashed = 0  # how many bytes the running state has absorbed
         self._state = hashlib.sha256(spec.domain_separator)
 
     def absorb(self, tag: int, encode: Callable[[], bytes]) -> None:
-        data, pos = self._data, self._pos
+        if self._appending:
+            self._buffer += encode_message(tag, encode())
+            self._pos = len(self._buffer)
+            return
+        data, pos = self._buffer, self._pos
         if pos + 5 > len(data):
             raise DecodeError(f"transcript ends before the {TAG_NAMES[tag]} message")
         found, length = _HEADER.unpack_from(data, pos)
@@ -242,8 +222,11 @@ class ReadChallenges:
             raise DecodeError("truncated message payload")
         self._pos = pos + 5 + length
 
+    def transcript_bytes(self) -> bytes:
+        return bytes(self._buffer[: self._pos])
+
     def challenge_interval(self, lo: int, size: int) -> int:
-        r = ro_challenge(self.spec, self._data[self._hashed : self._pos], size, lo, self._state)
+        r = ro_challenge(self.spec, self._buffer[self._hashed : self._pos], size, lo, self._state)
         self._hashed = self._pos
         return r
 
@@ -276,8 +259,9 @@ def replay_challenges(mode: str, spec: OracleSpec, recorded, read: bytes | None 
     the hash under spec for Fiat-Shamir, the recorded challenges otherwise.
 
     read, if given, is the file's bytes from the first absorbed message on;
-    a hashed source then hashes them instead of encoding what it absorbs.
+    the hashed source then steps through them instead of appending what it
+    encodes.
     """
     if mode != MODE_FIAT_SHAMIR:
         return RecordedChallenges(recorded)
-    return FiatShamirChallenges(spec) if read is None else ReadChallenges(spec, read)
+    return FiatShamirChallenges(spec, read)

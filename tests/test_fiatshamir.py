@@ -21,7 +21,6 @@ from seqproof.fiatshamir import (
     DecodeError,
     FiatShamirChallenges,
     InteractiveChallenges,
-    ReadChallenges,
     RecordedChallenges,
     decode_poly,
     decode_u64,
@@ -245,7 +244,7 @@ def test_the_read_source_draws_what_the_encoding_source_draws(spec, steps):
     encoding = FiatShamirChallenges(spec)
     data = b"".join(encode_message(tag, payload) for kind, tag, payload in steps if kind == "absorb")
     read = replay_challenges(MODE_FIAT_SHAMIR, spec, [], data)
-    assert isinstance(read, ReadChallenges) and read.mode == MODE_FIAT_SHAMIR
+    assert isinstance(read, FiatShamirChallenges) and read.mode == MODE_FIAT_SHAMIR
     for kind, a, b in steps:
         if kind == "absorb":
             encoding.absorb(a, lambda: b)
@@ -260,7 +259,7 @@ def test_the_read_source_draws_what_the_encoding_source_draws(spec, steps):
 
 def test_the_read_source_checks_each_frame_it_steps_past():
     data = encode_message(TAG_SC_CLAIM, b"one") + encode_message(TAG_SC_POLY, b"two")
-    read = ReadChallenges(TQBF_ORACLE, data)
+    read = FiatShamirChallenges(TQBF_ORACLE, data)
     with pytest.raises(DecodeError, match="expected sc-poly message, found sc-claim"):
         read.absorb(TAG_SC_POLY, lambda: b"")
     read.absorb(TAG_SC_CLAIM, lambda: b"")
@@ -268,9 +267,9 @@ def test_the_read_source_checks_each_frame_it_steps_past():
     with pytest.raises(DecodeError, match="ends before the sc-challenge message"):
         read.absorb(TAG_SC_CHALLENGE, lambda: b"")
     with pytest.raises(DecodeError, match="found tag 0xee"):
-        ReadChallenges(TQBF_ORACLE, b"\xee\x00\x00\x00\x00").absorb(TAG_SC_CLAIM, lambda: b"")
+        FiatShamirChallenges(TQBF_ORACLE, b"\xee\x00\x00\x00\x00").absorb(TAG_SC_CLAIM, lambda: b"")
     with pytest.raises(DecodeError, match="truncated message payload"):
-        ReadChallenges(TQBF_ORACLE, data[:7]).absorb(TAG_SC_CLAIM, lambda: b"")
+        FiatShamirChallenges(TQBF_ORACLE, data[:7]).absorb(TAG_SC_CLAIM, lambda: b"")
     # without bytes read, a hashed source encodes; other modes replay the record
     assert isinstance(replay_challenges(MODE_FIAT_SHAMIR, TQBF_ORACLE, []), FiatShamirChallenges)
     assert isinstance(replay_challenges(MODE_INTERACTIVE, TQBF_ORACLE, [4], data), RecordedChallenges)

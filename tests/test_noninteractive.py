@@ -115,6 +115,8 @@ def test_each_byte_read_is_hashed_once(monkeypatch):
     monkeypatch.setattr(fiatshamir, "ro_challenge", counted)
     monkeypatch.setattr(sumcheck, "encode_poly", unread)
     monkeypatch.setattr(sumcheck, "encode_u64", unread)
+    for module in (fiatshamir, noninteractive):  # nor frames one, not even the mode message
+        monkeypatch.setattr(module, "encode_message", unread)
     assert verify_transcript_bytes(formula, data)
     # the bytes hashed are the file's messages after the mode message, but the last challenge
     absorbed = len(data) - len(MAGIC) - len(encode_message(TAG_MODE, b"fiat-shamir"))
