@@ -186,7 +186,8 @@ def verify_transcript_bytes(formula: Qbf, data: bytes) -> Verdict:
     Raises DecodeError as transcript_from_bytes does.
     """
     t = transcript_from_bytes(data, formula)
-    absorbed = data[len(MAGIC) + 5 + len(t.mode.encode()) :]  # past the mode frame's header and payload
+    # past the magic and the mode frame: tag byte, 4-byte length, payload
+    absorbed = data[len(MAGIC) + 5 + len(t.mode.encode()) :]
     source = replay_challenges(t.mode, TQBF_ORACLE, t.challenges, absorbed)
     return sumcheck_verify(formula, t.p, t, source)
 
