@@ -7,7 +7,10 @@ provers' transcripts are pinned with the reason each is rejected for, and
 soundness reports by the digest of their JSON, which counts every trial's
 verdict.  Wide formulas (m up to 23) pin the final block's 16- and 32-bit
 pattern fields, and one digest pins what `verify-tqbf` prints for every
-one-bit flip and truncation of a corpus file.
+one-bit flip and truncation of a corpus file.  Delay-function runs pin
+`vdf eval`'s output and the hashed-challenge bundle, `vdf attack` pins its
+output and forged file, and one digest pins what `vdf verify` prints for
+every one-bit flip and truncation of a bundle.
 """
 
 import contextlib
@@ -36,7 +39,7 @@ from seqproof.noninteractive import (
 )
 from seqproof.harness import exp_soundness
 from seqproof.qbf import parse_qbf, to_qdimacs
-from seqproof.shvdf import VdfParams, vdf_attack, vdf_eval, vdf_open, vdf_setup
+from seqproof.shvdf import VdfParams, params_to_bytes, vdf_attack, vdf_eval, vdf_open, vdf_setup
 from seqproof.sumcheck import cheat_prover, default_prime, sumcheck_prove, sumcheck_verify
 
 CORPUS = (
@@ -158,6 +161,22 @@ def _digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _flips_and_cuts(data: bytes):
+    """Every one-bit flip of data, then every proper prefix."""
+    for bit in range(8 * len(data)):
+        yield data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
+    for cut in range(len(data)):
+        yield data[:cut]
+
+
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_transcript_bytes_pinned(index):
     formula = parse_qbf(CORPUS[index])
@@ -261,14 +280,92 @@ def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
     digest, calls = hashlib.sha256(), 0
     for coins in (FiatShamirChallenges(TQBF_ORACLE), InteractiveChallenges(1)):
         data = transcript_to_bytes(sumcheck_prove(formula, None, coins))
-        flips = (data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :] for bit in range(8 * len(data)))
-        cuts = (data[:cut] for cut in range(len(data)))
-        for variant in (*flips, *cuts):
+        for variant in _flips_and_cuts(data):
             transcript.write_bytes(variant)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main(argv)
-            digest.update(repr((rc, out.getvalue(), err.getvalue())).encode())
+            digest.update(repr(_cli(argv)).encode())
             calls += 1
     assert calls == 5130
     assert digest.hexdigest() == VERIFY_OUTPUTS_DIGEST
+
+
+# ── delay-function runs, forgeries and verdicts ───────────────────────────
+
+# (parameters, input, digest of `vdf eval`'s stdout, digest of the
+# hashed-challenge bundle from fs_vdf_open)
+VDF_RUN_CASES = (
+    # the benchmark's shape: lambda = 32, T = 2^16, space 32, 48 state bits
+    (vdf_setup(32, 16, 32, "bench-golden"), "0110100111010010110110001011010",
+     "94a46adbff2bbbeaeb6f268b8ab66b52c29394dbc422ccfecb69d078386d68c3",
+     "7e84657c6b0b55af8649fb443bad89071de4a3f365fa138bbc5685c85036b9ac"),
+    # reaches a final state at step 27, inside the window [24, 32)
+    (VdfParams(8, 32, 8, 6, b"straddle-49"), "0110",
+     "33bfac16f4b93981484d6ee00dd0991859d5b2db36a83f7784a571b84c159306",
+     "0ab153f8555cceee92c6240af3a08123735d18a5c520ae54afbce1431b600ebd"),
+    # README's 16-state-bit example: a final state after 631 of 4096 steps,
+    # before the window
+    (vdf_setup(16, 12, 32, "a1b2c3", state_bits=16), "1011",
+     "561eba84f57a51d709e6318b3289131ec26e798fdc997272e366070b77f72d20",
+     "a7c24b2844d97fe20566bbaeb0abab922caf322d41eb808399a91f60af3b5724"),
+    # two cells: the head is clamped at both ends of the tape
+    (VdfParams(8, 256, 2, 24, b"two-cells"), "1",
+     "f53be21eeb0978d1a1f29be35f43eef1ed3f486e868835acae0d4bf59f505e1c",
+     "664f67c9c37f48de8658a12cc4138017750ab4c68493c586f904d673e5d54dd8"),
+    # the widest state the rule's 128 output bits allow
+    (VdfParams(16, 1024, 16, 120, b"wide-state"), "10011",
+     "d6ebed4e2b43f1c917c50488b713e847004a4752d4997938f8fd4b67513fe3be",
+     "3a1328be5695cac506e4f06e32817021e168ff94aa6098dcf201ad34c6be937e"),
+)
+
+# (index into VDF_RUN_CASES, forger seed, digest of `vdf attack`'s (exit
+# code, stdout, stderr) and the forged file it writes)
+VDF_ATTACK_CASES = (
+    (0, 1, "e4e8a22dcb31d7ef16b9c1e132ae904425d131272e8d2e6a2ae09e9b70fb6ade"),
+    (1, 2, "53e5f287e28efd0053e0a8a210eb1aa8e6096099bf8afca62031a2bda5b3b95a"),
+    (2, 3, "9201f9905fc7ca1d3a5185659bd994b55b029cf17cad3e3ff76f4374f960ad7c"),
+    (3, 4, "db8a500e1c5c9ce28a931d9f7b27d60cf88b7620ed94870279b96a3ef1c4e37a"),
+    (4, 5, "fd0bf8eec4368f7d8629ea75e2f2e2791a64dd7a7250592eedb3c88711249570"),
+)
+
+# SHA-256 over (exit code, stdout, stderr) of `vdf verify` on each one-bit
+# flip, then each truncation, of LAMBDA16's hashed-challenge bundle on 1011
+VDF_VERIFY_OUTPUTS_DIGEST = "2e287599e62d644c703ca10602546aa4cdd0ccc2c87d3759ee4160b3bd744ecf"
+
+
+def _write_params(tmp_path, pp: VdfParams) -> str:
+    path = tmp_path / "pp.bin"
+    path.write_bytes(params_to_bytes(pp))
+    return str(path)
+
+
+@pytest.mark.parametrize("index", range(len(VDF_RUN_CASES)))
+def test_vdf_eval_output_and_bundle_bytes_pinned(index, tmp_path):
+    pp, x, eval_digest, bundle_digest = VDF_RUN_CASES[index]
+    rc, out, err = _cli(["vdf", "eval", "--pp", _write_params(tmp_path, pp), "--input", x])
+    assert (rc, err) == (0, "")
+    got = (_digest(out.encode()), _digest(bundle_to_bytes(fs_vdf_open(pp, x))))
+    assert got == (eval_digest, bundle_digest)
+
+
+@pytest.mark.parametrize("case", VDF_ATTACK_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+def test_vdf_attack_output_and_forgery_bytes_pinned(case, tmp_path, monkeypatch):
+    index, seed, digest = case
+    pp, x, *_ = VDF_RUN_CASES[index]
+    # a relative path, so that the "wrote" line is the same in every run
+    monkeypatch.chdir(tmp_path)
+    _write_params(tmp_path, pp)
+    argv = ["vdf", "attack", "--pp", "pp.bin", "--input", x, "--seed", str(seed), "--proof", "forged.bundle"]
+    got = repr(_cli(argv)).encode() + (tmp_path / "forged.bundle").read_bytes()
+    assert _digest(got) == digest
+
+
+def test_vdf_verify_outputs_pinned_on_every_flip_and_truncation(tmp_path):
+    bundle = tmp_path / "opening.bundle"
+    argv = ["vdf", "verify", "--proof", str(bundle)]
+    digest, calls = hashlib.sha256(), 0
+    data = bundle_to_bytes(fs_vdf_open(LAMBDA16, "1011"))
+    for variant in _flips_and_cuts(data):
+        bundle.write_bytes(variant)
+        digest.update(repr(_cli(argv)).encode())
+        calls += 1
+    assert calls == 9 * len(data) == 1197
+    assert digest.hexdigest() == VDF_VERIFY_OUTPUTS_DIGEST
