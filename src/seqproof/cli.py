@@ -19,7 +19,7 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import TQBF_ORACLE, VDF_ORACLE, FiatShamirChallenges
+from .fiatshamir import MODE_FIAT_SHAMIR, TQBF_ORACLE, VDF_ORACLE, FiatShamirChallenges
 from .fiatshamir import InteractiveChallenges, RecordedChallenges
 from .harness import (
     exp_attack,
@@ -122,19 +122,33 @@ def _cmd_vdf_open(args) -> int:
     return 0
 
 
+def _vdf_refusal(args, bundle) -> str | None:
+    """Why the caller's own parameters, input or challenge refuse the bundle.
+
+    An interactive bundle's challenge is a coin its prover wrote down, so
+    it counts only when it is the challenge the caller drew.
+    """
+    if args.pp is not None and _read_params(args.pp) != bundle.params:
+        return "parameter-mismatch"
+    if args.input is not None and args.input != bundle.x:
+        return "input-mismatch"
+    if args.challenge is not None and args.challenge != bundle.challenge:
+        return "challenge-mismatch"
+    if args.challenge is None and bundle.mode != MODE_FIAT_SHAMIR:
+        return "no-verifier-challenge"
+    return None
+
+
 def _cmd_vdf_verify(args) -> int:
     bundle = load_bundle(args.proof)
-    if args.pp is not None and _read_params(args.pp) != bundle.params:
-        print("rejected (parameter-mismatch)")
-        return 1
-    if args.input is not None and args.input != bundle.x:
-        print("rejected (input-mismatch)")
-        return 1
-    verdict = verify_bundle(bundle)
-    if verdict.accepted:
-        print(f"accepted (replayed {verdict.steps} steps)")
-        return 0
-    print(f"rejected ({verdict.reason})")
+    reason = _vdf_refusal(args, bundle)
+    if reason is None:
+        verdict = verify_bundle(bundle)
+        if verdict.accepted:
+            print(f"accepted (replayed {verdict.steps} steps)")
+            return 0
+        reason = verdict.reason
+    print(f"rejected ({reason})")
     return 1
 
 
@@ -239,7 +253,8 @@ COMMANDS = (
     (("vdf", "verify"), "check an opening proof file", _cmd_vdf_verify, (
         ("--proof", dict(required=True)),
         ("--pp", dict(default=None, help="cross-check the proof's parameters")),
-        ("--input", dict(default=None, help="cross-check the proof's input")))),
+        ("--input", dict(default=None, help="cross-check the proof's input")),
+        ("--challenge", dict(type=int, default=None, help="the verifier's challenge step; an interactive proof is accepted only at it")))),
     (("vdf", "attack"), "forge an accepting opening cheaply", _cmd_vdf_attack, (
         ("--pp", dict(required=True)),
         ("--input", dict(required=True)),

@@ -10,6 +10,10 @@ check costs at most `lam` steps - and nothing ties the revealed symbols to
 the input.  So an opening only needs a recorded window of the last `lam`
 steps (VdfRun), and vdf_attack records one after `lam` steps of work
 instead of `num_steps`.
+
+The steps before the window run in `_run_prefix`, one loop with the
+seeded rule inlined; the window and verify's replay step through the
+machine's `delta`, one transition per call.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ def _seeded_delta(seed: bytes, state_bits: int):
     big-endian, are the top 128 bits of the whole digest read as one
     integer: their low `state_bits` bits give the next state, the bit above
     the written bit, and the bits above that, mod 3, minus 1, the move.
+    The rule's `keyed` attribute is the absorbed seed, for `_run_prefix`.
     """
     keyed = hashlib.sha256(seed)
     copy = keyed.copy
@@ -74,6 +79,7 @@ def _seeded_delta(seed: bytes, state_bits: int):
         rest = bits >> write_shift
         return (bits >> 128) & mask, rest & 1, ((rest >> 1) % 3) - 1
 
+    delta.keyed = keyed
     return delta
 
 
@@ -129,12 +135,13 @@ class VdfParams:
 
     def machine(self) -> TmDescription:
         """A fresh machine each call, halting on `final_states` by range
-        membership; `tm_run` reads its `delta` attribute when called."""
-        return TmDescription(
-            self.num_states,
-            _seeded_delta(self.seed, self.state_bits),
-            self.final_states.__contains__,
-        )
+        membership; `tm_run` reads its `delta` attribute when called.  Its
+        `keyed` attribute is the rule's absorbed seed, which stays with the
+        machine if `delta` is replaced by a wrapper."""
+        delta = _seeded_delta(self.seed, self.state_bits)
+        desc = TmDescription(self.num_states, delta, self.final_states.__contains__)
+        desc.keyed = delta.keyed
+        return desc
 
 
 def vdf_setup(
@@ -262,11 +269,56 @@ class VdfRun:
         return VdfProof(self.states[start], self.scanned[start:])
 
 
+def _run_prefix(pp: VdfParams, keyed, config: TmConfiguration, steps: int) -> int:
+    """`tm_run` on the seeded machine, with its rule inlined: up to `steps`
+    transitions, stopping at a final state, mutating `config`; returns the
+    transitions taken.
+
+    `keyed` is the machine's absorbed seed.  Each step hashes a copy of it
+    with `(q << 8) | sym` as 17 big-endian bytes, which are q's 16 bytes
+    and then sym's byte, as `_seeded_delta` hashes them, and reads the
+    digest the same way.  The tape holds only 0, 1 and the mark, so the
+    rule's symbol check is left out.
+    """
+    copy = keyed.copy
+    from_bytes = int.from_bytes
+    lam = pp.lam
+    mask = (1 << pp.state_bits) - 1
+    write_shift = 128 + pp.state_bits
+    state, tape, head = config.state, config.tape, config.head
+    last = len(tape) - 1
+    taken = steps
+    for step in range(steps):
+        if 0 < state < lam:
+            taken = step
+            break
+        h = copy()
+        h.update(((state << 8) | tape[head]).to_bytes(17, "big"))
+        bits = from_bytes(h.digest(), "big")
+        rest = bits >> write_shift
+        if head:
+            tape[head] = rest & 1
+        state = (bits >> 128) & mask
+        head += ((rest >> 1) % 3) - 1
+        if head < 0:
+            head = 0
+        elif head > last:
+            head = last
+    config.state = state
+    config.head = head
+    return taken
+
+
 def _record_window(pp: VdfParams, config: TmConfiguration, unrecorded: int) -> VdfRun:
-    """Run `unrecorded` steps, then lam single steps, reading the scanned
-    symbol before each one and the state before the first and after each."""
+    """Run `unrecorded` steps in `_run_prefix`, then lam single steps of
+    `tm_run`, reading the scanned symbol before each one and the state
+    before the first and after each.
+
+    The window stays on `tm_run` and the machine's `delta`, where a traced
+    run counts live steps.
+    """
     desc = pp.machine()
-    steps = tm_run(desc, config, unrecorded).steps
+    steps = _run_prefix(pp, desc.keyed, config, unrecorded)
     states, scanned = [config.state], []
     for _ in range(pp.lam):
         scanned.append(config.tape[config.head])

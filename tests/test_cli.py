@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import seqproof
+from machine_steps import count_machine_steps
 from qbf_sampler import seeded_true_formula
-from seqproof import cli, noninteractive, shvdf
+from seqproof import cli, noninteractive
 from seqproof.cli import COMMANDS, build_parser, main
 from seqproof.fiatshamir import MAGIC, TAG_MODE, TAG_SC_CLAIM, TAG_SC_FORMULA, TAG_SC_PRIME
 from seqproof.fiatshamir import InteractiveChallenges, encode_message, encode_u64, file_frames
@@ -177,8 +178,14 @@ def test_vdf_cycle(tmp_path, capsys):
     assert main(["vdf", "open", "--pp", pp, "--input", "1011", "--proof", proof]) == 0
     out = capsys.readouterr().out
     assert "mode fiat-shamir" in out and f"value {value}" in out
+    hashed = next(line for line in out.splitlines() if line.startswith("challenge ")).split()[1]
     assert main(["vdf", "verify", "--proof", proof]) == 0
     assert "accepted" in capsys.readouterr().out
+    # a hashed challenge is held to the caller's too, when one is given
+    assert main(["vdf", "verify", "--proof", proof, "--challenge", hashed]) == 0
+    assert "accepted" in capsys.readouterr().out
+    assert main(["vdf", "verify", "--proof", proof, "--challenge", str(int(hashed) ^ 1)]) == 1
+    assert capsys.readouterr().out == "rejected (challenge-mismatch)\n"
 
     # optional cross-checks against the statement the caller expects
     assert main(["vdf", "verify", "--proof", proof, "--pp", pp, "--input", "1011"]) == 0
@@ -198,13 +205,22 @@ def test_vdf_cycle(tmp_path, capsys):
         == 0
     )
     assert "mode interactive" in capsys.readouterr().out
-    assert main(["vdf", "verify", "--proof", proof]) == 0
+    assert main(["vdf", "verify", "--proof", proof, "--challenge", "60"]) == 0
+    capsys.readouterr()
+
+    # the prover's recorded coin is not the verifier's: without one of its
+    # own, or with another, the verifier rejects
+    assert main(["vdf", "verify", "--proof", proof]) == 1
+    assert capsys.readouterr().out == "rejected (no-verifier-challenge)\n"
+    for coin in ("59", "61"):
+        assert main(["vdf", "verify", "--proof", proof, "--challenge", coin]) == 1
+        assert capsys.readouterr().out == "rejected (challenge-mismatch)\n"
 
     # a bundle that decodes but fails verification prints its verdict
     bundle = load_bundle(proof)
     save_bundle(proof, dataclasses.replace(bundle, output_value=bundle.output_value ^ 1))
     capsys.readouterr()
-    assert main(["vdf", "verify", "--proof", proof]) == 1
+    assert main(["vdf", "verify", "--proof", proof, "--challenge", "60"]) == 1
     assert capsys.readouterr().out == "rejected (output-mismatch)\n"
     save_bundle(proof, bundle)
 
@@ -212,7 +228,7 @@ def test_vdf_cycle(tmp_path, capsys):
     raw = bytearray((tmp_path / "opening.proof").read_bytes())
     raw[-1] ^= 0xFF
     (tmp_path / "opening.proof").write_bytes(bytes(raw))
-    assert main(["vdf", "verify", "--proof", proof]) == 1
+    assert main(["vdf", "verify", "--proof", proof, "--challenge", "60"]) == 1
 
 
 def test_vdf_open_bad_challenge(tmp_path, capsys):
@@ -230,15 +246,7 @@ def test_vdf_open_refuses_an_out_of_window_challenge_before_running(tmp_path, ca
     pp = str(tmp_path / "pp.bin")
     assert main(["vdf", "setup", "--lambda", "8", "--log2t", "6", "--space", "8",
                  "--seed", "cli-demo", "--pp", pp]) == 0
-    stepped = []
-    run = shvdf.tm_run
-
-    def counted(*args, **kwargs):
-        result = run(*args, **kwargs)
-        stepped.append(result.steps)
-        return result
-
-    monkeypatch.setattr(shvdf, "tm_run", counted)
+    stepped = count_machine_steps(monkeypatch)
     proof = str(tmp_path / "x.proof")
     for coin in ("55", "64", "-1"):
         assert main(["vdf", "open", "--pp", pp, "--input", "1", "--challenge", coin, "--proof", proof]) == 1

@@ -4,7 +4,8 @@ from math import isqrt
 
 import pytest
 
-from seqproof import field, harness, shvdf
+from machine_steps import count_machine_steps
+from seqproof import field, harness
 from seqproof.cli import main
 
 from seqproof.harness import (
@@ -100,15 +101,7 @@ def test_vdf_growth_small():
 
 
 def test_vdf_growth_steps_the_machine_once_per_row(monkeypatch):
-    stepped = []
-    run = shvdf.tm_run
-
-    def counted(*args, **kwargs):
-        result = run(*args, **kwargs)
-        stepped.append(result.steps)
-        return result
-
-    monkeypatch.setattr(shvdf, "tm_run", counted)
+    stepped = count_machine_steps(monkeypatch)
     report = exp_vdf_growth(lam=8, log2_steps_list=(4, 5, 6), space=8, seed=0)
     assert report.passed
     rows = report.metrics["rows"]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from machine_steps import count_machine_steps
 from qbf_sampler import sample_distinct_qbfs, seeded_true_formula
 from seqproof.fiatshamir import (
     MAGIC,
@@ -37,7 +38,7 @@ from seqproof.noninteractive import (
     verify_transcript_bytes,
 )
 from seqproof.qbf import parse_qbf
-from seqproof import fiatshamir, noninteractive, shvdf, sumcheck
+from seqproof import fiatshamir, noninteractive, sumcheck
 from seqproof.shvdf import VdfParams, vdf_eval, vdf_open
 from seqproof.sumcheck import cheat_prover, default_prime, sumcheck_prove, sumcheck_verify
 
@@ -292,15 +293,7 @@ def test_fs_vdf_open_verify_roundtrip(tmp_path):
 
 def test_an_opening_steps_the_machine_once(monkeypatch):
     pp = VdfParams(16, 64, 8, 16, b"vdf-demo")
-    stepped = []
-    run = shvdf.tm_run
-
-    def counted(*args, **kwargs):
-        result = run(*args, **kwargs)
-        stepped.append(result.steps)
-        return result
-
-    monkeypatch.setattr(shvdf, "tm_run", counted)
+    stepped = count_machine_steps(monkeypatch)
     openings = (
         lambda: fs_vdf_open(pp, "1100"),
         lambda: vdf_eval(pp, "1100").respond(60),

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqproof.fiatshamir import DecodeError
@@ -10,8 +10,10 @@ from seqproof.shvdf import (
     MAX_SECURITY,
     MAX_STATE_BITS,
     MAX_STEPS,
+    MIN_SECURITY,
     VdfParams,
     VdfProof,
+    _run_prefix,
     _seeded_delta,
     params_from_bytes,
     params_to_bytes,
@@ -24,6 +26,7 @@ from seqproof.shvdf import (
     vdf_setup,
     vdf_verify,
 )
+from seqproof.turing import initial_configuration, tm_run
 
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
 GOLDEN_X = "101"
@@ -226,6 +229,32 @@ def test_the_seed_is_hashed_once_per_machine_not_once_per_step(monkeypatch):
     assert run.steps == 1 << 10
     assert counts["machine"] == 1
     assert counts["sha256"] == counts["machine"]
+
+
+@st.composite
+def prefix_runs(draw):
+    """(parameters, input, start state, step count) for a run of the prefix loop."""
+    state_bits = draw(st.integers(4, MAX_STATE_BITS))
+    lam = draw(st.integers(MIN_SECURITY, min(MAX_SECURITY, (1 << state_bits) - 1)))
+    space = draw(st.integers(2, 40))
+    pp = VdfParams(lam, lam + 1, space, state_bits, draw(st.binary(max_size=200)))
+    x = draw(st.text("01", max_size=space - 1))
+    return pp, x, draw(st.integers(0, pp.num_states - 1)), draw(st.integers(0, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_runs())
+# no steps at all; and the README's example, which halts after 631 of them
+@example((GOLDEN, GOLDEN_X, 0, 0))
+@example((vdf_setup(16, 12, 32, "a1b2c3", state_bits=16), "1011", 0, 4080))
+def test_the_prefix_loop_matches_tm_run(run):
+    pp, x, start, steps = run
+    desc = pp.machine()
+    inlined = initial_configuration(x, pp.space, initial_state=start)
+    stepped = initial_configuration(x, pp.space, initial_state=start)
+    taken = _run_prefix(pp, desc.keyed, inlined, steps)
+    assert taken == tm_run(desc, stepped, steps).steps
+    assert (inlined.state, inlined.head, inlined.tape) == (stepped.state, stepped.head, stepped.tape)
 
 
 def test_open_verify_all_challenges():
