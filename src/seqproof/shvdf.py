@@ -314,8 +314,9 @@ def _record_window(pp: VdfParams, config: TmConfiguration, unrecorded: int) -> V
     `tm_run`, reading the scanned symbol before each one and the state
     before the first and after each.
 
-    The window stays on `tm_run` and the machine's `delta`, where a traced
-    run counts live steps.
+    The window steps through `tm_run` and the machine's `delta` because
+    perfbench's tracer counts live steps only as `delta` calls inside
+    `tm_run`; a traced run still sees the window's.
     """
     desc = pp.machine()
     steps = _run_prefix(pp, desc.keyed, config, unrecorded)
