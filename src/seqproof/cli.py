@@ -19,7 +19,7 @@ import random
 import sys
 from pathlib import Path
 
-from .fiatshamir import MODE_FIAT_SHAMIR, TQBF_ORACLE, VDF_ORACLE, FiatShamirChallenges
+from .fiatshamir import TQBF_ORACLE, VDF_ORACLE, FiatShamirChallenges
 from .fiatshamir import InteractiveChallenges, RecordedChallenges
 from .harness import (
     exp_attack,
@@ -123,19 +123,11 @@ def _cmd_vdf_open(args) -> int:
 
 
 def _vdf_refusal(args, bundle) -> str | None:
-    """Why the caller's own parameters, input or challenge refuse the bundle.
-
-    An interactive bundle's challenge is a coin its prover wrote down, so
-    it counts only when it is the challenge the caller drew.
-    """
+    """Why the caller's own parameters or input refuse the bundle."""
     if args.pp is not None and _read_params(args.pp) != bundle.params:
         return "parameter-mismatch"
     if args.input is not None and args.input != bundle.x:
         return "input-mismatch"
-    if args.challenge is not None and args.challenge != bundle.challenge:
-        return "challenge-mismatch"
-    if args.challenge is None and bundle.mode != MODE_FIAT_SHAMIR:
-        return "no-verifier-challenge"
     return None
 
 
@@ -143,7 +135,7 @@ def _cmd_vdf_verify(args) -> int:
     bundle = load_bundle(args.proof)
     reason = _vdf_refusal(args, bundle)
     if reason is None:
-        verdict = verify_bundle(bundle)
+        verdict = verify_bundle(bundle, args.challenge)
         if verdict.accepted:
             print(f"accepted (replayed {verdict.steps} steps)")
             return 0

@@ -3,13 +3,23 @@
 Each experiment returns an ExperimentReport with the raw numbers and a
 pass flag for the claim it checks, so the same code backs the test suite
 and the command line.  Randomness is always derived from an explicit seed.
+
+exp_soundness and exp_attack seed each trial by its index alone, so they
+split the trials into one share per CPU the process may run on and run the
+shares side by side in forked children (_run_shares); their reports are the
+same bytes at any share count.  exp_vdf_growth stays in one process, because
+it reports wall times.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
+import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from math import isqrt
 
@@ -47,6 +57,63 @@ class ExperimentReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+# ── trial shares ───────────────────────────────────────────────────────────
+
+
+def _run_shares(share) -> list[tuple[int, ...]]:
+    """[share(s, k) for s in range(k)], one share per CPU this process may run on.
+
+    Share s of k takes the trials whose index i has i % k == s, and returns
+    its counts as a tuple of ints.  Share 0 runs here; each other share runs
+    in a forked child, which writes its counts to a pipe and leaves by
+    os._exit.  With one share nothing forks.  No child outlives the call: if
+    share 0 raises, every child is killed and reaped before the exception
+    goes on, and a child that ends non-zero raises ChildProcessError here.
+    A forked child holds only the calling thread, so the caller must run no
+    other thread that could hold a lock the shares need; seqproof starts none.
+    """
+    k = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    children = []  # (share, pid, read end of its pipe)
+    own = None
+    try:
+        for s in range(1, k):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: no cleanup of the parent's state runs here
+                status = 1
+                try:
+                    os.close(read)
+                    os.write(write, " ".join(map(str, share(s, k))).encode())
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((s, pid, read))
+        own = share(0, k)
+    finally:
+        if own is None:
+            for _, pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        sent, failed = [], []
+        for s, pid, read in children:
+            with open(read, "rb") as pipe:
+                sent.append(pipe.read())
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failed.append(f"trial share {s} of {k} exited with status {code}")
+    if failed:
+        raise ChildProcessError("; ".join(failed))
+    return [own] + [tuple(map(int, data.split())) for data in sent]
+
+
 # ── empirical soundness ────────────────────────────────────────────────────
 
 
@@ -71,8 +138,10 @@ def exp_soundness(
     The pass criterion allows three binomial standard deviations above the
     bound.  An honest control on true formulas must accept every time.
     Per-trial randomness is derived from (seed, strategy, trial index), so
-    trials are order-independent.  The statement and every strategy are
-    checked before the first formula is drawn.
+    trials are order-independent, and the trials and the controls are split
+    into shares (_run_shares) whose accept counts are summed.  The statement
+    and every strategy are checked before the first formula is drawn, so
+    nothing forks for a refused call.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful rate")
@@ -82,17 +151,36 @@ def exp_soundness(
     bound = soundness_bound(n, m, p)
     sigma = math.sqrt(bound * (1 - bound) / trials)
     threshold = bound + 3 * sigma
+
+    def share(s: int, k: int) -> tuple[int, ...]:
+        counts = []
+        for strategy in strategies:
+            accepted = 0
+            for i in range(s, trials, k):
+                formula = random_qbf(random.Random(f"{seed}:{strategy}:{i}:formula"), n, m)
+                coins = InteractiveChallenges(random.Random(f"{seed}:{strategy}:{i}:coins"))
+                # a seed, not an rng: only the random-round prover seeds one
+                transcript = cheat_prover(strategy, formula, p, coins, prover_rng=f"{seed}:{strategy}:{i}:prover")
+                if sumcheck_verify(formula, p, transcript).accepted:
+                    accepted += 1
+            counts.append(accepted)
+        control_accepted = 0
+        for i in range(s, control_trials, k):
+            draw = 0
+            formula = random_qbf(random.Random(f"{seed}:control:{i}:{draw}"), n, m)
+            while chain_value(formula, p) == 0:
+                draw += 1
+                formula = random_qbf(random.Random(f"{seed}:control:{i}:{draw}"), n, m)
+            coins = InteractiveChallenges(random.Random(f"{seed}:control:{i}:coins"))
+            transcript = sumcheck_prove(formula, p, coins)
+            if sumcheck_verify(formula, p, transcript).accepted:
+                control_accepted += 1
+        return (*counts, control_accepted)
+
+    *accepts, control_accepted = map(sum, zip(*_run_shares(share)))
     per_strategy: dict[str, dict] = {}
     passed = True
-    for strategy in strategies:
-        accepted = 0
-        for i in range(trials):
-            formula = random_qbf(random.Random(f"{seed}:{strategy}:{i}:formula"), n, m)
-            coins = InteractiveChallenges(random.Random(f"{seed}:{strategy}:{i}:coins"))
-            # a seed, not an rng: only the random-round prover seeds one
-            transcript = cheat_prover(strategy, formula, p, coins, prover_rng=f"{seed}:{strategy}:{i}:prover")
-            if sumcheck_verify(formula, p, transcript).accepted:
-                accepted += 1
+    for strategy, accepted in zip(strategies, accepts):
         rate = accepted / trials
         per_strategy[strategy] = {
             "accepted": accepted,
@@ -100,18 +188,6 @@ def exp_soundness(
             "within_threshold": rate <= threshold,
         }
         passed = passed and rate <= threshold
-
-    control_accepted = 0
-    for i in range(control_trials):
-        draw = 0
-        formula = random_qbf(random.Random(f"{seed}:control:{i}:{draw}"), n, m)
-        while chain_value(formula, p) == 0:
-            draw += 1
-            formula = random_qbf(random.Random(f"{seed}:control:{i}:{draw}"), n, m)
-        coins = InteractiveChallenges(random.Random(f"{seed}:control:{i}:coins"))
-        transcript = sumcheck_prove(formula, p, coins)
-        if sumcheck_verify(formula, p, transcript).accepted:
-            control_accepted += 1
     passed = passed and control_accepted == control_trials
 
     return ExperimentReport(
@@ -209,24 +285,31 @@ def exp_attack(
     verification of the forged opening at a random challenge.  Passes when
     every forgery is accepted, no forger takes over lam + 1 transitions, and
     the forged output differs from the honest one in at least 99%.
+    Instances are seeded by (seed, index) and split into shares
+    (_run_shares): the accept and distinct counts are summed and the forger
+    steps are the largest of any share.
     """
     if instances < 100:
         raise ValueError("need at least 100 instances for a meaningful rate")
-    accepted = 0
-    distinct = 0
-    max_forger_steps = 0
-    for i in range(instances):
-        pp = vdf_setup(lam, log2_steps, space, f"attack-{seed}-{i}")
-        rng = random.Random(f"{seed}:{i}:coins")
-        x = "".join(rng.choice("01") for _ in range(space - 1))
-        honest = vdf_eval(pp, x)
-        forgery = vdf_attack(pp, x, rng)
-        max_forger_steps = max(max_forger_steps, forgery.steps)
-        t = sample_challenge(pp, rng)
-        if vdf_verify(pp, x, forgery.value, t, forgery.respond(t)).accepted:
-            accepted += 1
-        if forgery.value != honest.value:
-            distinct += 1
+
+    def share(s: int, k: int) -> tuple[int, int, int]:
+        accepted = distinct = max_forger_steps = 0
+        for i in range(s, instances, k):
+            pp = vdf_setup(lam, log2_steps, space, f"attack-{seed}-{i}")
+            rng = random.Random(f"{seed}:{i}:coins")
+            x = "".join(rng.choice("01") for _ in range(space - 1))
+            honest = vdf_eval(pp, x)
+            forgery = vdf_attack(pp, x, rng)
+            max_forger_steps = max(max_forger_steps, forgery.steps)
+            t = sample_challenge(pp, rng)
+            if vdf_verify(pp, x, forgery.value, t, forgery.respond(t)).accepted:
+                accepted += 1
+            if forgery.value != honest.value:
+                distinct += 1
+        return accepted, distinct, max_forger_steps
+
+    accepts, distincts, forger_steps = zip(*_run_shares(share))
+    accepted, distinct, max_forger_steps = sum(accepts), sum(distincts), max(forger_steps)
     passed = (
         accepted == instances
         and max_forger_steps <= lam + 1

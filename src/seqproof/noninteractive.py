@@ -241,8 +241,18 @@ def fs_vdf_open(pp: VdfParams, x: str) -> VdfBundle:
     return open_bundle(vdf_eval(pp, x), x, FiatShamirChallenges(VDF_ORACLE))
 
 
-def verify_bundle(bundle: VdfBundle) -> VdfVerdict:
-    """Re-derive the challenge (hashed, or the interactive bundle's own coin), then replay."""
+def verify_bundle(bundle: VdfBundle, challenge: int | None = None) -> VdfVerdict:
+    """Check the bundle's challenge against the verifier's, then replay.
+
+    challenge is the verifier's own coin: a bundle of either mode whose
+    challenge differs from it is refused.  An interactive bundle's challenge
+    is a coin its prover wrote down, so without the verifier's it is
+    refused; a Fiat-Shamir bundle's challenge is re-derived from the hash.
+    """
+    if challenge is not None and challenge != bundle.challenge:
+        return VdfVerdict(False, 0, "challenge-mismatch")
+    if challenge is None and bundle.mode != MODE_FIAT_SHAMIR:
+        return VdfVerdict(False, 0, "no-verifier-challenge")
     source = replay_challenges(bundle.mode, VDF_ORACLE, [bundle.challenge])
     t = vdf_challenge(source, bundle.params, bundle.x, bundle.output_value)
     if t != bundle.challenge:

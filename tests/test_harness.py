@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import time
 from math import isqrt
 
 import pytest
@@ -230,7 +232,70 @@ def test_only_random_round_trials_seed_a_prover_rng(monkeypatch):
             super().__init__(x)
 
     monkeypatch.setattr(random, "Random", Recorded)
+    # every share runs in this process, so the recorder sees all of them
+    monkeypatch.setattr(harness, "_run_shares", lambda share: [share(s, 3) for s in range(3)])
     report = exp_soundness(1, 1, 223, trials=1000, seed=6, control_trials=5)
     assert report.passed
     provers = [x for x in seeds if isinstance(x, str) and x.endswith(":prover")]
-    assert provers == [f"6:random-round:{i}:prover" for i in range(1000)]
+    assert provers == [f"6:random-round:{i}:prover" for s in range(3) for i in range(s, 1000, 3)]
+    assert sorted(provers) == sorted(f"6:random-round:{i}:prover" for i in range(1000))
+    assert len(set(provers)) == len(provers)
+
+
+def _shares(monkeypatch, k):
+    """Make the experiments split their trials k ways, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_reports_are_the_same_bytes_at_any_share_count(monkeypatch):
+    reports = []
+    for k in (1, 2, 3):
+        _shares(monkeypatch, k)
+        soundness = exp_soundness(1, 1, 223, trials=1000, seed=12, control_trials=31)
+        attack = exp_attack(lam=16, log2_steps=10, space=8, instances=101, seed=3)
+        reports.append((soundness.to_json(), attack.to_json()))
+        _no_child_left()
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0][0])["metrics"]["control_accepted"] == 31
+    assert json.loads(reports[0][1])["metrics"]["accepted"] == 101
+
+
+@pytest.mark.parametrize("fails_in", [None, "parent", "child"])
+def test_no_share_outlives_the_call(monkeypatch, capfd, fails_in):
+    _shares(monkeypatch, 3)
+    parent = os.getpid()
+    verify = harness.sumcheck_verify
+    slept = []
+
+    def failing(*args):
+        here = "parent" if os.getpid() == parent else "child"
+        if here == fails_in:
+            raise RuntimeError(f"a share failed in the {here}")
+        if fails_in == "parent" and not slept:
+            slept.append(here)  # each child sleeps once, so a missed kill costs 60 s
+            time.sleep(60)
+        return verify(*args)
+
+    monkeypatch.setattr(harness, "sumcheck_verify", failing)
+    start = time.monotonic()
+    if fails_in is None:
+        assert exp_soundness(1, 1, 223, trials=1000, seed=1, control_trials=5).passed
+    elif fails_in == "parent":
+        with pytest.raises(RuntimeError, match="a share failed in the parent"):
+            exp_soundness(1, 1, 223, trials=1000, seed=1, control_trials=5)
+        # the children were killed, not waited for
+        assert time.monotonic() - start < 30
+    else:
+        with pytest.raises(ChildProcessError) as exc:
+            exp_soundness(1, 1, 223, trials=1000, seed=1, control_trials=5)
+        assert str(exc.value) == (
+            "trial share 1 of 3 exited with status 1; trial share 2 of 3 exited with status 1"
+        )
+        # each child leaves its traceback on stderr
+        assert capfd.readouterr().err.count("RuntimeError: a share failed in the child") == 2
+    _no_child_left()

@@ -82,7 +82,8 @@ CASES = {
     "transcript-file": (_file_verdict, lambda verdict: verdict, GOLDEN_TRANSCRIPTS),
     "bundle": (
         bundle_from_bytes,
-        verify_bundle,
+        # the bundle's own coin as the verifier's, so interactive bundles reach the replay too
+        lambda bundle: verify_bundle(bundle, bundle.challenge),
         [
             bundle_to_bytes(fs_vdf_open(GOLDEN, "101")),
             bundle_to_bytes(open_bundle(vdf_eval(GOLDEN, "101"), "101", RecordedChallenges([12]))),

@@ -312,7 +312,14 @@ def test_interactive_bundle_dispatch():
     t = rng.randrange(8, 16)
     out = vdf_eval(GOLDEN, "101")
     bundle = VdfBundle(GOLDEN, "101", out.value, t, vdf_open(GOLDEN, "101", t), "interactive")
-    assert verify_bundle(bundle)
+    # the bundle's own coin is its prover's: it counts only as the verifier's
+    assert verify_bundle(bundle).reason == "no-verifier-challenge"
+    assert verify_bundle(bundle, t).accepted
+    assert verify_bundle(bundle, t ^ 1).reason == "challenge-mismatch"
+    # a hashed bundle needs no coin from the verifier, but a given one must match
+    hashed = fs_vdf_open(GOLDEN, "101")
+    assert verify_bundle(hashed).accepted and verify_bundle(hashed, hashed.challenge).accepted
+    assert verify_bundle(hashed, hashed.challenge ^ 1).reason == "challenge-mismatch"
     # the fs checker refuses to trust externally supplied coins
     assert fs_vdf_verify(bundle).reason == "mode-mismatch"
     assert bundle_from_bytes(bundle_to_bytes(bundle)) == bundle
