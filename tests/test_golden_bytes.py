@@ -5,12 +5,14 @@ these digests unchanged; a changed digest means a changed file format or a
 changed Fiat-Shamir challenge.  The formulas are true and n <= 6.  Cheating
 provers' transcripts are pinned with the reason each is rejected for, and
 soundness reports by the digest of their JSON, which counts every trial's
-verdict.  Wide formulas (m up to 23) pin the final block's 16- and 32-bit
-pattern fields, and one digest pins what `verify-tqbf` prints for every
-one-bit flip and truncation of a corpus file.  Delay-function runs pin
-`vdf eval`'s output and the hashed-challenge bundle, `vdf attack` pins its
-output and forged file, and one digest pins what `vdf verify` prints for
-every one-bit flip and truncation of a bundle.
+verdict.  The interactive conversations are also pinned apart from their
+bytes, so a codec change can show that only the encoding moved.  Wide
+formulas (m up to 23) pin the final block's 16- and 32-bit pattern fields,
+and one digest pins what `verify-tqbf` prints for every one-bit flip and
+truncation of a corpus file.  Delay-function runs pin `vdf eval`'s output
+and the hashed-challenge bundle, `vdf attack` pins its output and forged
+file, and one digest pins what `vdf verify` prints for every one-bit flip
+and truncation of a bundle.
 """
 
 import contextlib
@@ -201,6 +203,31 @@ def test_cheating_transcript_bytes_pinned(case):
         transcript = cheat_prover(strategy, formula, p, coins, random.Random(index))
         got += [_digest(transcript_to_bytes(transcript)), sumcheck_verify(formula, p, transcript).reason]
     assert tuple(got) == (interactive_digest, interactive_reason, fs_digest, fs_reason)
+
+
+# SHA-256 over repr(((p, claim, polys, challenges), verdict reason)) of each
+# interactive CORPUS transcript, then of each interactive CHEAT_CASES
+# transcript: the conversations themselves, whatever bytes encode them
+INTERACTIVE_CONVERSATIONS_DIGEST = "ca1653b4850301dcdb951a95c4ef5434854fda6f51dde78dc4d61c38589212dd"
+
+
+def test_interactive_conversations_pinned():
+    digest = hashlib.sha256()
+
+    def add(formula, p, transcript):
+        t = transcript
+        conversation = (t.p, t.claimed_value, t.polys, t.challenges)
+        digest.update(repr((conversation, sumcheck_verify(formula, p, t).reason)).encode())
+
+    for index, text in enumerate(CORPUS):
+        formula = parse_qbf(text)
+        p = default_prime(formula)
+        add(formula, p, sumcheck_prove(formula, p, InteractiveChallenges(index)))
+    for index, strategy, *_ in CHEAT_CASES:
+        formula = parse_qbf(CORPUS[index])
+        p = default_prime(formula)
+        add(formula, p, cheat_prover(strategy, formula, p, InteractiveChallenges(index), random.Random(index)))
+    assert digest.hexdigest() == INTERACTIVE_CONVERSATIONS_DIGEST
 
 
 @pytest.mark.parametrize("index", range(len(BUNDLE_CASES)))
