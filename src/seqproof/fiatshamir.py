@@ -8,6 +8,11 @@ Writers encode each frame once with `encode_message`; one framing function,
 `transcript_decode`, reads every transcript and bundle file back into
 (tag, payload) pairs.
 
+A sum-check field element (the claim, each challenge, each polynomial
+coefficient) takes the narrowest of 1, 2, 4 or 8 big-endian bytes that holds
+p - 1; a round polynomial is a 1-byte coefficient count, then its
+coefficients.  The prime itself travels as a u64, since it fixes the width.
+
 A challenge source absorbs each message as its tag and a zero-argument
 encoder, and calls the encoder only if it needs the bytes: rng coins and
 replayed challenges ignore them.  The one hashed source keeps the framed
@@ -102,7 +107,7 @@ def file_frames(data: bytes) -> list[tuple[int, bytes]]:
     return transcript_decode(data, len(MAGIC))
 
 
-# ── fixed-width payload codecs ─────────────────────────────────────────────
+# ── payload codecs ─────────────────────────────────────────────────────────
 
 
 def encode_u64(n: int) -> bytes:
@@ -115,22 +120,65 @@ def decode_u64(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def encode_poly(coeffs: tuple[int, ...]) -> bytes:
-    """4-byte coefficient count, then each coefficient as a u64."""
+def element_width(p: int) -> int:
+    """Bytes per element of F_p: the narrowest of 1, 2, 4 or 8 that holds p - 1.
+
+    A u64 prime frame carries p, so 8 bytes hold every element of a field
+    a file can name; a wider modulus is refused.
+    """
+    if p <= 1 << 16:
+        return 1 if p <= 1 << 8 else 2
+    if p <= 1 << 32:
+        return 4
+    if p <= 1 << 64:
+        return 8
+    raise ValueError(f"modulus {p} does not fit the u64 prime frame")
+
+
+_ELEMENT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by element width
+
+# the count byte's limit; a statement's round polynomials have at most 3m + 1 <= 73
+MAX_POLY_COEFFS = 255
+
+
+def encode_element(x: int, p: int) -> bytes:
+    """x, which must lie in [0, p), as element_width(p) big-endian bytes."""
+    if not 0 <= x < p:
+        raise ValueError(f"{x} is not an element of the field of size {p}")
+    return x.to_bytes(element_width(p), "big")
+
+
+def decode_element(data: bytes, p: int) -> int:
+    """An element of F_p; refused unless it is element_width(p) bytes below p."""
+    width = element_width(p)
+    if len(data) != width:
+        raise DecodeError(f"expected a {width}-byte field element, got {len(data)} bytes")
+    x = int.from_bytes(data, "big")
+    if x >= p:
+        raise DecodeError("element outside the field")
+    return x
+
+
+def encode_poly(coeffs: tuple[int, ...], p: int) -> bytes:
+    """1-byte coefficient count, then each coefficient as an element of F_p;
+    refused unless canonical over F_p, as decode_poly refuses it."""
+    if coeffs and (coeffs[-1] == 0 or max(coeffs) >= p):
+        raise ValueError(f"not a canonical polynomial over the field of size {p}")
     try:
-        return struct.pack(f">I{len(coeffs)}Q", len(coeffs), *coeffs)
-    except struct.error:  # a value past its width: refuse as the to_bytes join does
-        return len(coeffs).to_bytes(4, "big") + b"".join(map(encode_u64, coeffs))
+        return struct.pack(f">B{len(coeffs)}{_ELEMENT_CODES[element_width(p)]}", len(coeffs), *coeffs)
+    except struct.error:  # a negative coefficient, or a count past its byte
+        raise ValueError(f"not a polynomial of at most {MAX_POLY_COEFFS} coefficients in [0, {p})") from None
 
 
 def decode_poly(data: bytes, p: int) -> tuple[int, ...]:
     """The coefficients as read; refused unless canonical over F_p."""
-    if len(data) < 4:
+    if not data:
         raise DecodeError("truncated polynomial")
-    (count,) = struct.unpack_from(">I", data)
-    if len(data) != 4 + 8 * count:
+    width = element_width(p)
+    count = data[0]
+    if len(data) != 1 + width * count:
         raise DecodeError("polynomial length mismatch")
-    coeffs = struct.unpack_from(f">{count}Q", data, 4)
+    coeffs = struct.unpack_from(f">{count}{_ELEMENT_CODES[width]}", data, 1)
     if coeffs and max(coeffs) >= p:
         raise DecodeError("coefficient outside the field")
     if coeffs and coeffs[-1] == 0:

@@ -35,6 +35,7 @@ from .fiatshamir import (
     DecodeError,
     FiatShamirChallenges,
     RecordedChallenges,
+    decode_element,
     decode_poly,
     decode_u64,
     encode_message,
@@ -151,12 +152,12 @@ def _read_transcript(frames: list[tuple[int, bytes]], formula: Qbf | None = None
         )
     if not reused and to_qdimacs(formula).encode() != raw:
         raise DecodeError("formula payload is not in canonical form")
-    claim = decode_u64(_expect(frames, 3, TAG_SC_CLAIM))
+    claim = decode_element(_expect(frames, 3, TAG_SC_CLAIM), p)
     num_rounds = len(build_operator_chain(formula))
     if len(frames) != 4 + 2 * num_rounds:
         raise DecodeError("round count does not match the formula")
     polys = tuple(decode_poly(_expect(frames, 4 + 2 * k, TAG_SC_POLY), p) for k in range(num_rounds))
-    challenges = tuple(decode_u64(_expect(frames, 5 + 2 * k, TAG_SC_CHALLENGE)) for k in range(num_rounds))
+    challenges = tuple(decode_element(_expect(frames, 5 + 2 * k, TAG_SC_CHALLENGE), p) for k in range(num_rounds))
     return Transcript(formula, p, claim, polys, challenges, mode)
 
 

@@ -49,6 +49,7 @@ from .fiatshamir import (
     TAG_SC_POLY,
     TAG_SC_PRIME,
     TQBF_ORACLE,
+    encode_element,
     encode_poly,
     encode_u64,
     replay_challenges,
@@ -427,13 +428,13 @@ class Conversation:
         self.p = p
         challenges.absorb(TAG_SC_PRIME, lambda: encode_u64(p))
         challenges.absorb(TAG_SC_FORMULA, lambda: to_qdimacs(formula).encode())
-        challenges.absorb(TAG_SC_CLAIM, lambda: encode_u64(claim))
+        challenges.absorb(TAG_SC_CLAIM, lambda: encode_element(claim, p))
 
     def exchange(self, s: tuple[int, ...]) -> int:
         """Send a round polynomial; return the challenge that answers it."""
-        self.challenges.absorb(TAG_SC_POLY, lambda: encode_poly(s))
+        self.challenges.absorb(TAG_SC_POLY, lambda: encode_poly(s, self.p))
         r = self.challenges.challenge_interval(0, self.p)
-        self.challenges.absorb(TAG_SC_CHALLENGE, lambda: encode_u64(r))
+        self.challenges.absorb(TAG_SC_CHALLENGE, lambda: encode_element(r, self.p))
         return r
 
 

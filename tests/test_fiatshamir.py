@@ -9,6 +9,7 @@ from seqproof.field import canonical
 from seqproof.fiatshamir import (
     MAGIC,
     MAX_CHALLENGE_RANGE,
+    MAX_POLY_COEFFS,
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
     TAG_NAMES,
@@ -22,8 +23,11 @@ from seqproof.fiatshamir import (
     FiatShamirChallenges,
     InteractiveChallenges,
     RecordedChallenges,
+    decode_element,
     decode_poly,
     decode_u64,
+    element_width,
+    encode_element,
     encode_message,
     encode_poly,
     encode_u64,
@@ -86,79 +90,111 @@ def test_u64_codec():
         decode_u64(b"\x00" * 7)
 
 
-def _u64_join(coeffs) -> bytes:
-    """The polynomial payload as it was first written: count, then each u64."""
-    return len(coeffs).to_bytes(4, "big") + b"".join(c.to_bytes(8, "big") for c in coeffs)
-
-
-def _u64_reader(data: bytes, p: int) -> tuple[int, ...]:
-    """The to_bytes reader decode_poly replaced, refusals in the same order."""
-    if len(data) < 4:
-        raise DecodeError("truncated polynomial")
-    count = int.from_bytes(data[:4], "big")
-    if len(data) != 4 + 8 * count:
-        raise DecodeError("polynomial length mismatch")
-    coeffs = [int.from_bytes(data[4 + 8 * i : 12 + 8 * i], "big") for i in range(count)]
-    if any(c >= p for c in coeffs):
-        raise DecodeError("coefficient outside the field")
-    if coeffs and coeffs[-1] == 0:
-        raise DecodeError("non-canonical trailing zero coefficient")
-    return canonical(coeffs, p)
-
-
-def _outcome(decode, data, p):
-    try:
-        return decode(data, p)
-    except DecodeError as exc:
-        return f"refused: {exc}"
-
-
-_U64 = st.integers(0, 2**64 - 1)
-_MAX_COEFFS = 3 * 24 + 1  # degree 3m at the most clauses the prime cap allows
-
-
-@given(coeffs=st.lists(_U64, max_size=_MAX_COEFFS))
-def test_poly_codec_writes_the_u64_join(coeffs):
-    p = 1 << 64  # every u64 is a residue, so the polynomial keeps its coefficients
-    poly = canonical(coeffs, p)
-    data = encode_poly(poly)
-    assert data == _u64_join(poly)
-    assert decode_poly(data, p) == poly
-
-
-@given(
-    coeffs=st.lists(st.one_of(st.integers(0, 300), _U64), max_size=_MAX_COEFFS + 2),
-    count=st.one_of(st.none(), st.integers(0, _MAX_COEFFS + 2)),
-    cut=st.one_of(st.just(0), st.integers(1, 9)),
-    p=st.sampled_from((2, 7, 223, 1 << 40, 1 << 64, 1 << 65)),
+# moduli at and around each element-width boundary; the codecs need no primality
+_MODULI = st.sampled_from(
+    (2, 223, 1 << 8, (1 << 8) + 1, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 1, 1 << 64)
 )
-def test_poly_decoder_reads_and_refuses_as_the_u64_reader(coeffs, count, cut, p):
-    count = len(coeffs) if count is None else count  # None: a count that matches
-    data = count.to_bytes(4, "big") + b"".join(c.to_bytes(8, "big") for c in coeffs)
-    data = data[: max(0, len(data) - cut)]
-    assert _outcome(decode_poly, data, p) == _outcome(_u64_reader, data, p)
 
 
-def test_poly_encoder_refuses_what_the_u64_join_refuses():
-    poly = canonical([1, 1 << 64], 1 << 65)
-    with pytest.raises(OverflowError) as expected:
-        _u64_join(poly)
-    with pytest.raises(OverflowError, match=str(expected.value)):
-        encode_poly(poly)
+def _width(p: int) -> int:
+    """The narrowest of 1, 2, 4 or 8 bytes that holds p - 1."""
+    return next(w for w in (1, 2, 4, 8) if (p - 1).bit_length() <= 8 * w)
+
+
+def _poly(data, p: int, max_size: int = MAX_POLY_COEFFS) -> tuple[int, ...]:
+    return canonical(data.draw(st.lists(st.integers(0, p - 1), max_size=max_size)), p)
+
+
+def test_element_width_boundaries():
+    assert [element_width(p) for p in (2, 256, 257, 1 << 16, (1 << 16) + 1)] == [1, 1, 2, 2, 4]
+    assert [element_width(p) for p in (1 << 32, (1 << 32) + 1, 1 << 64)] == [4, 8, 8]
+    with pytest.raises(ValueError, match="u64 prime frame"):
+        element_width((1 << 64) + 1)
+
+
+@given(data=st.data(), p=_MODULI)
+def test_poly_codec_round_trips_at_the_element_width(data, p):
+    width = element_width(p)
+    assert width == _width(p)
+    poly = _poly(data, p)
+    encoded = encode_poly(poly, p)
+    # a count byte, then each coefficient big-endian at the element width
+    assert len(encoded) == 1 + width * len(poly)
+    assert encoded == bytes([len(poly)]) + b"".join(c.to_bytes(width, "big") for c in poly)
+    assert decode_poly(encoded, p) == poly
+    x = data.draw(st.integers(0, p - 1))
+    assert encode_element(x, p) == x.to_bytes(width, "big")
+    assert decode_element(encode_element(x, p), p) == x
+
+
+@given(data=st.data(), p=_MODULI)
+def test_poly_decoder_refuses_out_of_field_trailing_zero_and_wrong_length(data, p):
+    width = element_width(p)
+    poly = _poly(data, p, MAX_POLY_COEFFS - 1)
+    encoded = encode_poly(poly, p)
+    if p < 1 << 8 * width:  # a width-byte value at or above p exists
+        big = data.draw(st.integers(p, (1 << 8 * width) - 1)).to_bytes(width, "big")
+        with pytest.raises(DecodeError, match="outside the field"):
+            decode_element(big, p)
+        if poly:
+            i = data.draw(st.integers(0, len(poly) - 1))
+            bad = encoded[: 1 + width * i] + big + encoded[1 + width * (i + 1) :]
+            with pytest.raises(DecodeError, match="outside the field"):
+                decode_poly(bad, p)
+    zero = bytes([len(poly) + 1]) + encoded[1:] + bytes(width)
+    with pytest.raises(DecodeError, match="trailing zero"):
+        decode_poly(zero, p)
+    cut = data.draw(st.integers(1, len(encoded)))
+    with pytest.raises(DecodeError, match="length mismatch" if cut < len(encoded) else "truncated"):
+        decode_poly(encoded[:-cut], p)
+    extra = data.draw(st.binary(min_size=1, max_size=2 * width))
+    with pytest.raises(DecodeError, match="length mismatch"):
+        decode_poly(encoded + extra, p)
+    other = data.draw(st.sampled_from([w for w in (0, 1, 2, 4, 8, 9) if w != width]))
+    with pytest.raises(DecodeError, match=f"expected a {width}-byte field element"):
+        decode_element(bytes(other), p)
+
+
+_LONG = st.integers(MAX_POLY_COEFFS - 1, MAX_POLY_COEFFS + 2).map(lambda k: [1] * k)
+
+
+@given(data=st.data(), p=_MODULI)
+def test_poly_encoder_refuses_what_the_decoder_refuses(data, p):
+    values = st.one_of(st.integers(-2, p + 2), st.integers(-(1 << 70), 1 << 70))
+    coeffs = tuple(data.draw(st.one_of(st.lists(values, max_size=6), _LONG)))
+    readable = (
+        len(coeffs) <= MAX_POLY_COEFFS
+        and all(0 <= c < p for c in coeffs)
+        and not (coeffs and coeffs[-1] == 0)
+    )
+    try:
+        encoded = encode_poly(coeffs, p)
+    except ValueError:
+        assert not readable
+    else:
+        assert readable and decode_poly(encoded, p) == coeffs
+    x = data.draw(values)
+    try:
+        encoded = encode_element(x, p)
+    except ValueError:
+        assert not 0 <= x < p
+    else:
+        assert decode_element(encoded, p) == x
 
 
 def test_poly_codec_is_canonical():
     poly = canonical([3, 0, 5], 7)
-    assert decode_poly(encode_poly(poly), 7) == (3, 0, 5)
-    assert encode_poly(canonical([], 7)) == b"\x00\x00\x00\x00"
+    assert decode_poly(encode_poly(poly, 7), 7) == (3, 0, 5)
+    assert encode_poly(poly, 7) == b"\x03\x03\x00\x05"
+    assert encode_poly(canonical([], 7), 7) == b"\x00"
     with pytest.raises(DecodeError, match="trailing zero"):
-        decode_poly(b"\x00\x00\x00\x01" + encode_u64(0), 7)
+        decode_poly(b"\x01\x00", 7)
     with pytest.raises(DecodeError, match="outside the field"):
-        decode_poly(b"\x00\x00\x00\x01" + encode_u64(9), 7)
+        decode_poly(b"\x01\x09", 7)
     with pytest.raises(DecodeError, match="length mismatch"):
-        decode_poly(b"\x00\x00\x00\x02" + encode_u64(1), 7)
+        decode_poly(b"\x02\x01", 7)
     with pytest.raises(DecodeError, match="truncated"):
-        decode_poly(b"\x00\x00", 7)
+        decode_poly(b"", 7)
 
 
 def test_ro_challenge_frozen_values():

@@ -61,30 +61,30 @@ CORPUS = (
 
 # (interactive transcript with coin seed = corpus index, Fiat-Shamir transcript)
 TRANSCRIPT_DIGESTS = (
-    ("b40547e0117284801b73043d730e323dfb304883376b9b537615e4d9c3732d75",
-     "9d3c31e38ea1f1a9323c36685127dd9a99ba56489f7db0ea1edd2621e4393932"),
-    ("d12e648f9afb712f22ce8028a9534c1e429d57e7b425b4af1c4766345d18c2bf",
-     "51eda16190b0e67f71f82392014b5640cac8610cc55b890c5107159408c43775"),
-    ("c6bc5382d5af68fd123e4d182337231cd921880474301346d543a441bb375cb2",
-     "476d5b62301938740d6caac7b5150110817b5ee1070389952fcac142f9daa7b3"),
-    ("27ab666674f9ed299a52b61ea784eddb8e6957ec70370874ec8b7d17bd0b3728",
-     "64eaad5de87914c5fe60306fc2b9c7f24c29a2782d78d20d82ee1314f0595908"),
-    ("3f4382efdc6eacbebf854f2610f856a8c9ffc771627329ab16e90d4b33dff017",
-     "9e7bda92a40d12220a47a3b5d10de428428bbed362206cae3954ae126a8f9d41"),
-    ("2ba3dc17b14bcf828af829adae094ddeb7ca2464bce95cd2643aca7da88db4db",
-     "83e29ada65c17b792c7327c3b9fa07f61aed1338ca3adff47c29315d7439b92a"),
-    ("3058bec3a4c6130754fa81a05c9eff76e71928b8e53d6d8981c79bdf191d7445",
-     "84c69797e04167d2edb1160687eed47b8397f1d42e0d6f1954a273f577bc99fa"),
-    ("5346b521dc48434bfa3e170e0a95989a84f5c67b5688d429bf5f381c24d9ea92",
-     "5357dd925b8dba0b94f25d25aa1461280d8bdf38b824f4d172fbf67d8f7844df"),
-    ("0794043c046ecb13856c9eca3a862f819d91566cb308fcad5d2f228abfc9cc72",
-     "45e79e7f23b0ab1514d9a3dd047577da17d2d9fa096429f39009118a55b0c72a"),
-    ("e88cc967c6cb4aae357fa7f4699032d66671ca2175f0d83754e4721663812fd2",
-     "78d823df7b736d8de417a773703a659daef7e6c6659564c3d373872df1817752"),
-    ("c4a34e8f8826003295aefafb7f0907c3ce65c18a8d76a76a8268bb9232302b98",
-     "23c064a52b2103ddb910d4b58db3faee0187d94be16e7aefdd584224f4aec823"),
-    ("954eec36c4b676ebeeb7ccf2c81c30d9776df6d3b9c6feefea7ad91b8183ab46",
-     "4d7ba46eeef7b03a0b4df6c847f54de5192258a0551b9b643a89737f3ba4c913"),
+    ("af7f030f6b5d11f46dd29880a6ac7feec87483c2b08af40f45e48747fd8faacc",
+     "9b9e046a28bf2054d83eafc8192c9ec62a5062ace92acc71c5153304472b59af"),
+    ("164fc40dfa0e8405daecd5888de8ae019e9461efe1ece36a88a35d20c73f247a",
+     "d23c446425ebfc014a096151f32227e60df4eee0c98a24ab2d8ebf31bbe975a9"),
+    ("3c0ae7e9e5e2186a7bde3da6a01153fa4775a79d9d60eb47a6aca282e3e0bc08",
+     "938af9dd3f6b531090aa1aceedad94ad2b9ec643fba4a575fef5be15080b8c18"),
+    ("52309f08bdd844261abf6f8e811242ff234247bba1f75d51b6e1e0eaef9f62ac",
+     "d1c3f6bd40ebaf74ba4fd645e21232cecc604733fc3e827e9bbc615277b5059f"),
+    ("feee0dd64447ab8623990580cc6404a76666a955632bdc4f79d67db71230fc50",
+     "af3e9fcf14dc384db28cda56e9f4a8bfac3f8b75052aa8be766dd6802ba26bf5"),
+    ("442a5812da4b1ee17ece0ea9a91be20ea420ea3d198f81b85ff2518e400b43ce",
+     "3708f9509c5125a2edbb4d17bf121ef19ac95c04683bbb13c73f3b54701599b2"),
+    ("44e9874d9afe72e1ea7b774643f44204eb2c62f085bc33893346bfce8448d51b",
+     "5bf2cb2c918a860a2757c801ead6b294b266b490993a611e10bf958f3177d144"),
+    ("c1d904daa1481714bfba15c19859a1190ece66f8ba0d3fd94856c30b2ff7b352",
+     "fafa0abb8eb2dfc26c068ffbcc0107ed51df8469076c4da90bee041a512b3b80"),
+    ("68efeb4152433fb8fc356b17be6c026b93a4966eb1e34cbf5110828a9e8cdb68",
+     "810438063087c91625a1826af7cd257bb7498d342fcfe2e6b86586e216a624a4"),
+    ("6f1018e3da0d4c875ddb9e0c3d972f592a827c09ef7fb0f9d3a7ddf6a4afa544",
+     "f72b02fcfbabc8676b8e0d2bd84a5cb4bbfa68bd7871ac6f364c75a489015bd9"),
+    ("01875f3aa05a9d57c7e03315f57173ab9536cb4f9d7923776c5d3632b84595a0",
+     "459bf3fee17a2e5945be7f376881c5d32106a611f25b3b444bcff98bacecf423"),
+    ("9000484aafaef7dae9a94d8f6f54cc48e4a440904271886011a2be72eb458ada",
+     "626140d18a014bb3a0f83663479a3029bd4b7252d1cbcd2f5d3e287eb51196c6"),
 )
 
 # (corpus index, strategy, digest and verdict reason under interactive coins
@@ -92,41 +92,41 @@ TRANSCRIPT_DIGESTS = (
 # is random.Random(corpus index)
 CHEAT_CASES = (
     (1, 'wrong-claim',
-     '44bc77dd354458c8a30597826bc2bcb1f3734e92c396b0f91454bd3a12408006', 'final-check',
-     '53be8fbfa4aa980f3b976b912e248f905013059b67d050c64c14e2349af88232', 'final-check'),
+     '1745a1f4339af3ebd8d80fdcc5229a5e5e29b4731768aeecbcf99e4b8b6b74f5', 'final-check',
+     '8374f44c02ea8e0215a86832d7ef51dbc8177b565d2189ded65738108a1965ec', 'final-check'),
     (1, 'constant-poly',
-     '7c8b9b5cecdb1461f1cbfd2256fdd2a4e7e55a6afd69677aef4b417fc7e857e0', 'final-check',
-     'f3fe91a8d1a8ab3d1834debab0a608375d3dfa1affc322deb0075dbeab9ba726', 'final-check'),
+     'c5e68f44cf33ed4f16252c5bea0e21187cb0f1d4b7b39132c848db16c05d0cd2', 'final-check',
+     'db6c6104414eac8e4bc4e74ed77bffbd3f5fa0b6cd5893338d4ba0b10592ee58', 'final-check'),
     (1, 'random-round',
-     '7f187c5eed8db6dc32e795d51b4dd0a84892d8d4e67ae7a71340e01db48009f5', 'round-check',
-     'd37f5ae08380c4c8939843e08dab0a4d94c3f06168ed299ff160ab5793f8cb3a', 'round-check'),
+     '1bad8769ca3220264651058aa3f0cbdf1d7f84ab46e256eb82ce59ec0448578c', 'round-check',
+     'ed8b4ec41e7c6e7c0bffb9a75627676e278ca3b178838d0c2733f9c835fd4ca7', 'round-check'),
     (1, 'random-round(1)',
-     'bbe322ce391c48882d4069fc0717162672541fa700e3c321d1a69a81d35c818a', 'round-check',
-     'ddc1ad7fa7f00f3d1f1fb1cc60304ea18f2bf8703ca4eb1234fcd991fa776dbb', 'round-check'),
+     '9c3a952e12aecfbe3f92a7997b68a320fad2096ac412757b0e77faf96a15a3ac', 'round-check',
+     'b301eae62b043088391dffd743d1485f1f92d8c3d8469fcd5f70d4d0d3cdb447', 'round-check'),
     (4, 'wrong-claim',
-     '74fc71e05068233404d7c03ff0e6f39c3f7fcef25fe90ba5a8bf6f1a81d3b60a', 'final-check',
-     '9846d2a7685f23ad8947c77cafa617cd9a13d3e9be704fb2daff4f845c4d4f02', 'final-check'),
+     'd4c409e6d27071e0b6ffda84a445e61ab038460fd8fba45976dce3717099082b', 'final-check',
+     '0efb9dd64dfae47ac7c9f0b38cc6aaa03ebf9639715048d425e8b7f13785e440', 'final-check'),
     (4, 'constant-poly',
-     'e788ed2952de148cf51df4b4046fa12ccccd0994391635dbd89a6de613fd0e08', 'final-check',
-     '1562022d5282ad48b11c9405c810c06d95202e1178b2a036a2833be6ea4069a4', 'final-check'),
+     'ea3fbe3239449c2de7a13f2e7a45f9797639bb555c2b23b32805d4b7c2b85beb', 'final-check',
+     'b96fcb21553912af1132cc86ba6c3b84f94a60f1e250ab690e4eb2ec6880190e', 'final-check'),
     (4, 'random-round',
-     '61988efcf40d847705e1ff94b23d4c81e42317f064d4f0c2a1fedb0328bbde25', 'round-check',
-     '2467fdef7ea01ce3bff139e6fbbc6488f039b63117d4cdf33fa10dde36d9f4ae', 'round-check'),
+     '6b4bce05bccb836d825cc257e349180345fc1e636cf1cc96569a072f6defa024', 'round-check',
+     'faf81879262df790b03f3c56e91284a84a4eca69f3f339dcf1fc5051093915a5', 'round-check'),
     (4, 'random-round(1)',
-     'da8ee42e4a4eb101da5fa03bdf371467678a821009b8260bd0c4a9b6823b25b7', 'round-check',
-     'f0d6b5a6af7df8d8075696480ca85d1c4b12c6523d799067dce1caa9c26c73f2', 'round-check'),
+     'adb7f4e9778ae0370985c07418fad7fe3d2fd2d67ce11de61282e282c42f5c75', 'round-check',
+     '95908c49fe92173def665659cd036487cb5a27471804469b3eac02fe88d9a363', 'round-check'),
     (7, 'wrong-claim',
-     'f5f6f066d7243755062e34561ef55f426e89fff50fedd2ce183dbdddc627b1ed', 'final-check',
-     'e313e5df9975957deabbe4d194c76f32be975bc607a16f76f8e4032ac3cab580', 'final-check'),
+     '4e4d5186cb1fa54c280e56bf0828eac48d1a13958785661fa1bfbb82fd7a43c1', 'final-check',
+     '82553eccb8e320e0f98c5309a38d60cd374eef9bab683dc19ef79869625b3b3b', 'final-check'),
     (7, 'constant-poly',
-     'ec12bbdc7d68ba690ffc2c76fafea7297d86c3b2659970e323dea3f1d40f904c', 'round-check',
-     '67bc46719121b12a9a38204706bb1e73a9a06e53eafc82220e38d0ad1374321c', 'round-check'),
+     'a28ffd23d0ca1cb3dece3f5c37a9b21d1e5f66e68519c453ee0ae0873dcf0616', 'round-check',
+     '37973b22cb08a1d17d87af11f8bafe0258f398fd06d654367b37c10c00af1cc0', 'round-check'),
     (7, 'random-round',
-     '908342b64adc5bca7d13b4c100d5919a11faeaf0a6409e7de8eafced5d620078', 'round-check',
-     '6ece1ed6e1198e21ce70a509d45ec1e8e367e33d43d3d99f234375f5f340e683', 'round-check'),
+     '8fab1de49442849663a0e9ad206d097cb39b3245472323c79819aae767dceb8c', 'round-check',
+     'dbcd97f1f09ef55fd6e631e9beadf874de386c55a7c2d5a4e1a79843d90efad1', 'round-check'),
     (7, 'random-round(1)',
-     '2c02583bfa4b6ef5c586b5fe2d1d3bdc29f39ccdbc74be2ed2ba5bf99754558e', 'round-check',
-     '992d1cf08e430a9da7e3af9f8d6987abe48dffd8e48ab67a2b5f2ff6a3613362', 'round-check'),
+     '9f30386097c8a4ef94b7c3e4107ae5eda6a35a8c80d7eda4a3410470f5d0fb2a', 'round-check',
+     'c5f73f2e8c8abd3df992e3d5e990c9468184b83c9783030aae376d09d8f69f23', 'round-check'),
 )
 
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
@@ -257,18 +257,18 @@ def test_soundness_report_bytes_pinned(case):
 # (n, m, digest of the interactive transcript with coin seed m, digest of the
 # Fiat-Shamir transcript) for seeded_true_formula(n, m, m)
 WIDE_TRANSCRIPT_DIGESTS = (
-    (2, 8, "1474190fc85aa9e5fa5ab08804aaf53452fde02f704a022465f87dc72140415f",
-     "e8e597015714482924c86ab3f53e1cf6e17c361e07e47eabad7be2c66abc7d4b"),
-    (2, 16, "fda063e5ef4892415892144d0b00fa96dbb85e6cc937e54deb65693251a0f78b",
-     "0ae43bd921e714c48332400bfe54ed4c4c4903518a105960ec517853a7c7f75c"),
-    (2, 23, "7aa79540275dbe4b895bb6822812aec1a6e78fdc1a992cbf9d3a863ee26fb872",
-     "d7c95461b7b4e3da41ca0b7a1e0d39b23c3bf8134a6a6759434074529a816801"),
-    (3, 8, "f8edc9ba50c9a9016ce882053a9778cb13cc36e1bb87c6e382d2049dd80415d5",
-     "f196c895c0db1529d86068520b7c9a46cf211f026c6df2e57e18c87736b0b95c"),
-    (3, 16, "9df043e70d30b887f22ba6a163e49f9742b0d27c6d379a78bb2920fbe8e0a36c",
-     "5b4ab2ac2de15df486afbaefbe334c1cd222466ae85b095e20fda9f3fdf0c1ca"),
-    (3, 23, "dc4b44f9ce1f12d98e6ba446ee380074ad2e4fdb3822c07e6ee424b17af608bf",
-     "85595282c1eaf3e3243e6df55211392ee67a14b15d8479bd570b63430d70bb3f"),
+    (2, 8, "14e02b9d6f9a7bb60478542f7cb2be9ad0282627405cfd971cad6024801b9353",
+     "bbf60bd0362788546bb33539c2338f317b245e09253b070ea51a3eeb141be823"),
+    (2, 16, "5adb8795361c61e42d66de6c918659a7720923c75e9d592ddf5ee38d901ef4fb",
+     "863b1bf8a296c56d4e61c0886f091b2b88f3ccb62f5c9a993422792dff2e0032"),
+    (2, 23, "deca1734645e8b44865bb62d39b330433e807be51219cbc60bcc7b0a4c7f4af1",
+     "369e34e14e69ed87941ff26398da1822d48b06e685dc94f05b8c3bbda7aed643"),
+    (3, 8, "912cf3db45862a2b026e78787f3c44e1e83a041e5ecee481e6d33e7b5da890ac",
+     "7a836100ea7220c713a02ad7b2b0b3ae9f1426362a3ba60bf5caba177bd4293e"),
+    (3, 16, "3704d26b0329dd6e5d7528cc7ef5f3b59c989ab568c080d28aa2055644e6455b",
+     "b6f520056e1c90cb1a92295506826b1b0b87f45416026e6dd11a6da9e8495bb0"),
+    (3, 23, "c23d394b17cf631784e559c486fbf3cdcbbad8f366ef73b88832b9697321891c",
+     "d0db7f46e467e912caf42a005659ec1e765c72afc1dd572d85e9a940969b88fc"),
 )
 
 
@@ -296,7 +296,7 @@ def test_wide_transcript_bytes_pinned(monkeypatch):
 # SHA-256 over (exit code, stdout, stderr) of `verify-tqbf` on each one-bit
 # flip, then each truncation, of CORPUS[1]'s Fiat-Shamir file, then the same
 # for its interactive file (coin seed 1)
-VERIFY_OUTPUTS_DIGEST = "9603afc84f3d718b313a019e9c7fc0356a871f3801e83d5e641c9e8ee78cb40e"
+VERIFY_OUTPUTS_DIGEST = "af55e86612f05bfd784113cb53256af0870bc7730683a618a669c75dd9243a94"
 
 
 def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
@@ -311,7 +311,7 @@ def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
             transcript.write_bytes(variant)
             digest.update(repr(_cli(argv)).encode())
             calls += 1
-    assert calls == 5130
+    assert calls == 2790
     assert digest.hexdigest() == VERIFY_OUTPUTS_DIGEST
 
 

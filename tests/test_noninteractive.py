@@ -16,8 +16,8 @@ from seqproof.fiatshamir import (
     DecodeError,
     FiatShamirChallenges,
     InteractiveChallenges,
+    encode_element,
     encode_message,
-    encode_u64,
     file_frames,
 )
 from seqproof.noninteractive import (
@@ -94,7 +94,7 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
     assert fs_verify_tqbf(formula, tr)
     # the bytes the source absorbed are the file's messages after the mode message
     absorbed = len(b"".join(encode_message(*f) for f in file_frames(transcript_to_bytes(tr))[1:]))
-    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_u64(tr.challenges[-1])))
+    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_element(tr.challenges[-1], tr.p)))
     for run in (proved, lengths):
         assert len(run) == len(tr.polys) == 65
         assert sum(run) == absorbed - last_challenge
@@ -102,7 +102,8 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
 
 def test_each_byte_read_is_hashed_once(monkeypatch):
     formula = seeded_true_formula(10, 8, 10)
-    data = transcript_to_bytes(fs_prove_tqbf(formula))
+    tr = fs_prove_tqbf(formula)
+    data = transcript_to_bytes(tr)
     lengths = []
     ro = fiatshamir.ro_challenge
 
@@ -115,13 +116,14 @@ def test_each_byte_read_is_hashed_once(monkeypatch):
 
     monkeypatch.setattr(fiatshamir, "ro_challenge", counted)
     monkeypatch.setattr(sumcheck, "encode_poly", unread)
+    monkeypatch.setattr(sumcheck, "encode_element", unread)
     monkeypatch.setattr(sumcheck, "encode_u64", unread)
     for module in (fiatshamir, noninteractive):  # nor frames one, not even the mode message
         monkeypatch.setattr(module, "encode_message", unread)
     assert verify_transcript_bytes(formula, data)
     # the bytes hashed are the file's messages after the mode message, but the last challenge
     absorbed = len(data) - len(MAGIC) - len(encode_message(TAG_MODE, b"fiat-shamir"))
-    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_u64(0)))
+    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_element(0, tr.p)))
     assert len(lengths) == 65
     assert sum(lengths) == absorbed - last_challenge
 
@@ -214,11 +216,10 @@ def test_transcript_decode_errors():
         transcript_from_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(DecodeError, match="truncated"):
         transcript_from_bytes(blob[:-3])
+    frames = file_frames(blob)
     # a trailing well-formed message (the final challenge repeated) is refused
     with pytest.raises(DecodeError, match="round count"):
-        transcript_from_bytes(blob + blob[-13:])
-
-    frames = file_frames(blob)
+        transcript_from_bytes(blob + encode_message(*frames[-1]))
     with pytest.raises(DecodeError, match="expected mode"):
         transcript_from_bytes(_file(frames[1:] + frames[:1]))
     with pytest.raises(DecodeError, match="unknown mode"):
