@@ -598,9 +598,10 @@ def test_verify_tqbf_refuses_a_formula_over_the_cap_given_twice(tmp_path, capsys
         "", "error: formula has 17 variables; the protocol is capped at 16 variables\n")
 
 
-def _parent_payload(tag: int, payload: bytes, p: int) -> bytes:
-    """A sum-check payload in the layout before elements took the prime's
-    width: u64 claim and challenges, a 4-byte count and u64 coefficients."""
+def _u64_payload(tag: int, payload: bytes, p: int) -> bytes:
+    """A sum-check payload in the u64 layout, which files used before
+    elements took the prime's width: u64 claim and challenges, a 4-byte
+    count and u64 coefficients."""
     if tag in (TAG_SC_CLAIM, TAG_SC_CHALLENGE):
         return encode_u64(decode_element(payload, p))
     if tag == TAG_SC_POLY:
@@ -609,44 +610,44 @@ def _parent_payload(tag: int, payload: bytes, p: int) -> bytes:
     return payload
 
 
-class _ParentLayoutChallenges(FiatShamirChallenges):
-    """The hashed source, absorbing each message in the parent layout."""
+class _U64LayoutChallenges(FiatShamirChallenges):
+    """The hashed source, absorbing each message in the u64 layout."""
 
     def __init__(self, p: int):
         super().__init__(TQBF_ORACLE)
         self.p = p
 
     def absorb(self, tag, encode):
-        payload = _parent_payload(tag, encode(), self.p)
+        payload = _u64_payload(tag, encode(), self.p)
         super().absorb(tag, lambda: payload)
 
 
-# the golden corpus formula whose files at p = 37 the parent layout pinned:
-# (interactive file with coin seed 1, Fiat-Shamir file)
-PARENT_CORPUS_FORMULA = "p cnf 2 2\ne 1 2 0\n-1 2 2 0\n1 1 -2 0\n"
-PARENT_FILE_DIGESTS = (
+# a golden corpus formula and the digests its files at p = 37 were pinned to
+# in the u64 layout: (interactive file with coin seed 1, Fiat-Shamir file)
+U64_CORPUS_FORMULA = "p cnf 2 2\ne 1 2 0\n-1 2 2 0\n1 1 -2 0\n"
+U64_FILE_DIGESTS = (
     "d12e648f9afb712f22ce8028a9534c1e429d57e7b425b4af1c4766345d18c2bf",
     "51eda16190b0e67f71f82392014b5640cac8610cc55b890c5107159408c43775",
 )
 
 
 @pytest.mark.parametrize("p", [37, next_prime_at_least((1 << 32) + 1)])
-def test_verify_tqbf_refuses_files_in_the_parent_layout(tmp_path, capsys, p):
-    formula = parse_qbf(PARENT_CORPUS_FORMULA)
+def test_verify_tqbf_refuses_files_in_the_u64_layout(tmp_path, capsys, p):
+    formula = parse_qbf(U64_CORPUS_FORMULA)
     interactive = transcript_to_bytes(sumcheck_prove(formula, p, InteractiveChallenges(1)))
     old_interactive = MAGIC + b"".join(
-        encode_message(tag, _parent_payload(tag, payload, p)) for tag, payload in file_frames(interactive)
+        encode_message(tag, _u64_payload(tag, payload, p)) for tag, payload in file_frames(interactive)
     )
-    source = _ParentLayoutChallenges(p)
+    source = _U64LayoutChallenges(p)
     sumcheck_prove(formula, p, source)
     old_hashed = noninteractive.file_bytes(source)
-    if p == 37:  # the rebuilt files are the parent's own bytes
+    if p == 37:  # the rebuilt files are the u64 layout's own bytes
         digests = tuple(hashlib.sha256(data).hexdigest() for data in (old_interactive, old_hashed))
-        assert digests == PARENT_FILE_DIGESTS
+        assert digests == U64_FILE_DIGESTS
     # a u64 claim is too wide below 2^32; above it, the 4-byte count is
     refusal = "expected a 1-byte field element, got 8 bytes" if p == 37 else "polynomial length mismatch"
     path, transcript = tmp_path / "f.qdimacs", tmp_path / "old.transcript"
-    path.write_text(PARENT_CORPUS_FORMULA)
+    path.write_text(U64_CORPUS_FORMULA)
     for data in (old_interactive, old_hashed):
         transcript.write_bytes(data)
         assert main(["verify-tqbf", "--in", str(path), "--transcript", str(transcript)]) == 1
