@@ -173,6 +173,15 @@ def test_poly_encoder_refuses_what_the_decoder_refuses(data, p):
         assert not readable
     else:
         assert readable and decode_poly(encoded, p) == coeffs
+    # each refusal on its own: a value outside [0, p) anywhere, a trailing zero
+    poly = list(_poly(data, p, 6))
+    bad = data.draw(st.sampled_from((-1, p, p + 1, 1 << 64, 1 << 70)))
+    at = data.draw(st.integers(0, len(poly)))
+    for refused in (poly[:at] + [bad] + poly[at:] + [1], poly + [0]):
+        with pytest.raises(ValueError):
+            encode_poly(tuple(refused), p)
+    with pytest.raises(ValueError):
+        encode_element(bad, p)
     x = data.draw(values)
     try:
         encoded = encode_element(x, p)
