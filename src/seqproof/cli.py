@@ -33,7 +33,6 @@ from .noninteractive import (
     load_bundle,
     open_bundle,
     save_bundle,
-    transcript_to_bytes,
     verify_bundle,
     verify_transcript_bytes,
 )
@@ -60,6 +59,8 @@ def _read_params(path: str):
 
 
 def _cmd_prove_tqbf(args) -> int:
+    if args.out and not args.fs:
+        raise ValueError("--out writes a Fiat-Shamir proof; a file cannot carry the verifier's coins, so add --fs")
     formula = _read_formula(getattr(args, "in"))
     source = FiatShamirChallenges(TQBF_ORACLE) if args.fs else InteractiveChallenges(args.seed)
     transcript = sumcheck_prove(formula, args.prime, source)
@@ -71,8 +72,7 @@ def _cmd_prove_tqbf(args) -> int:
         print("formula is false; no membership proof exists", file=sys.stderr)
         return 1
     if args.out:
-        data = file_bytes(source) if args.fs else transcript_to_bytes(transcript)
-        Path(args.out).write_bytes(data)
+        Path(args.out).write_bytes(file_bytes(source))
         print(f"wrote {args.out}")
     return 0
 
@@ -223,7 +223,7 @@ COMMANDS = (
         ("--prime", dict(type=int, default=None, help="field modulus (default: smallest admissible one at which a true formula's claim is nonzero)")),
         ("--fs", dict(action="store_true", help="derive challenges by hashing")),
         ("--seed", dict(type=int, default=0, help="verifier coin seed (interactive mode)")),
-        ("--out", dict(default=None, help="transcript file to write")))),
+        ("--out", dict(default=None, help="transcript file to write (requires --fs)")))),
     (("verify-tqbf",), "check a transcript against a formula", _cmd_verify_tqbf, (
         ("--in", dict(required=True, help="formula file (qdimacs)")),
         ("--transcript", dict(required=True, help="transcript file")))),

@@ -8,10 +8,10 @@ Writers encode each frame once with `encode_message`; one framing function,
 `transcript_decode`, reads every transcript and bundle file back into
 (tag, payload) pairs.
 
-A sum-check field element (the claim, each challenge, each polynomial
-coefficient) takes the narrowest of 1, 2, 4 or 8 big-endian bytes that holds
-p - 1; a round polynomial is a 1-byte coefficient count, then its
-coefficients.  The prime itself travels as a u64, since it fixes the width.
+A sum-check field element (the claim, each polynomial coefficient) takes the
+narrowest of 1, 2, 4 or 8 big-endian bytes that holds p - 1; a round
+polynomial is a 1-byte coefficient count, then its coefficients.  The prime
+itself travels as a u64, since it fixes the width.
 
 A challenge source absorbs each message as its tag and a zero-argument
 encoder, and calls the encoder only if it needs the bytes: rng coins and
@@ -20,7 +20,8 @@ messages in a byte buffer and hashes each span of it once.  A prover's
 source appends each message's frame to an empty buffer; a verifier's source
 steps through the buffer of a file already read, checking each frame's tag
 and calling no encoder.  The decoders accept only canonical encodings, so
-the bytes stepped through are the ones the encoders would append.  Each
+the bytes stepped through are the ones the encoders would append.  A
+sum-check challenge is drawn, never absorbed, so no file carries one.  Each
 source names the mode of the transcripts it yields; only this module pairs
 modes with sources.
 """
@@ -40,7 +41,7 @@ TAG_SC_PRIME = 0x02
 TAG_SC_FORMULA = 0x03
 TAG_SC_CLAIM = 0x04
 TAG_SC_POLY = 0x05
-TAG_SC_CHALLENGE = 0x06
+# 0x06 carried sum-check challenges; it stays unregistered, so files that hold one fail framing
 TAG_VDF_PP = 0x10
 TAG_VDF_INPUT = 0x11
 TAG_VDF_OUTPUT = 0x12
@@ -53,7 +54,6 @@ TAG_NAMES = {
     TAG_SC_FORMULA: "sc-formula",
     TAG_SC_CLAIM: "sc-claim",
     TAG_SC_POLY: "sc-poly",
-    TAG_SC_CHALLENGE: "sc-challenge",
     TAG_VDF_PP: "vdf-pp",
     TAG_VDF_INPUT: "vdf-input",
     TAG_VDF_OUTPUT: "vdf-output",
@@ -302,14 +302,9 @@ class RecordedChallenges:
         return self._pop()
 
 
-def replay_challenges(mode: str, spec: OracleSpec, recorded, read: bytes | None = None):
+def replay_challenges(mode: str, spec: OracleSpec, recorded):
     """The verifier's source for a transcript or bundle of the given mode:
-    the hash under spec for Fiat-Shamir, the recorded challenges otherwise.
-
-    read, if given, is the file's bytes from the first absorbed message on;
-    the hashed source then steps through them instead of appending what it
-    encodes.
-    """
+    the hash under spec for Fiat-Shamir, the recorded challenges otherwise."""
     if mode != MODE_FIAT_SHAMIR:
         return RecordedChallenges(recorded)
-    return FiatShamirChallenges(spec, read)
+    return FiatShamirChallenges(spec)

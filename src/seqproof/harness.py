@@ -133,10 +133,11 @@ def exp_soundness(
 ) -> ExperimentReport:
     """Accept rates of cheating provers against fresh interactive coins.
 
-    Each trial draws a fresh formula; every cheat strategy claims a value
-    that differs from the true one, so any accept is a soundness failure.
-    The pass criterion allows three binomial standard deviations above the
-    bound.  An honest control on true formulas must accept every time.
+    Each trial draws a fresh formula.  wrong-claim claims the chain value
+    plus 1; constant-poly and random-round(k) claim the chain value itself,
+    or 1 where it is 0, and every accept counts.  The pass criterion allows
+    three binomial standard deviations above the bound.  An honest control
+    on true formulas must accept every time.
     Per-trial randomness is derived from (seed, strategy, trial index), so
     trials are order-independent, and the trials and the controls are split
     into shares (_run_shares) whose accept counts are summed.  The statement

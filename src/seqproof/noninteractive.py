@@ -20,7 +20,6 @@ from .fiatshamir import (
     MODE_INTERACTIVE,
     TAG_MODE,
     TAG_NAMES,
-    TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
     TAG_SC_POLY,
@@ -100,7 +99,8 @@ def fs_verify_tqbf(formula: Qbf, transcript: Transcript) -> Verdict:
 
     The prime travels with the transcript; an inadmissible one (wrong size,
     composite) rejects.  Recorded challenges that do not match the
-    re-derived ones reject, so interactive transcripts fail here.
+    re-derived ones reject, so interactive transcripts fail here; a decoded
+    file's challenges are the ones its reader derived.
     """
     return sumcheck_verify(formula, transcript.p, transcript, FiatShamirChallenges(TQBF_ORACLE))
 
@@ -126,15 +126,19 @@ def file_bytes(source) -> bytes:
     return MAGIC + encode_message(TAG_MODE, source.mode.encode()) + source.transcript_bytes()
 
 
-def _read_transcript(frames: list[tuple[int, bytes]], formula: Qbf | None = None) -> Transcript:
-    """The schedule reader: a transcript from its (tag, payload) pairs, in
-    the schedule's order.
+def transcript_from_bytes(data: bytes, formula: Qbf | None = None) -> Transcript:
+    """The schedule reader: a transcript from a Fiat-Shamir file, read in
+    the schedule's order, with each challenge derived from the messages
+    before it as the prover's source drew it.
 
-    A formula whose canonical text is the formula payload stands for it,
+    A formula given stands for a formula payload that is its canonical text,
     since parsing that text gives an equal formula; any other payload is
-    parsed.
+    parsed, with the same checks and errors.
     """
+    frames = file_frames(data)
     mode = _decode_mode(_expect(frames, 0, TAG_MODE))
+    if mode != MODE_FIAT_SHAMIR:
+        raise DecodeError(f"a transcript file must be a {MODE_FIAT_SHAMIR} proof, not {mode}")
     p = decode_u64(_expect(frames, 1, TAG_SC_PRIME))
     if p < 2:
         raise DecodeError("modulus too small")
@@ -154,15 +158,20 @@ def _read_transcript(frames: list[tuple[int, bytes]], formula: Qbf | None = None
         raise DecodeError("formula payload is not in canonical form")
     claim = decode_element(_expect(frames, 3, TAG_SC_CLAIM), p)
     num_rounds = len(build_operator_chain(formula))
-    if len(frames) != 4 + 2 * num_rounds:
+    if len(frames) != 4 + num_rounds:
         raise DecodeError("round count does not match the formula")
-    polys = tuple(decode_poly(_expect(frames, 4 + 2 * k, TAG_SC_POLY), p) for k in range(num_rounds))
-    challenges = tuple(decode_element(_expect(frames, 5 + 2 * k, TAG_SC_CHALLENGE), p) for k in range(num_rounds))
-    return Transcript(formula, p, claim, polys, challenges, mode)
+    polys = tuple(decode_poly(_expect(frames, 4 + k, TAG_SC_POLY), p) for k in range(num_rounds))
+    # hashed past the magic and the mode frame; canonical, so as the prover's source hashed them
+    source = FiatShamirChallenges(TQBF_ORACLE, data[len(MAGIC) + 5 + len(MODE_FIAT_SHAMIR) :])
+    conversation = Conversation(source, formula, p, claim)
+    return Transcript(formula, p, claim, polys, tuple(map(conversation.exchange, polys)), mode)
 
 
 def transcript_to_bytes(transcript: Transcript) -> bytes:
-    """The transcript's file: its conversation replayed into a _Transcriber."""
+    """The transcript's file, its conversation replayed into a _Transcriber;
+    only a Fiat-Shamir transcript has one, as the reader reads no other."""
+    if transcript.mode != MODE_FIAT_SHAMIR:
+        raise ValueError(f"a transcript file must be a {MODE_FIAT_SHAMIR} proof, not {transcript.mode}")
     source = _Transcriber(transcript.mode, transcript.challenges)
     conversation = Conversation(source, transcript.formula, transcript.p, transcript.claimed_value)
     for s in transcript.polys:
@@ -170,27 +179,17 @@ def transcript_to_bytes(transcript: Transcript) -> bytes:
     return file_bytes(source)
 
 
-def transcript_from_bytes(data: bytes, formula: Qbf | None = None) -> Transcript:
-    """Decode a transcript file; a formula given stands for a formula payload
-    that is its canonical text, with the same checks and errors."""
-    return _read_transcript(file_frames(data), formula)
-
-
 def verify_transcript_bytes(formula: Qbf, data: bytes) -> Verdict:
-    """Decode a transcript file and check it against formula, hashing a
-    Fiat-Shamir transcript's challenges from the bytes read.
+    """Decode a transcript file and check it against formula.
 
-    The verdict is sumcheck_verify's on the decoded transcript: the decoder
-    accepts only canonical encodings, so the bytes read are the bytes the
-    verifier's messages encode to.  The decoder is handed formula, so a
-    file that carries formula's canonical text does not parse it again.
-    Raises DecodeError as transcript_from_bytes does.
+    The decoder derives every challenge from the hash of the bytes read,
+    hashing each byte once; the verdict is sumcheck_verify's on the decoded
+    transcript with those challenges replayed.  The decoder is handed
+    formula, so a file that carries formula's canonical text does not parse
+    it again.  Raises DecodeError as transcript_from_bytes does.
     """
     t = transcript_from_bytes(data, formula)
-    # past the magic and the mode frame: tag byte, 4-byte length, payload
-    absorbed = data[len(MAGIC) + 5 + len(t.mode.encode()) :]
-    source = replay_challenges(t.mode, TQBF_ORACLE, t.challenges, absorbed)
-    return sumcheck_verify(formula, t.p, t, source)
+    return sumcheck_verify(formula, t.p, t, RecordedChallenges(t.challenges))
 
 
 def save_transcript(path, transcript: Transcript) -> None:

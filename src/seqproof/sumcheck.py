@@ -43,7 +43,6 @@ from operator import add, mul
 
 from .field import MAX_PRIME, MAX_PRIME_TEXT, canonical, check_prime, lagrange_interpolate, next_prime_at_least, poly_eval, sqrt_mod
 from .fiatshamir import (
-    TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
     TAG_SC_POLY,
@@ -418,9 +417,10 @@ class Conversation:
 
     The prime, the formula and the claim open the conversation; then every
     chain operator gets the prover's polynomial and the challenge drawn after
-    it.  The challenge source absorbs each message in this order, and a
-    transcript file stores exactly these messages after its mode message.
-    A message is encoded only if the source reads it.
+    it.  The challenge source absorbs the prover's messages in this order,
+    and a transcript file stores exactly these after its mode message; a
+    challenge is drawn, never absorbed.  A message is encoded only if the
+    source reads it.
     """
 
     def __init__(self, challenges, formula: Qbf, p: int, claim: int):
@@ -433,9 +433,7 @@ class Conversation:
     def exchange(self, s: tuple[int, ...]) -> int:
         """Send a round polynomial; return the challenge that answers it."""
         self.challenges.absorb(TAG_SC_POLY, lambda: encode_poly(s, self.p))
-        r = self.challenges.challenge_interval(0, self.p)
-        self.challenges.absorb(TAG_SC_CHALLENGE, lambda: encode_element(r, self.p))
-        return r
+        return self.challenges.challenge_interval(0, self.p)
 
 
 @dataclass(frozen=True)

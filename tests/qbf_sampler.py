@@ -25,3 +25,9 @@ def seeded_true_formula(n: int, m: int, seed: int):
     """The first formula of shape (n, m) drawn from random.Random(seed) that brute force says is true."""
     rng = random.Random(seed)
     return next(f for f in iter(lambda: random_qbf(rng, n, m), None) if eval_qbf_bruteforce(f))
+
+
+def seeded_false_formula(n: int, m: int, seed: int):
+    """The first formula of shape (n, m) drawn from random.Random(seed) that brute force says is false."""
+    rng = random.Random(seed)
+    return next(f for f in iter(lambda: random_qbf(rng, n, m), None) if not eval_qbf_bruteforce(f))

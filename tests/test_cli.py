@@ -12,12 +12,13 @@ import pytest
 
 import seqproof
 from machine_steps import count_machine_steps
+from parent_layout import TAG_SC_CHALLENGE, ParentLayoutChallenges, today_layout
 from qbf_sampler import seeded_true_formula
 from seqproof import cli, noninteractive
 from seqproof.cli import COMMANDS, build_parser, main
-from seqproof.fiatshamir import MAGIC, TAG_MODE, TAG_SC_CHALLENGE, TAG_SC_CLAIM, TAG_SC_FORMULA
+from seqproof.fiatshamir import MAGIC, MODE_FIAT_SHAMIR, MODE_INTERACTIVE, TAG_MODE, TAG_SC_CLAIM, TAG_SC_FORMULA
 from seqproof.fiatshamir import TAG_SC_POLY, TAG_SC_PRIME
-from seqproof.fiatshamir import TQBF_ORACLE, FiatShamirChallenges, InteractiveChallenges
+from seqproof.fiatshamir import InteractiveChallenges
 from seqproof.fiatshamir import decode_element, decode_poly, encode_message, encode_u64, file_frames
 from seqproof.field import next_prime_at_least
 from seqproof.noninteractive import (
@@ -30,7 +31,7 @@ from seqproof.noninteractive import (
 )
 from seqproof.qbf import eval_qbf_bruteforce, parse_qbf, to_qdimacs
 from seqproof.shvdf import MAX_SPACE, MAX_STEPS, VdfParams, params_to_bytes
-from seqproof.sumcheck import sumcheck_prove
+from seqproof.sumcheck import sumcheck_prove, sumcheck_verify
 
 TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
 FALSE_FORMULA = "p cnf 1 1\na 1 0\n1 0\n"
@@ -45,12 +46,19 @@ def formula_file(tmp_path):
 
 
 def test_prove_then_verify_interactive(tmp_path, formula_file, capsys):
-    transcript = str(tmp_path / "alt.transcript")
-    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript]) == 0
+    # proving interactively still runs; its transcript has no file, and a
+    # file that declares the interactive mode is refused
+    assert main(["prove-tqbf", "--in", formula_file, "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "mode interactive" in out and "prime 37" in out
-    assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 0
-    assert "accepted" in capsys.readouterr().out
+    transcript = tmp_path / "alt.transcript"
+    assert main(["prove-tqbf", "--in", formula_file, "--seed", "3", "--out", str(transcript)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and not transcript.exists()
+    interactive = today_layout(transcript_to_bytes(fs_prove_tqbf(parse_qbf(TRUE_FORMULA))), MODE_INTERACTIVE)
+    transcript.write_bytes(interactive)
+    assert main(["verify-tqbf", "--in", formula_file, "--transcript", str(transcript)]) == 1
+    assert capsys.readouterr() == ("", "error: a transcript file must be a fiat-shamir proof, not interactive\n")
 
 
 def test_prove_then_verify_fs(tmp_path, formula_file, capsys):
@@ -59,7 +67,7 @@ def test_prove_then_verify_fs(tmp_path, formula_file, capsys):
     assert "mode fiat-shamir" in capsys.readouterr().out
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 0
 
-    # flip one byte near the end (inside the last round's coin)
+    # flip one byte near the end (inside the last round polynomial)
     blob = bytearray((tmp_path / "alt.transcript").read_bytes())
     blob[-1] ^= 0x01
     (tmp_path / "alt.transcript").write_bytes(bytes(blob))
@@ -72,15 +80,17 @@ def test_prove_tqbf_writes_the_bytes_the_library_encodes(tmp_path, capsys, n, pr
     path, out = tmp_path / "f.qdimacs", tmp_path / "f.transcript"
     path.write_text(to_qdimacs(formula))
     with_prime = [] if prime is None else ["--prime", str(prime)]
-    cases = (
-        (["--fs"], fs_prove_tqbf(formula, prime)),
-        (["--seed", str(n)], sumcheck_prove(formula, prime, InteractiveChallenges(n))),
-    )
-    for flags, transcript in cases:
-        assert main(["prove-tqbf", "--in", str(path), "--out", str(out), *flags, *with_prime]) == 0
-        assert out.read_bytes() == transcript_to_bytes(transcript)
-        assert main(["verify-tqbf", "--in", str(path), "--transcript", str(out)]) == 0
-    assert capsys.readouterr().out.count("accepted") == 2
+    assert main(["prove-tqbf", "--in", str(path), "--out", str(out), "--fs", *with_prime]) == 0
+    assert out.read_bytes() == transcript_to_bytes(fs_prove_tqbf(formula, prime))
+    assert main(["verify-tqbf", "--in", str(path), "--transcript", str(out)]) == 0
+    assert capsys.readouterr().out.count("accepted") == 1
+    # an interactive transcript has no file: the CLI refuses before proving,
+    # and the library writer refuses as the reader does
+    out.unlink()
+    assert main(["prove-tqbf", "--in", str(path), "--out", str(out), "--seed", str(n), *with_prime]) == 1
+    assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+    with pytest.raises(ValueError, match="must be a fiat-shamir proof, not interactive"):
+        transcript_to_bytes(sumcheck_prove(formula, prime, InteractiveChallenges(n)))
 
 
 def test_prove_false_formula_fails(tmp_path, capsys):
@@ -120,12 +130,16 @@ def test_prove_refuses_a_statement_over_the_prime_cap_by_name(tmp_path, capsys):
 def test_verify_rejects_a_composite_prime_with_a_verdict(tmp_path, formula_file, capsys, fs):
     # 38 is composite and larger than every coefficient of the p = 37 transcript
     transcript = str(tmp_path / "alt.transcript")
-    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript] + ["--fs"] * fs) == 0
+    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript, "--fs"]) == 0
     save_transcript(transcript, dataclasses.replace(load_transcript(transcript), p=38))
     capsys.readouterr()
+    if not fs:
+        # the reader refuses a file's mode before it looks at the prime
+        Path(transcript).write_bytes(today_layout(Path(transcript).read_bytes(), MODE_INTERACTIVE))
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "rejected (statement-mismatch)\n" and captured.err == ""
+    expected = ("rejected (statement-mismatch)\n", "") if fs else (
+        "", "error: a transcript file must be a fiat-shamir proof, not interactive\n")
+    assert capsys.readouterr() == expected
 
 
 # the same formula as CANONICAL, written with comments, blank lines, a short
@@ -140,7 +154,15 @@ def test_verify_reads_the_formula_not_its_spelling(tmp_path, capsys, fs):
     canonical, spelled, transcript = tmp_path / "c.qdimacs", tmp_path / "s.qdimacs", str(tmp_path / "t.transcript")
     canonical.write_text(CANONICAL)
     spelled.write_text(NON_CANONICAL)
-    assert main(["prove-tqbf", "--in", str(canonical), "--out", transcript] + ["--fs"] * fs) == 0
+    if not fs:
+        # an interactive transcript has no file: the verifier reads the
+        # spelled formula in memory, with the prover's coins
+        interactive = sumcheck_prove(parse_qbf(CANONICAL), None, InteractiveChallenges(1))
+        assert sumcheck_verify(parse_qbf(NON_CANONICAL), interactive.p, interactive)
+        wrong = parse_qbf(NON_CANONICAL.replace("-1 2 -3 0", "-1 -2 -3 0"))
+        assert sumcheck_verify(wrong, interactive.p, interactive).reason == "statement-mismatch"
+        return
+    assert main(["prove-tqbf", "--in", str(canonical), "--out", transcript, "--fs"]) == 0
     capsys.readouterr()
     assert main(["verify-tqbf", "--in", str(spelled), "--transcript", transcript]) == 0
     assert capsys.readouterr() == ("accepted\n", "")
@@ -469,7 +491,7 @@ def test_main_builds_the_parser_once_per_process(tmp_path, formula_file, monkeyp
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
     build_parser.cache_clear()  # as in a process that has not called main yet
-    assert main(["prove-tqbf", "--in", formula_file, "--out", transcript]) == 0
+    assert main(["prove-tqbf", "--in", formula_file, "--fs", "--out", transcript]) == 0
     assert len(built) == 14  # the root, the two groups and the eleven commands
     built.clear()
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 0
@@ -610,18 +632,6 @@ def _u64_payload(tag: int, payload: bytes, p: int) -> bytes:
     return payload
 
 
-class _U64LayoutChallenges(FiatShamirChallenges):
-    """The hashed source, absorbing each message in the u64 layout."""
-
-    def __init__(self, p: int):
-        super().__init__(TQBF_ORACLE)
-        self.p = p
-
-    def absorb(self, tag, encode):
-        payload = _u64_payload(tag, encode(), self.p)
-        super().absorb(tag, lambda: payload)
-
-
 # a golden corpus formula and the digests its files at p = 37 were pinned to
 # in the u64 layout: (interactive file with coin seed 1, Fiat-Shamir file)
 U64_CORPUS_FORMULA = "p cnf 2 2\ne 1 2 0\n-1 2 2 0\n1 1 -2 0\n"
@@ -634,24 +644,25 @@ U64_FILE_DIGESTS = (
 @pytest.mark.parametrize("p", [37, next_prime_at_least((1 << 32) + 1)])
 def test_verify_tqbf_refuses_files_in_the_u64_layout(tmp_path, capsys, p):
     formula = parse_qbf(U64_CORPUS_FORMULA)
-    interactive = transcript_to_bytes(sumcheck_prove(formula, p, InteractiveChallenges(1)))
-    old_interactive = MAGIC + b"".join(
-        encode_message(tag, _u64_payload(tag, payload, p)) for tag, payload in file_frames(interactive)
-    )
-    source = _U64LayoutChallenges(p)
-    sumcheck_prove(formula, p, source)
-    old_hashed = noninteractive.file_bytes(source)
+    files = []
+    for coins in (InteractiveChallenges(1), None):
+        source = ParentLayoutChallenges(p, coins, lambda tag, payload: _u64_payload(tag, payload, p))
+        sumcheck_prove(formula, p, source)
+        files.append(source.file_bytes())
     if p == 37:  # the rebuilt files are the u64 layout's own bytes
-        digests = tuple(hashlib.sha256(data).hexdigest() for data in (old_interactive, old_hashed))
-        assert digests == U64_FILE_DIGESTS
-    # a u64 claim is too wide below 2^32; above it, the 4-byte count is
+        assert tuple(hashlib.sha256(data).hexdigest() for data in files) == U64_FILE_DIGESTS
+    # the challenge frames fail framing; without them, a u64 claim is too
+    # wide below 2^32, and above it the 4-byte count is
     refusal = "expected a 1-byte field element, got 8 bytes" if p == 37 else "polynomial length mismatch"
     path, transcript = tmp_path / "f.qdimacs", tmp_path / "old.transcript"
     path.write_text(U64_CORPUS_FORMULA)
-    for data in (old_interactive, old_hashed):
+    for data in files:
         transcript.write_bytes(data)
         assert main(["verify-tqbf", "--in", str(path), "--transcript", str(transcript)]) == 1
-        assert capsys.readouterr() == ("", f"error: {refusal}\n")
+        assert capsys.readouterr() == ("", "error: unregistered message tag 0x6\n")
+    transcript.write_bytes(today_layout(files[1], MODE_FIAT_SHAMIR))
+    assert main(["verify-tqbf", "--in", str(path), "--transcript", str(transcript)]) == 1
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
 
 def test_the_module_runs_as_a_program_reading_sys_argv(tmp_path, capsys):

@@ -13,7 +13,6 @@ from seqproof.fiatshamir import (
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
     TAG_NAMES,
-    TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_POLY,
     TAG_SC_PRIME,
@@ -249,13 +248,13 @@ def test_fiat_shamir_challenges_chain():
     src = FiatShamirChallenges(TQBF_ORACLE)
     src.absorb(TAG_SC_CLAIM, lambda: b"start")
     first = src.challenge_interval(0, 1009)
-    src.absorb(TAG_SC_CHALLENGE, lambda: encode_u64(first))
+    src.absorb(TAG_SC_POLY, lambda: encode_u64(first))
     second = src.challenge_interval(10, 50)
     assert 10 <= second < 60
     assert ro_challenge(
         TQBF_ORACLE,
         encode_message(TAG_SC_CLAIM, b"start")
-        + encode_message(TAG_SC_CHALLENGE, encode_u64(first)),
+        + encode_message(TAG_SC_POLY, encode_u64(first)),
         50,
         10,
     ) == second
@@ -288,8 +287,8 @@ def test_the_read_source_draws_what_the_encoding_source_draws(spec, steps):
 
     encoding = FiatShamirChallenges(spec)
     data = b"".join(encode_message(tag, payload) for kind, tag, payload in steps if kind == "absorb")
-    read = replay_challenges(MODE_FIAT_SHAMIR, spec, [], data)
-    assert isinstance(read, FiatShamirChallenges) and read.mode == MODE_FIAT_SHAMIR
+    read = FiatShamirChallenges(spec, data)
+    assert read.mode == MODE_FIAT_SHAMIR
     for kind, a, b in steps:
         if kind == "absorb":
             encoding.absorb(a, lambda: b)
@@ -309,15 +308,15 @@ def test_the_read_source_checks_each_frame_it_steps_past():
         read.absorb(TAG_SC_POLY, lambda: b"")
     read.absorb(TAG_SC_CLAIM, lambda: b"")
     read.absorb(TAG_SC_POLY, lambda: b"")
-    with pytest.raises(DecodeError, match="ends before the sc-challenge message"):
-        read.absorb(TAG_SC_CHALLENGE, lambda: b"")
+    with pytest.raises(DecodeError, match="ends before the sc-prime message"):
+        read.absorb(TAG_SC_PRIME, lambda: b"")
     with pytest.raises(DecodeError, match="found tag 0xee"):
         FiatShamirChallenges(TQBF_ORACLE, b"\xee\x00\x00\x00\x00").absorb(TAG_SC_CLAIM, lambda: b"")
     with pytest.raises(DecodeError, match="truncated message payload"):
         FiatShamirChallenges(TQBF_ORACLE, data[:7]).absorb(TAG_SC_CLAIM, lambda: b"")
-    # without bytes read, a hashed source encodes; other modes replay the record
+    # a verifier's hashed source encodes what it absorbs; other modes replay the record
     assert isinstance(replay_challenges(MODE_FIAT_SHAMIR, TQBF_ORACLE, []), FiatShamirChallenges)
-    assert isinstance(replay_challenges(MODE_INTERACTIVE, TQBF_ORACLE, [4], data), RecordedChallenges)
+    assert isinstance(replay_challenges(MODE_INTERACTIVE, TQBF_ORACLE, [4]), RecordedChallenges)
 
 
 def test_interactive_source_ignores_absorbs():
@@ -341,3 +340,13 @@ def test_recorded_source_replays_then_runs_dry():
 
 def test_mode_labels_distinct():
     assert MODE_INTERACTIVE != MODE_FIAT_SHAMIR
+
+
+def test_the_retired_challenge_tag_stays_unregistered():
+    # 0x06 framed sum-check challenges; a file no longer carries any, and the
+    # tag is not reused, so a file in that layout fails at framing
+    assert 0x06 not in TAG_NAMES
+    with pytest.raises(ValueError, match="unregistered message tag 0x6"):
+        encode_message(0x06, b"")
+    with pytest.raises(DecodeError, match="unregistered message tag 0x6"):
+        transcript_decode(b"\x06\x00\x00\x00\x00")

@@ -5,8 +5,8 @@ these digests unchanged; a changed digest means a changed file format or a
 changed Fiat-Shamir challenge.  The formulas are true and n <= 6.  Cheating
 provers' transcripts are pinned with the reason each is rejected for, and
 soundness reports by the digest of their JSON, which counts every trial's
-verdict.  The interactive conversations are also pinned apart from their
-bytes, so a codec change can show that only the encoding moved.  Wide
+verdict.  A transcript file is a Fiat-Shamir proof, so the interactive
+conversations are pinned apart from any bytes, by what they hold.  Wide
 formulas (m up to 23) pin the final block's 16- and 32-bit pattern fields,
 and one digest pins what `verify-tqbf` prints for every one-bit flip and
 truncation of a corpus file.  Delay-function runs pin `vdf eval`'s output
@@ -59,74 +59,50 @@ CORPUS = (
     "p cnf 6 4\ne 1 2 3 0\na 4 5 6 0\n3 -2 1 0\n6 1 -1 0\n2 5 -2 0\n-3 -6 3 0\n",
 )
 
-# (interactive transcript with coin seed = corpus index, Fiat-Shamir transcript)
+# the Fiat-Shamir transcript file of each corpus formula
 TRANSCRIPT_DIGESTS = (
-    ("af7f030f6b5d11f46dd29880a6ac7feec87483c2b08af40f45e48747fd8faacc",
-     "9b9e046a28bf2054d83eafc8192c9ec62a5062ace92acc71c5153304472b59af"),
-    ("164fc40dfa0e8405daecd5888de8ae019e9461efe1ece36a88a35d20c73f247a",
-     "d23c446425ebfc014a096151f32227e60df4eee0c98a24ab2d8ebf31bbe975a9"),
-    ("3c0ae7e9e5e2186a7bde3da6a01153fa4775a79d9d60eb47a6aca282e3e0bc08",
-     "938af9dd3f6b531090aa1aceedad94ad2b9ec643fba4a575fef5be15080b8c18"),
-    ("52309f08bdd844261abf6f8e811242ff234247bba1f75d51b6e1e0eaef9f62ac",
-     "d1c3f6bd40ebaf74ba4fd645e21232cecc604733fc3e827e9bbc615277b5059f"),
-    ("feee0dd64447ab8623990580cc6404a76666a955632bdc4f79d67db71230fc50",
-     "af3e9fcf14dc384db28cda56e9f4a8bfac3f8b75052aa8be766dd6802ba26bf5"),
-    ("442a5812da4b1ee17ece0ea9a91be20ea420ea3d198f81b85ff2518e400b43ce",
-     "3708f9509c5125a2edbb4d17bf121ef19ac95c04683bbb13c73f3b54701599b2"),
-    ("44e9874d9afe72e1ea7b774643f44204eb2c62f085bc33893346bfce8448d51b",
-     "5bf2cb2c918a860a2757c801ead6b294b266b490993a611e10bf958f3177d144"),
-    ("c1d904daa1481714bfba15c19859a1190ece66f8ba0d3fd94856c30b2ff7b352",
-     "fafa0abb8eb2dfc26c068ffbcc0107ed51df8469076c4da90bee041a512b3b80"),
-    ("68efeb4152433fb8fc356b17be6c026b93a4966eb1e34cbf5110828a9e8cdb68",
-     "810438063087c91625a1826af7cd257bb7498d342fcfe2e6b86586e216a624a4"),
-    ("6f1018e3da0d4c875ddb9e0c3d972f592a827c09ef7fb0f9d3a7ddf6a4afa544",
-     "f72b02fcfbabc8676b8e0d2bd84a5cb4bbfa68bd7871ac6f364c75a489015bd9"),
-    ("01875f3aa05a9d57c7e03315f57173ab9536cb4f9d7923776c5d3632b84595a0",
-     "459bf3fee17a2e5945be7f376881c5d32106a611f25b3b444bcff98bacecf423"),
-    ("9000484aafaef7dae9a94d8f6f54cc48e4a440904271886011a2be72eb458ada",
-     "626140d18a014bb3a0f83663479a3029bd4b7252d1cbcd2f5d3e287eb51196c6"),
+    "3f118a1f8d224956319f9588ebf22e057b1143b9ee63166d95c97c57444b4681",
+    "e9e58c06c665e437e483573832f1815561e9dc68a5874fd2ca4045562352fbc8",
+    "5903f02f6e818a363e03e90f2852a4456c2d9d079b096048cf34c39311a9c00c",
+    "e103170193518214244d0bbe531c9bc51d328870e51f8b87dab0d0ddbcc7ef0b",
+    "91fc228cfa3cad8c1bbbd84ca9b99fbca5ffa969dcd950eff131d6191e12fa5c",
+    "46113611067a1bc9b70547394a9bb6109435bcc4b7c1ac058646afaa66aa0428",
+    "0e3cf4d194505f06cebac017f9cf03162dd72857b9c00ae03733cc4a014c78bf",
+    "aa3f890b127ae89ac8347c867769225bd59d426641beef1717a47e64bee3c703",
+    "973348b7490da98ea72ec522eebdafb1910a7d1f8c764794c6c5b4a0e30e3086",
+    "7c8dcf01a8efb6a1c2accdefd05ceeb30609acb431aad452fc90c633b506957a",
+    "7af2a4ec945d0d2f1e38095cf5ef4615e7441da57f231f6cfebe880c90871474",
+    "e344b166854cb9e61b10948d00bc54ed49c6bc96fc0cb1b7cd6b084a29d6a108",
 )
 
-# (corpus index, strategy, digest and verdict reason under interactive coins
-# with seed = corpus index, the same under Fiat-Shamir); the prover's own rng
-# is random.Random(corpus index)
+# (corpus index, strategy, verdict reason under interactive coins with seed =
+# corpus index, digest of the Fiat-Shamir file and its verdict reason); the
+# prover's own rng is random.Random(corpus index)
 CHEAT_CASES = (
-    (1, 'wrong-claim',
-     '1745a1f4339af3ebd8d80fdcc5229a5e5e29b4731768aeecbcf99e4b8b6b74f5', 'final-check',
-     '8374f44c02ea8e0215a86832d7ef51dbc8177b565d2189ded65738108a1965ec', 'final-check'),
-    (1, 'constant-poly',
-     'c5e68f44cf33ed4f16252c5bea0e21187cb0f1d4b7b39132c848db16c05d0cd2', 'final-check',
-     'db6c6104414eac8e4bc4e74ed77bffbd3f5fa0b6cd5893338d4ba0b10592ee58', 'final-check'),
-    (1, 'random-round',
-     '1bad8769ca3220264651058aa3f0cbdf1d7f84ab46e256eb82ce59ec0448578c', 'round-check',
-     'ed8b4ec41e7c6e7c0bffb9a75627676e278ca3b178838d0c2733f9c835fd4ca7', 'round-check'),
-    (1, 'random-round(1)',
-     '9c3a952e12aecfbe3f92a7997b68a320fad2096ac412757b0e77faf96a15a3ac', 'round-check',
-     'b301eae62b043088391dffd743d1485f1f92d8c3d8469fcd5f70d4d0d3cdb447', 'round-check'),
-    (4, 'wrong-claim',
-     'd4c409e6d27071e0b6ffda84a445e61ab038460fd8fba45976dce3717099082b', 'final-check',
-     '0efb9dd64dfae47ac7c9f0b38cc6aaa03ebf9639715048d425e8b7f13785e440', 'final-check'),
-    (4, 'constant-poly',
-     'ea3fbe3239449c2de7a13f2e7a45f9797639bb555c2b23b32805d4b7c2b85beb', 'final-check',
-     'b96fcb21553912af1132cc86ba6c3b84f94a60f1e250ab690e4eb2ec6880190e', 'final-check'),
-    (4, 'random-round',
-     '6b4bce05bccb836d825cc257e349180345fc1e636cf1cc96569a072f6defa024', 'round-check',
-     'faf81879262df790b03f3c56e91284a84a4eca69f3f339dcf1fc5051093915a5', 'round-check'),
-    (4, 'random-round(1)',
-     'adb7f4e9778ae0370985c07418fad7fe3d2fd2d67ce11de61282e282c42f5c75', 'round-check',
-     '95908c49fe92173def665659cd036487cb5a27471804469b3eac02fe88d9a363', 'round-check'),
-    (7, 'wrong-claim',
-     '4e4d5186cb1fa54c280e56bf0828eac48d1a13958785661fa1bfbb82fd7a43c1', 'final-check',
-     '82553eccb8e320e0f98c5309a38d60cd374eef9bab683dc19ef79869625b3b3b', 'final-check'),
-    (7, 'constant-poly',
-     'a28ffd23d0ca1cb3dece3f5c37a9b21d1e5f66e68519c453ee0ae0873dcf0616', 'round-check',
-     '37973b22cb08a1d17d87af11f8bafe0258f398fd06d654367b37c10c00af1cc0', 'round-check'),
-    (7, 'random-round',
-     '8fab1de49442849663a0e9ad206d097cb39b3245472323c79819aae767dceb8c', 'round-check',
-     'dbcd97f1f09ef55fd6e631e9beadf874de386c55a7c2d5a4e1a79843d90efad1', 'round-check'),
-    (7, 'random-round(1)',
-     '9f30386097c8a4ef94b7c3e4107ae5eda6a35a8c80d7eda4a3410470f5d0fb2a', 'round-check',
-     'c5f73f2e8c8abd3df992e3d5e990c9468184b83c9783030aae376d09d8f69f23', 'round-check'),
+    (1, 'wrong-claim', 'final-check',
+     'befb21f4aa0dc7c56af95f1b95cab1523d6d45973871bb89319492db3d0f1133', 'final-check'),
+    (1, 'constant-poly', 'final-check',
+     'f3ebdb7f7dbff9f62c18764eb3542d70b4748cfb3b2e53b82f7e13d8ea7bea3c', None),
+    (1, 'random-round', 'round-check',
+     'b44a5ebd28a050cb35c76fccab75f38a7d7f2dd70e13a4ec51180a0505328777', 'round-check'),
+    (1, 'random-round(1)', 'round-check',
+     '72e652024e0841bf3da7d1ad05f7e7836d462a2a5431fa30db503d2d7abf3903', 'round-check'),
+    (4, 'wrong-claim', 'final-check',
+     '6b1e20997a3ee417df39baafa14bdf3bf04d61b12c84be78b5a511fcf117c4fd', 'final-check'),
+    (4, 'constant-poly', 'final-check',
+     '55890f439a6692a9f2da2fa0ae2bc1de1b2772c38e2945407df8b1de153a89e4', 'final-check'),
+    (4, 'random-round', 'round-check',
+     '85ee645da5f9016d89c796a087b85ac4d795eedeab847c81d048194527ff3110', 'round-check'),
+    (4, 'random-round(1)', 'round-check',
+     'd7d191ef8cbe8465dbeb053d5f7d535f728dbff5559077da3bb3f5c881a7b2f9', 'round-check'),
+    (7, 'wrong-claim', 'final-check',
+     '007541c2290fa1f6af940707c921f02f15ba77a1be258a143f33ee67e3190da0', 'final-check'),
+    (7, 'constant-poly', 'round-check',
+     '6ec4472a1d25f1b8fe44eff7a1f707c58c8cf971aba4680ca42f4a99e1874d26', 'round-check'),
+    (7, 'random-round', 'round-check',
+     'ab9dd60c31ff4835e5b141d15682c4b040a0b6120918db0df2adabbf6beb3aff', 'round-check'),
+    (7, 'random-round(1)', 'round-check',
+     'a7055c8259496333ea0ae597685ef381a88b590aa9c2712bce3f70011860f1d4', 'round-check'),
 )
 
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
@@ -183,26 +159,27 @@ def _flips_and_cuts(data: bytes):
 def test_transcript_bytes_pinned(index):
     formula = parse_qbf(CORPUS[index])
     p = default_prime(formula)
-    interactive = sumcheck_prove(formula, p, InteractiveChallenges(index))
     coins = FiatShamirChallenges(TQBF_ORACLE)
     hashed = sumcheck_prove(formula, p, coins)
-    assert interactive.claimed_value != 0
+    assert hashed.claimed_value != 0
     # the hashed bytes are the file bytes after the mode message
     assert file_bytes(coins) == transcript_to_bytes(hashed)
-    got = (_digest(transcript_to_bytes(interactive)), _digest(transcript_to_bytes(hashed)))
-    assert got == TRANSCRIPT_DIGESTS[index]
+    assert _digest(transcript_to_bytes(hashed)) == TRANSCRIPT_DIGESTS[index]
 
 
 @pytest.mark.parametrize("case", CHEAT_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
 def test_cheating_transcript_bytes_pinned(case):
-    index, strategy, interactive_digest, interactive_reason, fs_digest, fs_reason = case
+    index, strategy, interactive_reason, fs_digest, fs_reason = case
     formula = parse_qbf(CORPUS[index])
     p = default_prime(formula)
-    got = []
-    for coins in (InteractiveChallenges(index), FiatShamirChallenges(TQBF_ORACLE)):
-        transcript = cheat_prover(strategy, formula, p, coins, random.Random(index))
-        got += [_digest(transcript_to_bytes(transcript)), sumcheck_verify(formula, p, transcript).reason]
-    assert tuple(got) == (interactive_digest, interactive_reason, fs_digest, fs_reason)
+    interactive = cheat_prover(strategy, formula, p, InteractiveChallenges(index), random.Random(index))
+    hashed = cheat_prover(strategy, formula, p, FiatShamirChallenges(TQBF_ORACLE), random.Random(index))
+    got = (
+        sumcheck_verify(formula, p, interactive).reason,
+        _digest(transcript_to_bytes(hashed)),
+        sumcheck_verify(formula, p, hashed).reason,
+    )
+    assert got == (interactive_reason, fs_digest, fs_reason)
 
 
 # SHA-256 over repr(((p, claim, polys, challenges), verdict reason)) of each
@@ -254,21 +231,14 @@ def test_soundness_report_bytes_pinned(case):
     assert _digest(exp_soundness(n, m, p, trials=1000, seed=seed).to_json().encode()) == digest
 
 
-# (n, m, digest of the interactive transcript with coin seed m, digest of the
-# Fiat-Shamir transcript) for seeded_true_formula(n, m, m)
+# (n, m, digest of the Fiat-Shamir transcript) for seeded_true_formula(n, m, m)
 WIDE_TRANSCRIPT_DIGESTS = (
-    (2, 8, "14e02b9d6f9a7bb60478542f7cb2be9ad0282627405cfd971cad6024801b9353",
-     "bbf60bd0362788546bb33539c2338f317b245e09253b070ea51a3eeb141be823"),
-    (2, 16, "5adb8795361c61e42d66de6c918659a7720923c75e9d592ddf5ee38d901ef4fb",
-     "863b1bf8a296c56d4e61c0886f091b2b88f3ccb62f5c9a993422792dff2e0032"),
-    (2, 23, "deca1734645e8b44865bb62d39b330433e807be51219cbc60bcc7b0a4c7f4af1",
-     "369e34e14e69ed87941ff26398da1822d48b06e685dc94f05b8c3bbda7aed643"),
-    (3, 8, "912cf3db45862a2b026e78787f3c44e1e83a041e5ecee481e6d33e7b5da890ac",
-     "7a836100ea7220c713a02ad7b2b0b3ae9f1426362a3ba60bf5caba177bd4293e"),
-    (3, 16, "3704d26b0329dd6e5d7528cc7ef5f3b59c989ab568c080d28aa2055644e6455b",
-     "b6f520056e1c90cb1a92295506826b1b0b87f45416026e6dd11a6da9e8495bb0"),
-    (3, 23, "c23d394b17cf631784e559c486fbf3cdcbbad8f366ef73b88832b9697321891c",
-     "d0db7f46e467e912caf42a005659ec1e765c72afc1dd572d85e9a940969b88fc"),
+    (2, 8, "fac63511ac426de21713fe7b68849294619fc30ac1aaaf5dafc760cfe5825273"),
+    (2, 16, "6924a8fe849e2c92c2880cb483b0a18ba4edcb1ac8a2575f76c730f4f42f128a"),
+    (2, 23, "a9148d9d0d9ebc7ba003306ab7ff6d8cb6d453448ed0d7c88d47be24aa23b5e3"),
+    (3, 8, "534bec29b358a64f730b40add05da869db2d9a70d4e3dd621594bda8c1ecf040"),
+    (3, 16, "e1b1e35f02e23cfdf2df3f6466af0a3e09ab9e5e09a1491ca3a9a24bdbf9ad24"),
+    (3, 23, "99e3f6ff6991f864be8f0379d1536422506a3995550bc0db84baed3af19016ec"),
 )
 
 
@@ -284,19 +254,17 @@ def test_wide_transcript_bytes_pinned(monkeypatch):
     got = []
     for n, m, *_ in WIDE_TRANSCRIPT_DIGESTS:
         formula = seeded_true_formula(n, m, m)
-        interactive = sumcheck_prove(formula, None, InteractiveChallenges(m))
         coins = FiatShamirChallenges(TQBF_ORACLE)
         hashed = sumcheck_prove(formula, None, coins)
         assert file_bytes(coins) == transcript_to_bytes(hashed)
-        got.append((n, m, _digest(transcript_to_bytes(interactive)), _digest(transcript_to_bytes(hashed))))
+        got.append((n, m, _digest(transcript_to_bytes(hashed))))
     assert tuple(got) == WIDE_TRANSCRIPT_DIGESTS
     assert {16, 32} <= widths
 
 
 # SHA-256 over (exit code, stdout, stderr) of `verify-tqbf` on each one-bit
-# flip, then each truncation, of CORPUS[1]'s Fiat-Shamir file, then the same
-# for its interactive file (coin seed 1)
-VERIFY_OUTPUTS_DIGEST = "af55e86612f05bfd784113cb53256af0870bc7730683a618a669c75dd9243a94"
+# flip, then each truncation, of CORPUS[1]'s Fiat-Shamir file
+VERIFY_OUTPUTS_DIGEST = "acc1d31dd3852db2c73550849ef98682e7dd1642130792f552a88ecf3f806c09"
 
 
 def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
@@ -305,13 +273,12 @@ def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
     path.write_text(to_qdimacs(formula))
     argv = ["verify-tqbf", "--in", str(path), "--transcript", str(transcript)]
     digest, calls = hashlib.sha256(), 0
-    for coins in (FiatShamirChallenges(TQBF_ORACLE), InteractiveChallenges(1)):
-        data = transcript_to_bytes(sumcheck_prove(formula, None, coins))
-        for variant in _flips_and_cuts(data):
-            transcript.write_bytes(variant)
-            digest.update(repr(_cli(argv)).encode())
-            calls += 1
-    assert calls == 2790
+    data = transcript_to_bytes(sumcheck_prove(formula, None, FiatShamirChallenges(TQBF_ORACLE)))
+    for variant in _flips_and_cuts(data):
+        transcript.write_bytes(variant)
+        digest.update(repr(_cli(argv)).encode())
+        calls += 1
+    assert calls == 9 * len(data) == 1125
     assert digest.hexdigest() == VERIFY_OUTPUTS_DIGEST
 
 

@@ -16,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parent_layout import today_layout
 from seqproof.cli import main
 from seqproof.fiatshamir import (
     MAGIC,
+    MODE_FIAT_SHAMIR,
+    MODE_INTERACTIVE,
     TAG_MODE,
     TAG_VDF_CHALLENGE,
     TAG_VDF_INPUT,
@@ -71,9 +74,16 @@ def _file_verdict(data):
     return verify_transcript_bytes(transcript_from_bytes(data).formula, data)
 
 
+# the second file holds an interactive conversation's messages under an
+# interactive mode frame, which no reader accepts: hostile input only
 GOLDEN_TRANSCRIPTS = [
     transcript_to_bytes(fs_prove_tqbf(FORMULA)),
-    transcript_to_bytes(sumcheck_prove(FORMULA, None, InteractiveChallenges(1))),
+    today_layout(
+        transcript_to_bytes(
+            dataclasses.replace(sumcheck_prove(FORMULA, None, InteractiveChallenges(1)), mode=MODE_FIAT_SHAMIR)
+        ),
+        MODE_INTERACTIVE,
+    ),
 ]
 
 # (decoder, verifier of what it decodes or None, golden files)
@@ -202,7 +212,8 @@ def test_a_bent_round_at_the_variable_cap_is_rejected_in_milliseconds():
     honest = fs_prove_tqbf(formula)
     assert honest.claimed_value != 0
     # adding x(x - 1) keeps the last round's values at 0 and 1, so its round
-    # check passes; the challenge hashed from the bent polynomial does not
+    # check passes; the file carries no coin, so the one derived from the bent
+    # polynomial meets the final check
     k = len(honest.polys) - 1
     s = honest.polys[k]
     bent = canonical([c + d for c, d in zip(list(s) + [0] * 3, [0, -1, 1] + [0] * len(s))], honest.p)
@@ -212,4 +223,4 @@ def test_a_bent_round_at_the_variable_cap_is_rejected_in_milliseconds():
     start = time.perf_counter()
     verdict = fs_verify_tqbf(formula, transcript_from_bytes(blob))
     assert time.perf_counter() - start < 0.5
-    assert verdict.reason == "challenge-mismatch"
+    assert verdict.reason == "final-check"

@@ -8,7 +8,6 @@ from qbf_sampler import sample_distinct_qbfs, seeded_true_formula
 from seqproof.fiatshamir import (
     MAGIC,
     TAG_MODE,
-    TAG_SC_CHALLENGE,
     TAG_SC_CLAIM,
     TAG_SC_FORMULA,
     TAG_SC_PRIME,
@@ -16,7 +15,6 @@ from seqproof.fiatshamir import (
     DecodeError,
     FiatShamirChallenges,
     InteractiveChallenges,
-    encode_element,
     encode_message,
     file_frames,
 )
@@ -92,12 +90,12 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
     proved = list(lengths)
     lengths.clear()
     assert fs_verify_tqbf(formula, tr)
-    # the bytes the source absorbed are the file's messages after the mode message
+    # the bytes the source absorbed are the file's messages after the mode
+    # message, the last round polynomial included
     absorbed = len(b"".join(encode_message(*f) for f in file_frames(transcript_to_bytes(tr))[1:]))
-    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_element(tr.challenges[-1], tr.p)))
     for run in (proved, lengths):
         assert len(run) == len(tr.polys) == 65
-        assert sum(run) == absorbed - last_challenge
+        assert sum(run) == absorbed
 
 
 def test_each_byte_read_is_hashed_once(monkeypatch):
@@ -121,11 +119,10 @@ def test_each_byte_read_is_hashed_once(monkeypatch):
     for module in (fiatshamir, noninteractive):  # nor frames one, not even the mode message
         monkeypatch.setattr(module, "encode_message", unread)
     assert verify_transcript_bytes(formula, data)
-    # the bytes hashed are the file's messages after the mode message, but the last challenge
+    # the bytes hashed are all of the file's messages after the mode message
     absorbed = len(data) - len(MAGIC) - len(encode_message(TAG_MODE, b"fiat-shamir"))
-    last_challenge = len(encode_message(TAG_SC_CHALLENGE, encode_element(0, tr.p)))
     assert len(lengths) == 65
-    assert sum(lengths) == absorbed - last_challenge
+    assert sum(lengths) == absorbed
 
 
 def test_the_file_verifier_writes_the_formula_text_only_to_check_it(monkeypatch):
@@ -169,11 +166,17 @@ def test_the_file_verifier_agrees_on_honest_and_cheating_transcripts():
     formulas = sample_distinct_qbfs(5, 4, 24, seed=20)
     for i, formula in enumerate(formulas):
         p = default_prime(formula)
+        # an interactive transcript has no file: the writer refuses it
+        for tr in (
+            sumcheck_prove(formula, None, InteractiveChallenges(i)),
+            cheat_prover("constant-poly", formula, p, InteractiveChallenges(i)),
+        ):
+            with pytest.raises(ValueError, match="must be a fiat-shamir proof, not interactive"):
+                transcript_to_bytes(tr)
         transcripts = [
             fs_prove_tqbf(formula),
-            sumcheck_prove(formula, None, InteractiveChallenges(i)),
             cheat_prover("wrong-claim", formula, p, FiatShamirChallenges(fiatshamir.TQBF_ORACLE)),
-            cheat_prover("constant-poly", formula, p, InteractiveChallenges(i)),
+            cheat_prover("constant-poly", formula, p, FiatShamirChallenges(fiatshamir.TQBF_ORACLE)),
             cheat_prover("random-round(1)", formula, p, FiatShamirChallenges(fiatshamir.TQBF_ORACLE), i),
         ]
         for tr in transcripts:
@@ -194,7 +197,9 @@ def test_the_file_verifier_agrees_on_every_bit_flip_and_truncation():
         reasons.append("refused" if verdict is None else verdict.reason)
         if verdict is not None:  # also against the formula the flipped file names
             _file_equals_object_verdict(transcript_from_bytes(flipped).formula, flipped)
-    assert {"refused", "statement-mismatch", "round-check", "challenge-mismatch"} <= set(reasons)
+    # a file carries no challenge, so none can mismatch
+    assert {"refused", "statement-mismatch", "round-check"} <= set(reasons)
+    assert "challenge-mismatch" not in reasons
     for cut in range(len(data)):
         assert _file_equals_object_verdict(ALT_TRUE, data[:cut]) is None
 
@@ -217,13 +222,15 @@ def test_transcript_decode_errors():
     with pytest.raises(DecodeError, match="truncated"):
         transcript_from_bytes(blob[:-3])
     frames = file_frames(blob)
-    # a trailing well-formed message (the final challenge repeated) is refused
+    # a trailing well-formed message (the final round polynomial repeated) is refused
     with pytest.raises(DecodeError, match="round count"):
         transcript_from_bytes(blob + encode_message(*frames[-1]))
     with pytest.raises(DecodeError, match="expected mode"):
         transcript_from_bytes(_file(frames[1:] + frames[:1]))
     with pytest.raises(DecodeError, match="unknown mode"):
         transcript_from_bytes(_file([(TAG_MODE, b"other")] + frames[1:]))
+    with pytest.raises(DecodeError, match="must be a fiat-shamir proof, not interactive"):
+        transcript_from_bytes(_file([(TAG_MODE, b"interactive")] + frames[1:]))
     with pytest.raises(DecodeError, match="round count"):
         transcript_from_bytes(_file(frames[:-2]))
     with pytest.raises(DecodeError, match="modulus"):
