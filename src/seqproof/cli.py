@@ -61,8 +61,10 @@ def _read_params(path: str):
 def _cmd_prove_tqbf(args) -> int:
     if args.out and not args.fs:
         raise ValueError("--out writes a Fiat-Shamir proof; a file cannot carry the verifier's coins, so add --fs")
+    if args.fs and args.seed is not None:
+        raise ValueError("--seed seeds the verifier's coins, and --fs derives them by hashing; give one of the two")
     formula = _read_formula(getattr(args, "in"))
-    source = FiatShamirChallenges(TQBF_ORACLE) if args.fs else InteractiveChallenges(args.seed)
+    source = FiatShamirChallenges(TQBF_ORACLE) if args.fs else InteractiveChallenges(args.seed or 0)
     transcript = sumcheck_prove(formula, args.prime, source)
     print(f"mode {transcript.mode}")
     print(f"prime {transcript.p}")
@@ -222,7 +224,7 @@ COMMANDS = (
         ("--in", dict(required=True, help="formula file (qdimacs)")),
         ("--prime", dict(type=int, default=None, help="field modulus (default: smallest admissible one at which a true formula's claim is nonzero)")),
         ("--fs", dict(action="store_true", help="derive challenges by hashing")),
-        ("--seed", dict(type=int, default=0, help="verifier coin seed (interactive mode)")),
+        ("--seed", dict(type=int, default=None, help="verifier coin seed (interactive mode; default 0)")),
         ("--out", dict(default=None, help="transcript file to write (requires --fs)")))),
     (("verify-tqbf",), "check a transcript against a formula", _cmd_verify_tqbf, (
         ("--in", dict(required=True, help="formula file (qdimacs)")),

@@ -15,8 +15,11 @@ modulus is never kept, so it is refused on every call.
 Interpolation at the nodes 0..size-1 multiplies the values by the inverse
 Vandermonde matrix at those nodes: size^2 products a call.  The matrix is
 built in O(size^2) once per (size, p) and kept in an LRU cache of
-BASIS_CACHE_ENTRIES = 32 entries; the protocol interpolates at most 73
-values, so the cache holds at most 32 * 73^2 = 170,528 residues.
+BASIS_CACHE_ENTRIES = 32 entries.  The honest prover interpolates only its
+final block's rounds, at d_j + 1 values each, and a cheating prover that
+bends a round interpolates at the round's degree bound plus 1; no call
+takes more than 73 values, so the cache holds at most 32 * 73^2 = 170,528
+residues.
 """
 
 from __future__ import annotations
@@ -140,9 +143,10 @@ def poly_eval(coeffs, x: int, p: int) -> int:
     return acc
 
 
-# bases kept, one per (size, p): a proof interpolates at n + 3 sizes or fewer
-# (n <= 16), so it never evicts its own; sizes stay at or below 73 (3m + 1,
-# m <= 24)
+# bases kept, one per (size, p): an honest proof interpolates at its final
+# block's d_j + 1 sizes, at most n <= 16 of them, and a bent one at 2, 3 and
+# 3m + 1 besides, so it never evicts its own; sizes stay at or below 73
+# (3m + 1, m <= 24)
 BASIS_CACHE_ENTRIES = 32
 
 
@@ -187,11 +191,12 @@ def lagrange_interpolate(values, p: int) -> tuple[int, ...]:
 
     Each coefficient is one dot product of the values with a row of the
     inverse Vandermonde matrix at 0..size-1, so a call costs size^2 products
-    and one cache lookup.  The matrix is built, in O(size^2) with one
-    modular inverse, on the first call at its (size, p), and again only
-    after the LRU cache of BASIS_CACHE_ENTRIES entries has dropped it.  The
-    values need not be reduced.  Past p values the nodes collide mod p
-    (ValueError).
+    and one cache lookup.  The honest prover calls it once per final-block
+    round; the cheating provers' bent rounds call it too.  The matrix is
+    built, in O(size^2) with one modular inverse, on the first call at its
+    (size, p), and again only after the LRU cache of BASIS_CACHE_ENTRIES
+    entries has dropped it.  The values need not be reduced.  Past p values
+    the nodes collide mod p (ValueError).
     """
     rows = _inverse_vandermonde(len(values), p)
     return canonical([sum(map(mul, row, values)) for row in rows], p)

@@ -24,11 +24,16 @@ multiplies no clause at a point:
 - The eq weights of a block's linearization rounds are nested, each vector
   the next with one more coordinate, so the block's first round builds
   them all, shortest first, for the cost of the longest.
+- A table round's polynomial has degree 1 or 2, and its coefficients are
+  weighted sums over the folded table, sent as they are, not interpolated.
 - The final block, where the raw matrix shows through, groups the Boolean
   suffixes c of its round at x_j by which clauses they falsify, found with
-  bitmasks over the 2^(n-j) suffixes; each group adds its eq weight times
-  the clauses' factors at x_j = 0..d_j, d_j, the number of literal
-  occurrences of x_j, bounding the round polynomial's degree.
+  bitmasks over the 2^(n-j) suffixes.  A clause without an x_j literal is
+  a scalar, folded into the eq weight of each group that falsifies it; the
+  groups that falsify the same x_j clauses are merged, and each adds its
+  weight times those clauses' factors at x_j = 0..d_j, d_j, the number of
+  literal occurrences of x_j, bounding the round polynomial's degree.  Its
+  n rounds are the honest prover's only interpolations.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 
 from .field import MAX_PRIME, MAX_PRIME_TEXT, canonical, check_prime, lagrange_interpolate, next_prime_at_least, poly_eval, sqrt_mod
 from .fiatshamir import (
@@ -281,16 +286,20 @@ def _eq_suffixes(rs, p: int) -> list[list[int]]:
 
 def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tuple[int, ...]:
     """Honest message for round k: the suffix after ops[k] as a univariate
-    polynomial in ops[k]'s variable, interpolated from its values at
-    0..degree, which are read off f's chain tables or, in the final block,
-    its clauses.
+    polynomial in ops[k]'s variable.  Table rounds read its coefficients
+    off sums over f's chain tables; the final block interpolates its values
+    at 0..degree, summed from its clauses.
 
     ops must be the formula's chain and bindings hold the challenges it has
     drawn so far; they are not modified.  With r the bindings:
-    - Q_i: T_i with x_1..x_{i-1} folded to r gives the values at x_i = 0, 1.
-    - Lin x_j in block i < n: fold x_1..x_{j-1} of T_{i+1} to r, extend x_j
-      linearly to t = 0, 1, 2, join the x_{i+1} halves by Q_{i+1}, and sum
-      over x_{j+1..i} weighted by eq(r_{j+1..i}; .).
+    - Q_i: T_i with x_1..x_{i-1} folded to r holds the values v0, v1 at
+      x_i = 0, 1, so the polynomial is v0 + (v1 - v0) t.
+    - Lin x_j in block i < n: fold x_1..x_{j-1} of T_{i+1} to r, so each
+      entry a is linear in x_j, and sum over x_{j+1..i} weighted by
+      eq(r_{j+1..i}; .) after joining the x_{i+1} halves a, b by Q_{i+1}.
+      A sum gives v0 + (v1 - v0) t; a product (a0 + t da)(b0 + t db) gives
+      S00 + (S11 - S00 - c2) t + c2 t^2, with S00 and S11 the weighted
+      sums of a0 b0 and a1 b1 and c2 that of da db.
     - Lin x_j in the final block: sum f(r_1..r_{j-1}, t, c) weighted by
       eq(r_{j+1..n}; c) over Boolean c, at t = 0..d_j, where d_j counts the
       literal occurrences of x_j (a degree bound, at most 3m); see
@@ -300,30 +309,30 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tup
     table work is O(2^(i+1)) per block; the eq weights come from f's kept
     eq vectors, built once per block.  No clause is multiplied at a point:
     T_n is built from clause bitmasks, and the final block groups the
-    suffixes c by the clauses they falsify.
+    suffixes c by the clauses they falsify, multiplying the clauses without
+    an x_j literal as scalars and the others as vectors over t.
     """
     op = ops[k]
     p = f.p
     i, j = op.block, op.var
     if op.kind is not OpKind.LIN:
-        values = f.folded(i, bindings[: i - 1])
-    elif i < formula.num_vars:
-        folded = f.folded(i + 1, bindings[: j - 1])
-        half = len(folded) // 2  # x_{i+1} = 0 | x_{i+1} = 1
-        a0, a1, b0, b1 = folded[0:half:2], folded[1:half:2], folded[half::2], folded[half + 1 :: 2]
-        weights = f.eq_weights(bindings[j:i])
-        if formula.quantifiers[i] is Quantifier.EXISTS:
-            # the sum of the halves is linear in t
-            v0 = sum(map(mul, weights, map(add, a0, b0)))
-            v1 = sum(map(mul, weights, map(add, a1, b1)))
-            values = [v0, v1, 2 * v1 - v0]
-        else:
-            a2 = [2 * y - x for x, y in zip(a0, a1)]
-            b2 = [2 * y - x for x, y in zip(b0, b1)]
-            values = [sum(map(mul, weights, map(mul, u, v))) for u, v in ((a0, b0), (a1, b1), (a2, b2))]
-    else:
-        values = _final_round_values(f, j, bindings)
-    return lagrange_interpolate(values, p)  # reduces the sums mod p
+        v0, v1 = f.folded(i, bindings[: i - 1])
+        return canonical((v0, v1 - v0), p)
+    if i == formula.num_vars:
+        return lagrange_interpolate(_final_round_values(f, j, bindings), p)  # reduces the sums mod p
+    folded = f.folded(i + 1, bindings[: j - 1])
+    half = len(folded) // 2  # x_{i+1} = 0 | x_{i+1} = 1
+    a0, a1, b0, b1 = folded[0:half:2], folded[1:half:2], folded[half::2], folded[half + 1 :: 2]
+    weights = f.eq_weights(bindings[j:i])
+    if formula.quantifiers[i] is Quantifier.EXISTS:
+        # the sum of the halves is linear in t
+        v0 = sum(map(mul, weights, map(add, a0, b0)))
+        v1 = sum(map(mul, weights, map(add, a1, b1)))
+        return canonical((v0, v1 - v0), p)
+    s00 = sum(map(mul, weights, map(mul, a0, b0)))
+    s11 = sum(map(mul, weights, map(mul, a1, b1)))
+    c2 = sum(map(mul, weights, map(mul, map(sub, a1, a0), map(sub, b1, b0))))
+    return canonical((s00, s11 - s00 - c2, c2), p)
 
 
 # the falsified-clause pattern of a suffix point is one unsigned field of
@@ -331,26 +340,42 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tup
 # m <= 24 fits every pattern in 32
 _PATTERN_CODES = {8: "B", 16: "H", 32: "I"}
 
+# rows kept, one per (ups, downs, d): ups + downs <= 3 and d <= 72; a proof
+# asks for a few per final-block round
+ROW_CACHE_ENTRIES = 64
+
+
+@lru_cache(maxsize=ROW_CACHE_ENTRIES)
+def _x_row(ups: int, downs: int, d: int) -> tuple[int, ...]:
+    """(1 - t)^ups * t^downs at t = 0..d: a clause's product of x_j misses,
+    ups the occurrences of x_j and downs those of not x_j."""
+    return tuple((1 - t) ** ups * t**downs for t in range(d + 1))
+
 
 def _final_round_values(f: ArithPoly, j: int, bindings) -> list[int]:
     """Sum over Boolean c of eq(r_{j+1..n}; c) * f(r_1..r_{j-1}, t, c), at
     t = 0..d_j, unreduced.
 
     At a Boolean suffix c a clause's factor is 1 if c satisfies one of its
-    suffix literals, and otherwise the per-round g(t) = 1 - (the product of
-    its prefix misses) * (the product of its x_j misses at t).  So:
-    - a clause with no suffix literal multiplies every c by g(t);
-    - a clause with g = 0 (suffix literals only) strikes the c that falsify
-      its suffix literals, and one with g = 1 leaves every c as it is;
-    - the other clauses multiply c by g(t) where c falsifies them.
+    suffix literals, and otherwise g(t) = 1 - (the product of its prefix
+    misses) * (the product of its x_j misses at t).  A clause with no x_j
+    literal has the scalar factor s = 1 - (its prefix misses); the others
+    have a vector over t.  So:
+    - a clause with no suffix literal multiplies every c, by its scalar or
+      its vector;
+    - a clause with s = 0 strikes the c that falsify its suffix literals,
+      and one with s = 1, or with no prefix miss, leaves every c as it is;
+    - the other clauses multiply c by their factor where c falsifies them.
     The suffixes are grouped by which of the last kind they falsify (one bit
-    each in a per-point field, the struck ones in bit 0), and each group adds
-    its eq weight times the product of those clauses' g(t).
+    each in a per-point field, the struck ones in bit 0).  Each group's eq
+    weight takes the product of its scalars, and the groups that falsify the
+    same x_j clauses are merged, so the vectors are multiplied once per such
+    subset.
     """
     p, n = f.p, f.formula.num_vars
-    ts = range(f.degree(j) + 1)
-    common = [1] * len(ts)
-    struck, mixed = [], []
+    d = f.degree(j)
+    scale, common = 1, [1] * (d + 1)
+    struck, mixed, scalars = [], [], []  # mixed: (suffix, vector); scalars: (suffix, s)
     for cl in f.formula.clauses:
         miss, ups, downs, suffix = 1, 0, 0, []  # ups, downs: occurrences of x_j, not x_j
         for lit in cl:
@@ -364,36 +389,58 @@ def _final_round_values(f: ArithPoly, j: int, bindings) -> list[int]:
                 downs += 1
             else:
                 ups += 1
-        g = [(1 - miss * (1 - t) ** ups * t**downs) % p for t in ts]
+        if ups or downs:
+            if not miss:
+                continue
+            g = [(1 - miss * x) % p for x in _x_row(ups, downs, d)]
+            if suffix:
+                mixed.append((suffix, g))
+            else:
+                common = [x * y % p for x, y in zip(common, g)]
+            continue
+        s = (1 - miss) % p
         if not suffix:
-            common = [x * y % p for x, y in zip(common, g)]
-        elif not any(g):
+            scale = scale * s % p
+        elif not s:
             struck.append(suffix)
-        elif any(x != 1 for x in g):
-            mixed.append((suffix, g))
-    if not struck and not mixed:
+        elif s != 1:
+            scalars.append((suffix, s))
+    if not scale:
+        return [0] * (d + 1)
+    common = [scale * x % p for x in common]
+    if not struck and not mixed and not scalars:
         return common  # the eq weights sum to 1 over the suffix cube
-    width = next(w for w in _PATTERN_CODES if w > len(mixed))
+    width = next(w for w in _PATTERN_CODES if w > len(mixed) + len(scalars))
     bits = n - j
     sets = _coordinate_sets(bits, width)
     pattern = 0
     for suffix in struck:
         pattern |= _falsified(suffix, sets, width)
-    for bit, (suffix, _g) in enumerate(mixed, start=1):
+    for bit, (suffix, _factor) in enumerate(mixed + scalars, start=1):
         pattern |= _falsified(suffix, sets, width) << bit
     fields = struct.unpack(f"<{1 << bits}{_PATTERN_CODES[width]}", pattern.to_bytes(width // 8 << bits, "little"))
     groups: dict[int, int] = {}
     for key, w in zip(fields, f.eq_weights(bindings[j:])):
         groups[key] = groups.get(key, 0) + w
-    values = [0] * len(ts)
+    shift = len(mixed) + 1  # the scalar clauses' bits lie above the x_j clauses'
+    merged: dict[int, int] = {}
     for key, w in groups.items():
         if key & 1:
             continue
-        row = [w % p] * len(ts)
+        rest = key >> shift
+        for _suffix, s in scalars:
+            if rest & 1:
+                w = w * s % p
+            rest >>= 1
+        key &= (1 << shift) - 1
+        merged[key] = merged.get(key, 0) + w
+    values = [0] * (d + 1)
+    for key, w in merged.items():
+        row = [w % p] * (d + 1)
         for bit, (_suffix, g) in enumerate(mixed, start=1):
             if key >> bit & 1:
                 row = [x * y % p for x, y in zip(row, g)]
-        values = [x + y for x, y in zip(values, row)]
+        values = list(map(add, values, row))
     return [x * y for x, y in zip(common, values)]
 
 

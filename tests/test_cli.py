@@ -74,6 +74,34 @@ def test_prove_then_verify_fs(tmp_path, formula_file, capsys):
     assert main(["verify-tqbf", "--in", formula_file, "--transcript", transcript]) == 1
 
 
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_prove_tqbf_refuses_a_seed_with_fs(tmp_path, capsys, seed, out):
+    # --fs derives every coin by hashing, so a coin seed would do nothing;
+    # the refusal comes before the formula is read (the file does not exist)
+    transcript = tmp_path / "f.transcript"
+    with_out = ["--out", str(transcript)] if out else []
+    assert main(["prove-tqbf", "--in", str(tmp_path / "missing.qdimacs"), "--fs", "--seed", seed, *with_out]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --seed seeds the verifier's coins, and --fs derives them by hashing; give one of the two\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_prove_tqbf_seeds_interactive_coins_with_0_by_default(formula_file, monkeypatch, capsys):
+    seeds = []
+
+    def recorded(seed):
+        seeds.append(seed)
+        return InteractiveChallenges(seed)
+
+    monkeypatch.setattr(cli, "InteractiveChallenges", recorded)
+    for extra in ([], ["--seed", "0"], ["--seed", "5"]):
+        assert main(["prove-tqbf", "--in", formula_file, *extra]) == 0
+        assert "mode interactive" in capsys.readouterr().out
+    assert seeds == [0, 0, 5]
+
+
 @pytest.mark.parametrize("n, prime", [(n, None) for n in range(1, 17)] + [(3, 1009)])
 def test_prove_tqbf_writes_the_bytes_the_library_encodes(tmp_path, capsys, n, prime):
     formula = seeded_true_formula(n, 3, n)

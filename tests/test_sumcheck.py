@@ -568,14 +568,44 @@ WIDE_PATTERNS = parse_qbf(
 )
 
 
-@pytest.mark.parametrize(
-    "formula, var, degree",
-    [(NO_OCCURRENCE, 2, 0), (TAUTOLOGY, 1, 3), (PADDED, 2, 5), (PATTERNS, 2, 6), (WIDE_PATTERNS, 1, 24)],
-    ids=["no-occurrence", "tautology", "padded", "patterns", "wide-patterns"],
+# x2's final round: every clause with a literal after x2 lacks x2, so each
+# is a scalar factor, and no clause is a vector over t beside them
+SCALARS_ONLY = parse_qbf("p cnf 3 4\ne 1 0\na 2 0\ne 3 0\n1 3 0\n-1 -3 0\n-1 3 0\n2 -1 0\n")
+# x2's final round: eight scalar clauses (x1 and two later literals, each
+# sign) beside one x2 clause, nine clause bits above the struck bit, so
+# 16-bit fields
+MANY_SCALARS = parse_qbf(
+    "p cnf 4 9\na 1 0\ne 2 0\na 3 0\ne 4 0\n"
+    + "".join(f"{a} {b} {c} 0\n" for a in (1, -1) for b in (3, -3) for c in (4, -4))
+    + "2 -3 1 0\n"
 )
-def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
+# with Boolean bindings, x1 zeroes one of (x1, x4), (not x1, x4) and makes
+# the other's scalar 1 in the rounds of x2 and x3; (x1, not x2) has no later
+# literal, so it zeroes every c when x1 = 0 and x2 = 1 in x3's and x4's rounds
+BOOLEAN_PREFIX = parse_qbf(
+    "p cnf 4 5\ne 1 0\na 2 0\ne 3 0\na 4 0\n1 4 0\n-1 4 0\n1 -2 0\n-2 3 4 0\n3 -4 -1 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "formula, var, degree, coin_bound",
+    [
+        (NO_OCCURRENCE, 2, 0, None),
+        (TAUTOLOGY, 1, 3, None),
+        (PADDED, 2, 5, None),
+        (PATTERNS, 2, 6, None),
+        (WIDE_PATTERNS, 1, 24, None),
+        (SCALARS_ONLY, 2, 1, None),
+        (MANY_SCALARS, 2, 1, None),
+        (BOOLEAN_PREFIX, 3, 2, 2),
+    ],
+    ids=["no-occurrence", "tautology", "padded", "patterns", "wide-patterns", "scalars-only", "many-scalars",
+         "boolean-prefix"],
+)
+def test_final_block_rounds_at_the_literal_degree(formula, var, degree, coin_bound):
     # the final block interpolates at 0..d_j, d_j counting every literal
-    # occurrence of x_j; the reference interpolates the chain at 0..3m
+    # occurrence of x_j; the reference interpolates the chain at 0..3m.
+    # Coins are drawn from [0, p), or from {0, 1} where coin_bound is 2
     n = formula.num_vars
     ops = build_operator_chain(formula)
     p = default_prime(formula)
@@ -590,7 +620,7 @@ def test_final_block_rounds_at_the_literal_degree(formula, var, degree):
                 assert len(s) - 1 <= session.f.degree(op.var)
                 assert s == _reference_round_poly(ops, k, session.bindings, session.f, formula), (seed, k)
                 rounds += 1
-            session.receive_challenge(k, coins.challenge_interval(0, p))
+            session.receive_challenge(k, coins.challenge_interval(0, coin_bound or p))
     assert rounds == 4 * n
 
 
@@ -646,6 +676,23 @@ def test_prover_evaluates_f_within_the_table_budget(monkeypatch):
     assert t.claimed_value != 0
     assert sumcheck_verify(formula, p, t).accepted
     assert calls == 1
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 3), (10, 8)])
+def test_an_honest_proof_interpolates_once_per_final_block_round(monkeypatch, n, m):
+    # table rounds read their coefficients off the tables; only the n rounds
+    # of the final block interpolate, at d_j + 1 values each
+    formula = _true_formula(n, m, 1010 + n)
+    sizes = []
+
+    def counted(values, p):
+        sizes.append(len(values))
+        return lagrange_interpolate(values, p)
+
+    monkeypatch.setattr(sc, "lagrange_interpolate", counted)
+    t = sumcheck_prove(formula, None, FiatShamirChallenges(TQBF_ORACLE))
+    assert sizes == [ArithPoly(formula, t.p).degree(var) + 1 for var in range(1, n + 1)]
+    assert sumcheck_verify(formula, t.p, t).accepted
 
 
 def test_prover_multiplies_clauses_within_budget(monkeypatch):
