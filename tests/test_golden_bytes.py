@@ -182,29 +182,61 @@ def test_cheating_transcript_bytes_pinned(case):
     assert got == (interactive_reason, fs_digest, fs_reason)
 
 
-# SHA-256 over repr(((p, claim, polys, challenges), verdict reason)) of each
-# interactive CORPUS transcript, then of each interactive CHEAT_CASES
-# transcript: the conversations themselves, whatever bytes encode them
-INTERACTIVE_CONVERSATIONS_DIGEST = "ca1653b4850301dcdb951a95c4ef5434854fda6f51dde78dc4d61c38589212dd"
+# SHA-256 over repr(((p, claim, polys, challenges), verdict reason)) of an
+# interactive conversation, whatever bytes encode it: one per CORPUS formula,
+# proved with seed = corpus index, and one per CHEAT_CASES case, run as that
+# case runs its interactive transcript
+INTERACTIVE_DIGESTS = (
+    "020e8ead6b32545f59f2049612571c740c59b90b9121f75a1aab0c1805ac5133",
+    "0858080c017ce842bbed7cf0aa8d745d0625b59bd04e165c6d04ad6b10d49112",
+    "3b4b07677c6b5d7a35c9b5d7c962a65f4a78ceb22e2cc85183e59cda5c265aca",
+    "3fef7f0ce9aaebb9ac2be8b0ecf6e0ad63e288f041df65e9ee89d65c4975abbd",
+    "224cf4141f31e2ad7074d9a9b2a361da9eff861a9598716e9ddd169c1139bc66",
+    "df5045a53f71ec410df6e8d2d2ae2595dbd269810a579da2ccd20223587a41d5",
+    "f2ef5fa7bdf7a1fcf188604d56009c29ff87e33a3b202a7094bf327c35ca66fe",
+    "46dc3c2af5616226dfedc2b60df288b3391c125bc0c3fd44af06b8e22384f44b",
+    "dd1ea9ea8e09384462708dc017fb3576062fd25b83298dfd3642870c28a7da97",
+    "fdb95e6d93128450c717651b243fef649d605644f90c6216cfd6d1c800525536",
+    "ed5f34e2034073b09755da318a32d254fd28dff565d003e97cda29ada4e7064e",
+    "78c356df96c27164212c878cc2aac736fe22b5029c208cc4366d1338feb097d4",
+)
+INTERACTIVE_CHEAT_DIGESTS = {
+    (1, "wrong-claim"): "0e3ca3cf20a29a3bc87345f4efe78998894453b69238cc6a1858db7594ea1f9f",
+    (1, "constant-poly"): "1283c81e43d87feab13430de67bce1f3e37991df7555a388e6c10f64842e6ad3",
+    (1, "random-round"): "b04f14f1c42eabf9d5849be471092abc1818f9961331de516ff0879e03212fe4",
+    (1, "random-round(1)"): "9ec4fb048e18193d053b8edef718e95616f02f3509add0475380dfe676c235e0",
+    (4, "wrong-claim"): "8df6fb435a2b49234c1bde0432bc55deda237d5911c5e34bd8c24332400753cc",
+    (4, "constant-poly"): "15a09b690fbcff78e6caef1b7f5c2cbff7eca96b8fb3f75f7efe94556e10d046",
+    (4, "random-round"): "39c3bc3f176d9fe4a39f8e072361d3872994318cc3c710b9029d7bd046613cd5",
+    (4, "random-round(1)"): "d1da0b25026deea9eb6b6455e20b0427e6751b36b7262fdc28541e8b92385cca",
+    (7, "wrong-claim"): "b6494b596295f980669589eb4716f7c61c586dd62815ed7777ae90ee1bff9752",
+    (7, "constant-poly"): "2241dbcc66a198c9326fdb0effabfde565e281b259eebc42d1a3e8d5e052ab68",
+    (7, "random-round"): "7950a1954f3c85b249936cacc87acf73fec32d1af49660298e540704e793ec8b",
+    (7, "random-round(1)"): "666fe0cf687b318751677c7b080b20e6e0fd2fcfd9a6afda7ad8f0fbfc1d5283",
+}
 
 
-def test_interactive_conversations_pinned():
-    digest = hashlib.sha256()
+def _conversation_digest(formula, p, transcript) -> str:
+    t = transcript
+    conversation = (t.p, t.claimed_value, t.polys, t.challenges)
+    return _digest(repr((conversation, sumcheck_verify(formula, p, t).reason)).encode())
 
-    def add(formula, p, transcript):
-        t = transcript
-        conversation = (t.p, t.claimed_value, t.polys, t.challenges)
-        digest.update(repr((conversation, sumcheck_verify(formula, p, t).reason)).encode())
 
-    for index, text in enumerate(CORPUS):
-        formula = parse_qbf(text)
-        p = default_prime(formula)
-        add(formula, p, sumcheck_prove(formula, p, InteractiveChallenges(index)))
-    for index, strategy, *_ in CHEAT_CASES:
-        formula = parse_qbf(CORPUS[index])
-        p = default_prime(formula)
-        add(formula, p, cheat_prover(strategy, formula, p, InteractiveChallenges(index), random.Random(index)))
-    assert digest.hexdigest() == INTERACTIVE_CONVERSATIONS_DIGEST
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_interactive_conversation_pinned(index):
+    formula = parse_qbf(CORPUS[index])
+    p = default_prime(formula)
+    transcript = sumcheck_prove(formula, p, InteractiveChallenges(index))
+    assert _conversation_digest(formula, p, transcript) == INTERACTIVE_DIGESTS[index]
+
+
+@pytest.mark.parametrize("case", CHEAT_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+def test_interactive_cheating_conversation_pinned(case):
+    index, strategy, *_ = case
+    formula = parse_qbf(CORPUS[index])
+    p = default_prime(formula)
+    transcript = cheat_prover(strategy, formula, p, InteractiveChallenges(index), random.Random(index))
+    assert _conversation_digest(formula, p, transcript) == INTERACTIVE_CHEAT_DIGESTS[index, strategy]
 
 
 @pytest.mark.parametrize("index", range(len(BUNDLE_CASES)))
