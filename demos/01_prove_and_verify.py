@@ -38,8 +38,14 @@ def main():
     print(f"formula: {n} variables, {m} clauses, field size p = {p}")
     print(f"brute-force truth value: {eval_qbf_bruteforce(formula)}")
 
+    # a quantifier round per variable, the final block's n rounds, and i
+    # linearization rounds before each universal x_{i+1} with i < n
     ops = build_operator_chain(formula)
-    print(f"operator chain: {len(ops)} rounds (n(n+3)/2 = {n * (n + 3) // 2})")
+    inner = len(ops) - 2 * n
+    print(
+        f"operator chain: {len(ops)} rounds ({n} quantifier, {inner} inner linearization, {n} final-block;"
+        f" between 2n = {2 * n} and n(n+3)/2 = {n * (n + 3) // 2})"
+    )
     claim = chain_value(formula, p)
     print(f"chain value mod p: {claim}  (nonzero = membership proof exists)\n")
 

@@ -118,7 +118,8 @@ def _run_shares(share) -> list[tuple[int, ...]]:
 
 
 def soundness_bound(n: int, m: int, p: int) -> float:
-    """Union bound over the chain: one slip per round degree, (3mn + n^2)/p."""
+    """Union bound over the longest chain, x_2..x_n universal: one slip per
+    round degree, (3mn + n^2)/p, which bounds every chain on n variables."""
     return (3 * m * n + n * n) / p
 
 
@@ -142,13 +143,15 @@ def exp_soundness(
     trials are order-independent, and the trials and the controls are split
     into shares (_run_shares) whose accept counts are summed.  The statement
     and every strategy are checked before the first formula is drawn, so
-    nothing forks for a refused call.
+    nothing forks for a refused call.  random-round(k) needs k < 2n, the
+    length of the shortest chain on n variables, so that it cheats in every
+    trial whatever formula the trial draws.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful rate")
     check_statement(n, m, p)  # before any m-clause formula is drawn
     for strategy in strategies:
-        check_strategy(strategy, n)
+        check_strategy(strategy, 2 * n)
     bound = soundness_bound(n, m, p)
     sigma = math.sqrt(bound * (1 - bound) / trials)
     threshold = bound + 3 * sigma
@@ -339,11 +342,12 @@ def exp_attack(
 
 
 def min_formula_vars(num_steps: int) -> int:
-    """Smallest n whose operator chain has at least num_steps rounds.
+    """Smallest n whose longest operator chain has at least num_steps rounds.
 
-    The chain on n variables has n(n+3)/2 rounds, so this is the variable
-    count needed before the proof system forces as many sequential verifier
-    rounds as a delay of num_steps machine steps.
+    The longest chain on n variables, with x_2..x_n universal, has n(n+3)/2
+    rounds, so this is the variable count needed before the proof system
+    can force as many sequential verifier rounds as a delay of num_steps
+    machine steps.
     """
     if num_steps < 1:
         raise ValueError("need a positive step count")

@@ -4,23 +4,29 @@ The statement "formula is true" becomes "a chained sum/product/linearization
 of the arithmetized matrix evaluates to a nonzero field element".  The chain
 interleaves one quantifier operator per variable with re-linearization passes
 that keep round polynomials at low degree, so each round message is a short
-univariate polynomial and the verifier's work stays polynomial.
+univariate polynomial and the verifier's work stays polynomial.  Block i, the
+pass over x_1..x_i after the quantifier of x_i, runs only before a universal
+x_{i+1} and after x_n: a sum over an existential x_{i+1} keeps a multilinear
+chain multilinear, so there the pass would be the identity.  A chain has 2n
+rounds when x_2..x_n are existential and n(n+3)/2 when they are universal.
 
 Soundness rests on random verifier challenges; completeness is exact.  Three
 cheating provers measure the soundness error empirically.  One driver runs
 every prover against a challenge source, carrying the running claim that the
 verifier checks each round against; the verifier checks finished transcripts.
 
-The honest prover never re-evaluates the chain.  After each block's
-linearization pass the chain is the multilinear extension of a Boolean
-table, so it keeps the tables T_n (f on the cube) down to T_0 (the chain
-value), 2^(n+1) residues, and reads every round polynomial off them.  It
-multiplies no clause at a point:
+The honest prover never re-evaluates the chain.  Below the quantifier of
+x_i the chain is multilinear in x_1..x_i, the extension of a Boolean table
+T_i: block i's pass makes it so, and where that pass is skipped the sum over
+x_{i+1} keeps it so.  The prover keeps the tables T_n (f on the cube) down
+to T_0 (the chain value), 2^(n+1) residues, and reads every round
+polynomial off them.  It multiplies no clause at a point:
 - T_n is one int, the 2^n-point cube minus the points at which some clause
   is false, unpacked once into the 0/1 table the lower tables join.
 - One running fold per block binds T_{i+1} a challenge at a time for the
   block's linearization rounds and the next quantifier round: O(2^(i+1))
-  table work per block, O(2^n) in all.
+  table work per block, O(2^n) in all.  A quantifier round after a skipped
+  block folds its table afresh, at the same cost.
 - The eq weights of a block's linearization rounds are nested, each vector
   the next with one more coordinate, so the block's first round builds
   them all, shortest first, for the cost of the longest.
@@ -126,8 +132,8 @@ class ArithPoly:
         T_n is f on the 2^n cube, bit i-1 of an index being x_i: one byte per
         point, the cube minus the clauses' `_falsified` sets.  T_{i-1} joins
         the two halves of T_i (x_i = 0, x_i = 1) by sum for an existential x_i,
-        by product for a universal one.  T_i[b] is the chain after block i's
-        linearization pass at the Boolean point b, and T_0[0] is the chain value.
+        by product for a universal one.  T_i[b] is the chain below the
+        quantifier of x_i at the Boolean point b, and T_0[0] is the chain value.
         """
         if self._tables is None:
             p, n = self.p, self.formula.num_vars
@@ -221,32 +227,39 @@ CHAIN_CACHE_ENTRIES = 64
 
 
 def build_operator_chain(formula: Qbf) -> tuple[Operator, ...]:
-    """Quantifier for x_i, then re-linearization of x_1..x_i, for each i.
+    """Quantifier for x_i, then re-linearization of x_1..x_i (block i), for
+    each i; block i is left out where x_{i+1} is existential, since the sum
+    over x_{i+1} keeps the chain multilinear in x_1..x_i.
 
-    The chain has exactly n(n+3)/2 operators for n variables.  It depends on
-    the quantifiers alone, so formulas with the same quantifiers share one
-    chain, built once and kept in an LRU cache of CHAIN_CACHE_ENTRIES entries.
+    The chain has n quantifier operators, the n of the final block, and i
+    for each universal x_{i+1} with i < n: 2n when x_2..x_n are existential,
+    n(n+3)/2 when they are universal.  It depends on the quantifiers alone,
+    so formulas with the same quantifiers share one chain, built once and
+    kept in an LRU cache of CHAIN_CACHE_ENTRIES entries.
     """
     return _operator_chain(tuple(formula.quantifiers))
 
 
 @lru_cache(maxsize=CHAIN_CACHE_ENTRIES)
 def _operator_chain(quantifiers: tuple[Quantifier, ...]) -> tuple[Operator, ...]:
-    ops = []
+    n, ops = len(quantifiers), []
     for i, q in enumerate(quantifiers, start=1):
         kind = OpKind.SUM if q is Quantifier.EXISTS else OpKind.PROD
         ops.append(Operator(kind, i, i))
-        for j in range(1, i + 1):
-            ops.append(Operator(OpKind.LIN, j, i))
+        # a sum over x_{i+1} keeps the chain multilinear in x_1..x_i
+        if i == n or quantifiers[i] is not Quantifier.EXISTS:
+            ops.extend(Operator(OpKind.LIN, j, i) for j in range(1, i + 1))
     return tuple(ops)
 
 
 def round_degree_bound(op: Operator, formula: Qbf) -> int:
     """Largest degree the honest round polynomial can reach.
 
-    Quantifier rounds follow a full linearization pass, so degree 1.  A
-    linearization inside an inner block sees one later product, so degree 2.
-    In the final block the raw matrix shows through: degree up to 3m.
+    A quantifier round sees a multilinear chain, so degree 1: a linearization
+    pass follows it, or, where the block is skipped, a sum over a multilinear
+    one.  An inner block runs only before a universal quantifier, so each of
+    its linearizations sees that one product: degree 2.  In the final block
+    the raw matrix shows through: degree up to 3m.
     """
     if op.kind is not OpKind.LIN:
         return 1
@@ -294,19 +307,20 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tup
     drawn so far; they are not modified.  With r the bindings:
     - Q_i: T_i with x_1..x_{i-1} folded to r holds the values v0, v1 at
       x_i = 0, 1, so the polynomial is v0 + (v1 - v0) t.
-    - Lin x_j in block i < n: fold x_1..x_{j-1} of T_{i+1} to r, so each
-      entry a is linear in x_j, and sum over x_{j+1..i} weighted by
-      eq(r_{j+1..i}; .) after joining the x_{i+1} halves a, b by Q_{i+1}.
-      A sum gives v0 + (v1 - v0) t; a product (a0 + t da)(b0 + t db) gives
-      S00 + (S11 - S00 - c2) t + c2 t^2, with S00 and S11 the weighted
-      sums of a0 b0 and a1 b1 and c2 that of da db.
+    - Lin x_j in block i < n, which the chain holds only before a universal
+      x_{i+1}: fold x_1..x_{j-1} of T_{i+1} to r, so each entry a is linear
+      in x_j, and sum over x_{j+1..i} weighted by eq(r_{j+1..i}; .) after
+      joining the x_{i+1} halves a, b by product: (a0 + t da)(b0 + t db)
+      gives S00 + (S11 - S00 - c2) t + c2 t^2, with S00 and S11 the
+      weighted sums of a0 b0 and a1 b1 and c2 that of da db.
     - Lin x_j in the final block: sum f(r_1..r_{j-1}, t, c) weighted by
       eq(r_{j+1..n}; c) over Boolean c, at t = 0..d_j, where d_j counts the
       literal occurrences of x_j (a degree bound, at most 3m); see
       `_final_round_values`.
     The folds come from f's running fold, which binds T_{i+1} one challenge
     per Lin round of block i and serves block i+1's Q round as well, so
-    table work is O(2^(i+1)) per block; the eq weights come from f's kept
+    table work is O(2^(i+1)) per block; after a skipped block i the Q round
+    of x_{i+1} folds T_{i+1} afresh.  The eq weights come from f's kept
     eq vectors, built once per block.  No clause is multiplied at a point:
     T_n is built from clause bitmasks, and the final block groups the
     suffixes c by the clauses they falsify, multiplying the clauses without
@@ -324,11 +338,6 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tup
     half = len(folded) // 2  # x_{i+1} = 0 | x_{i+1} = 1
     a0, a1, b0, b1 = folded[0:half:2], folded[1:half:2], folded[half::2], folded[half + 1 :: 2]
     weights = f.eq_weights(bindings[j:i])
-    if formula.quantifiers[i] is Quantifier.EXISTS:
-        # the sum of the halves is linear in t
-        v0 = sum(map(mul, weights, map(add, a0, b0)))
-        v1 = sum(map(mul, weights, map(add, a1, b1)))
-        return canonical((v0, v1 - v0), p)
     s00 = sum(map(mul, weights, map(mul, a0, b0)))
     s11 = sum(map(mul, weights, map(mul, a1, b1)))
     c2 = sum(map(mul, weights, map(mul, map(sub, a1, a0), map(sub, b1, b0))))
@@ -679,23 +688,23 @@ def sumcheck_prove(formula: Qbf, p: int | None, challenges) -> Transcript:
 _RANDOM_ROUND = re.compile(r"random-round(?:\((0|[1-9][0-9]*)\))?")
 
 
-def check_strategy(strategy: str, num_vars: int) -> int | None:
+def check_strategy(strategy: str, num_rounds: int) -> int | None:
     """The round a "random-round(k)" strategy cheats at, or None for
     "wrong-claim" and "constant-poly".
 
     k is a 0-based round index, written in ASCII digits without a leading
     zero; "random-round" alone is round 0.  Any other spelling is refused,
     since the harness seeds its rngs from the text, and so is a k outside
-    the chain of n(n+3)/2 rounds on num_vars variables.
+    a chain of num_rounds rounds.
     """
     if strategy in ("wrong-claim", "constant-poly"):
         return None
     random_round = _RANDOM_ROUND.fullmatch(strategy)
     if not random_round:
         raise ValueError(f"unknown cheat strategy {strategy!r}")
-    k, num_rounds = int(random_round[1] or 0), num_vars * (num_vars + 3) // 2
+    k = int(random_round[1] or 0)
     if k >= num_rounds:
-        raise ValueError(f"round {k} outside the chain of length {num_rounds}")
+        raise ValueError(f"round {k} outside a chain of {num_rounds} rounds")
     return k
 
 
@@ -713,7 +722,7 @@ def cheat_prover(
     seeds 0); a seed is turned into an rng only by that prover, the only
     one that draws from it.
     """
-    k = check_strategy(strategy, formula.num_vars)
+    k = check_strategy(strategy, len(build_operator_chain(formula)))
     if strategy == "wrong-claim":
         session = _WrongClaimProver(formula, p)
     elif strategy == "constant-poly":

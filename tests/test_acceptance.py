@@ -12,6 +12,7 @@ Criterion 5 (parallel-sum invariance) left with the process-pool sum it
 checked; the others keep their numbers.
 """
 
+import dataclasses
 import random
 import time
 
@@ -35,6 +36,7 @@ from seqproof.noninteractive import (
 )
 from seqproof.qbf import (
     QbfParseError,
+    Quantifier,
     eval_qbf_bruteforce,
     random_qbf,
 )
@@ -90,15 +92,25 @@ def test_criterion_01_oracle_equivalence(capsys):
     )
 
 
+# chain lengths of the seeded formulas for n = 1..10: n quantifier and n
+# final-block rounds, and i Lin rounds before each universal x_{i+1}, i < n
+CHAIN_LENGTHS = (2, 4, 7, 13, 14, 19, 29, 35, 31, 43)
+
+
 def test_criterion_02_chain_shape(capsys):
     rng = random.Random(202)
     bad = []
-    for n in range(1, 11):
+    for n, expected in zip(range(1, 11), CHAIN_LENGTHS):
         f = random_qbf(rng, n, 3)
         got = len(build_operator_chain(f))
-        if got != n * (n + 3) // 2:
+        if got != expected:
             bad.append((n, got))
-    _report(capsys, 2, not bad, f"chain length n(n+3)/2 for n=1..10, deviations {bad}")
+        # every x_2..x_n universal keeps all n(n+3)/2 rounds; every one existential leaves 2n
+        for q, length in ((Quantifier.FORALL, n * (n + 3) // 2), (Quantifier.EXISTS, 2 * n)):
+            got = len(build_operator_chain(dataclasses.replace(f, quantifiers=f.quantifiers[:1] + (q,) * (n - 1))))
+            if got != length:
+                bad.append((n, q.value, got))
+    _report(capsys, 2, not bad, f"chain lengths for n=1..10 and their extreme prefixes, deviations {bad}")
 
 
 def test_criterion_03_completeness(capsys):

@@ -22,7 +22,8 @@ import seqproof.turing
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ("cli", "field", "fiatshamir", "harness", "noninteractive", "qbf", "shvdf", "sumcheck", "turing")
-TRUE_FORMULA = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
+# x2 is universal, so block 1 keeps its Lin round and the inner-Lin span opens
+TRUE_FORMULA = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
 SPANS_USED = (
     "cli",
     "field.interpolate",

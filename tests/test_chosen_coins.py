@@ -24,12 +24,13 @@ from seqproof.qbf import parse_qbf, to_qdimacs
 from seqproof.sumcheck import default_prime, sumcheck_prove, sumcheck_verify
 
 FALSE_SHAPES = [(n, m) for n in range(1, 7) for m in range(1, 5)]
-# a golden corpus formula and its files at the parent commit: (interactive
-# file with coin seed 1, Fiat-Shamir file)
-CORPUS_FORMULA = "p cnf 2 2\ne 1 2 0\n-1 2 2 0\n1 1 -2 0\n"
+# a formula whose chain keeps every linearization, so today's provers send
+# the parent layout's messages, and its files as the code of that layout
+# wrote them: (interactive file with coin seed 1, Fiat-Shamir file)
+CORPUS_FORMULA = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
 PARENT_FILE_DIGESTS = (
-    "164fc40dfa0e8405daecd5888de8ae019e9461efe1ece36a88a35d20c73f247a",
-    "d23c446425ebfc014a096151f32227e60df4eee0c98a24ab2d8ebf31bbe975a9",
+    "62903357be2e06083306b594b6a9cd8b417af958f4b3bfedee70b30a36e817d0",
+    "1fdefbe0a03dc3183f5ed83dd89ab6dfdc46550e7a92a15b1005d98ee9a5ce66",
 )
 UNREGISTERED_CHALLENGE_TAG = "error: unregistered message tag 0x6\n"
 

@@ -68,3 +68,24 @@ def test_the_proof_file_script_fails_when_out_without_fs_is_accepted(tmp_path):
     )
     done = _run("proof-file.sh", sys.executable, str(shim))
     assert done.returncode != 0 and "accepted" in done.stdout
+
+
+def test_the_proof_file_script_fails_on_a_wrong_round_count(tmp_path):
+    # a command that proves and verifies as it should but prints one round
+    # too many: the round count check, not the round trip, is what fails
+    shim = tmp_path / "shim.py"
+    shim.write_text(
+        "import contextlib, io, sys\n"
+        "from seqproof.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "for line in out.getvalue().splitlines():\n"
+        "    if line.startswith('rounds '):\n"
+        "        line = f'rounds {int(line.split()[1]) + 1}'\n"
+        "    print(line)\n"
+        "sys.exit(rc)\n"
+    )
+    done = _run("proof-file.sh", sys.executable, str(shim))
+    assert done.returncode != 0 and "skipped: expected rounds 4" in done.stdout
+    assert "rounds 5" in done.stdout and "accepted" not in done.stdout

@@ -660,12 +660,14 @@ def _u64_payload(tag: int, payload: bytes, p: int) -> bytes:
     return payload
 
 
-# a golden corpus formula and the digests its files at p = 37 were pinned to
-# in the u64 layout: (interactive file with coin seed 1, Fiat-Shamir file)
-U64_CORPUS_FORMULA = "p cnf 2 2\ne 1 2 0\n-1 2 2 0\n1 1 -2 0\n"
+# a formula whose chain keeps every linearization, so today's provers send
+# the u64 layout's messages, and the digests of its files at p = 37 as the
+# code of that layout wrote them: (interactive file with coin seed 1,
+# Fiat-Shamir file)
+U64_CORPUS_FORMULA = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"
 U64_FILE_DIGESTS = (
-    "d12e648f9afb712f22ce8028a9534c1e429d57e7b425b4af1c4766345d18c2bf",
-    "51eda16190b0e67f71f82392014b5640cac8610cc55b890c5107159408c43775",
+    "90299d7f85cd415f473b9ee18aa881e3fd95ccc11cd55262b0af6a6a80f30bd2",
+    "e6ea387c6284ad8f75f6ea697bd32c2b8cf66a73ffe0faf8390a8e011064e02b",
 )
 
 

@@ -62,31 +62,31 @@ CORPUS = (
 # the Fiat-Shamir transcript file of each corpus formula
 TRANSCRIPT_DIGESTS = (
     "3f118a1f8d224956319f9588ebf22e057b1143b9ee63166d95c97c57444b4681",
-    "e9e58c06c665e437e483573832f1815561e9dc68a5874fd2ca4045562352fbc8",
-    "5903f02f6e818a363e03e90f2852a4456c2d9d079b096048cf34c39311a9c00c",
-    "e103170193518214244d0bbe531c9bc51d328870e51f8b87dab0d0ddbcc7ef0b",
+    "7ccfd9d85d5fbd9e4bef70de5287544668b741e04f62b16868038a268915cbc0",
+    "6251f1cc6dbf35c207801e883f231f3243fc86924caea84f28439e912ffc1595",
+    "d6bb204b291df0b778e0afbd770bc5b8e6cd21e7e147c31ab2a1ba789f1a22cc",
     "91fc228cfa3cad8c1bbbd84ca9b99fbca5ffa969dcd950eff131d6191e12fa5c",
-    "46113611067a1bc9b70547394a9bb6109435bcc4b7c1ac058646afaa66aa0428",
-    "0e3cf4d194505f06cebac017f9cf03162dd72857b9c00ae03733cc4a014c78bf",
-    "aa3f890b127ae89ac8347c867769225bd59d426641beef1717a47e64bee3c703",
-    "973348b7490da98ea72ec522eebdafb1910a7d1f8c764794c6c5b4a0e30e3086",
-    "7c8dcf01a8efb6a1c2accdefd05ceeb30609acb431aad452fc90c633b506957a",
-    "7af2a4ec945d0d2f1e38095cf5ef4615e7441da57f231f6cfebe880c90871474",
-    "e344b166854cb9e61b10948d00bc54ed49c6bc96fc0cb1b7cd6b084a29d6a108",
+    "a0e42a7a381206fa68c2fb771d25e37272734aa1aba35a60bc47d301e0887b2a",
+    "b6375aac7cda5f5d6bf45227b09bf2084266f289482de634bd8173412cf30f76",
+    "ca40db1b0fc8a8f7ea3b54008dea9d690fa260695e5bb59f36f79e99bb1377e2",
+    "9da208ed0caea6a57677abe6ab42765eca5b3839746d50934b70624e1d8a9023",
+    "38da199cc53dab0a57e4b15dda8f91ae90b3a6c4daf5588ccb77ddb0e251737f",
+    "99bed4d88fb9121efecb03811df1749d1ebc0df1a92eb9ddc945ae3e2af7080d",
+    "8b331810d2409a2b6ec085c304863bacb79874813879a4d18d6ffb624e5de62e",
 )
 
 # (corpus index, strategy, verdict reason under interactive coins with seed =
 # corpus index, digest of the Fiat-Shamir file and its verdict reason); the
 # prover's own rng is random.Random(corpus index)
 CHEAT_CASES = (
-    (1, 'wrong-claim', 'final-check',
-     'befb21f4aa0dc7c56af95f1b95cab1523d6d45973871bb89319492db3d0f1133', 'final-check'),
-    (1, 'constant-poly', 'final-check',
-     'f3ebdb7f7dbff9f62c18764eb3542d70b4748cfb3b2e53b82f7e13d8ea7bea3c', None),
+    (1, 'wrong-claim', None,
+     'ace772ea2a2ae952845e79b365077f83e853cb2364ecc9db1d65a1f1b9f370b3', None),
+    (1, 'constant-poly', None,
+     'ce8cb82d663b1550b8eba80865c15e19b9043668f58f4370dfcf786923255c18', 'final-check'),
     (1, 'random-round', 'round-check',
-     'b44a5ebd28a050cb35c76fccab75f38a7d7f2dd70e13a4ec51180a0505328777', 'round-check'),
+     'df089f0b804d618eed89c252c381de7653c8d1f401cea31d63149ec06659ad63', 'round-check'),
     (1, 'random-round(1)', 'round-check',
-     '72e652024e0841bf3da7d1ad05f7e7836d462a2a5431fa30db503d2d7abf3903', 'round-check'),
+     '23fa18e694ab41d44aba8b5aa8aaa1350b2dd8b7038ef2bc9a65809058c5b4f3', 'round-check'),
     (4, 'wrong-claim', 'final-check',
      '6b1e20997a3ee417df39baafa14bdf3bf04d61b12c84be78b5a511fcf117c4fd', 'final-check'),
     (4, 'constant-poly', 'final-check',
@@ -96,13 +96,13 @@ CHEAT_CASES = (
     (4, 'random-round(1)', 'round-check',
      'd7d191ef8cbe8465dbeb053d5f7d535f728dbff5559077da3bb3f5c881a7b2f9', 'round-check'),
     (7, 'wrong-claim', 'final-check',
-     '007541c2290fa1f6af940707c921f02f15ba77a1be258a143f33ee67e3190da0', 'final-check'),
+     '8fc0aef867a1fa3fb7a9fbdd35c42fa5b9c8efe0c153feb1884f8dcd8fff7958', 'final-check'),
     (7, 'constant-poly', 'round-check',
-     '6ec4472a1d25f1b8fe44eff7a1f707c58c8cf971aba4680ca42f4a99e1874d26', 'round-check'),
+     '51d3f727ba2e4a75ae7972c1cf69c76cc977c236912709c5ee7bf1de0155f216', 'round-check'),
     (7, 'random-round', 'round-check',
-     'ab9dd60c31ff4835e5b141d15682c4b040a0b6120918db0df2adabbf6beb3aff', 'round-check'),
+     'be1c5782d8947dfc84472f9f57dcb6abec440ad1dc908f688044dbd1945cdfc4', 'round-check'),
     (7, 'random-round(1)', 'round-check',
-     'a7055c8259496333ea0ae597685ef381a88b590aa9c2712bce3f70011860f1d4', 'round-check'),
+     'a7af2722cc77a0bd4c85e4a33684d258aa185a6708ba716963d7de50f57c0d11', 'round-check'),
 )
 
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
@@ -112,8 +112,8 @@ LAMBDA16 = vdf_setup(16, 10, 32, "a1b2c3")
 SOUNDNESS_REPORTS = (
     (1, 1, 223, 3, "4a7c628e66c681a54793f14a37c6e0e1d2813d32a13955a5e8697900693f80f0"),
     (1, 1, 223, 11, "1cf56edb10d0046b64704d38bcf9197e6f0cec485889f682d679d3bcd8917869"),
-    (2, 2, 1009, 3, "085af8c4acf8d1139ae07fb43b4fd5423642dd7f667b95f437f8e6c036f23e29"),
-    (2, 2, 1009, 11, "c2e9e4f7271b74886b7d413ca9dd508bfe79bf50a2ee703b8c9d733c53363a32"),
+    (2, 2, 1009, 3, "190d6188a52442c30765a9b16bc6c210c140790344ce40d10f23510095238afd"),
+    (2, 2, 1009, 11, "be8b356560367f05413c11bd7b141f1b2537b2e947afb6d49b24606852589264"),
 )
 
 # (parameters, input, explicit challenge, digest of the hashed-challenge
@@ -188,31 +188,31 @@ def test_cheating_transcript_bytes_pinned(case):
 # case runs its interactive transcript
 INTERACTIVE_DIGESTS = (
     "020e8ead6b32545f59f2049612571c740c59b90b9121f75a1aab0c1805ac5133",
-    "0858080c017ce842bbed7cf0aa8d745d0625b59bd04e165c6d04ad6b10d49112",
-    "3b4b07677c6b5d7a35c9b5d7c962a65f4a78ceb22e2cc85183e59cda5c265aca",
-    "3fef7f0ce9aaebb9ac2be8b0ecf6e0ad63e288f041df65e9ee89d65c4975abbd",
+    "221def58af804b949c110a633c2486549626e37cc4d502cff786be92c57b8b4e",
+    "e121fe4ac280aa3851dc0d488a9aae88e627bab69ae1b44f6ace70cd09fe5c36",
+    "ca24967e63f564059282040c0fee21b4f5c9b184ac4c176c951d8245706379ec",
     "224cf4141f31e2ad7074d9a9b2a361da9eff861a9598716e9ddd169c1139bc66",
-    "df5045a53f71ec410df6e8d2d2ae2595dbd269810a579da2ccd20223587a41d5",
-    "f2ef5fa7bdf7a1fcf188604d56009c29ff87e33a3b202a7094bf327c35ca66fe",
-    "46dc3c2af5616226dfedc2b60df288b3391c125bc0c3fd44af06b8e22384f44b",
-    "dd1ea9ea8e09384462708dc017fb3576062fd25b83298dfd3642870c28a7da97",
-    "fdb95e6d93128450c717651b243fef649d605644f90c6216cfd6d1c800525536",
-    "ed5f34e2034073b09755da318a32d254fd28dff565d003e97cda29ada4e7064e",
-    "78c356df96c27164212c878cc2aac736fe22b5029c208cc4366d1338feb097d4",
+    "3ab63512b4872035a869064f8b018166ad79df5279097e6cf0c061e05da5b243",
+    "87a59c691128a50ca09a2267e1418b11dbb02588158899324f657ceeacf3af43",
+    "6511803121e1b0ce5e5d494d11ed5d405ea50f274ddd7c21f5bb680604af0cce",
+    "0346d47c250db0eeb92f3a7b8e20eaf95983eba9816aa8211e8be22586db792f",
+    "98edbf44ffe792401bc58db572f033728f29524311ac0622846ac2a74b7eaf0b",
+    "50ada22959930ee5410d86dfb2fa770dd6c7bee9f3d02ebfbd7dc4bd511b5a8b",
+    "9fe95728f4a7582949f8da1aac4ad778fd5b3d78a2053c3194ed447b627a2112",
 )
 INTERACTIVE_CHEAT_DIGESTS = {
-    (1, "wrong-claim"): "0e3ca3cf20a29a3bc87345f4efe78998894453b69238cc6a1858db7594ea1f9f",
-    (1, "constant-poly"): "1283c81e43d87feab13430de67bce1f3e37991df7555a388e6c10f64842e6ad3",
-    (1, "random-round"): "b04f14f1c42eabf9d5849be471092abc1818f9961331de516ff0879e03212fe4",
-    (1, "random-round(1)"): "9ec4fb048e18193d053b8edef718e95616f02f3509add0475380dfe676c235e0",
+    (1, "wrong-claim"): "ad43a4309f32c7796b4865a01cb9cb4aaad864c76524cb00cf4fc8ab83110517",
+    (1, "constant-poly"): "0fd520f36222e949b20c23860ed36df1749967e0c5a0413c5ea9fc0abc1436b7",
+    (1, "random-round"): "08431af1d4b838ea5aa24ca1da37936cb3143afbfcb071c710521777347159e0",
+    (1, "random-round(1)"): "7659d58a0efc4e1f5ec8636b2b8bb165268e10de8ea9a29cb253d46b858c6737",
     (4, "wrong-claim"): "8df6fb435a2b49234c1bde0432bc55deda237d5911c5e34bd8c24332400753cc",
     (4, "constant-poly"): "15a09b690fbcff78e6caef1b7f5c2cbff7eca96b8fb3f75f7efe94556e10d046",
     (4, "random-round"): "39c3bc3f176d9fe4a39f8e072361d3872994318cc3c710b9029d7bd046613cd5",
     (4, "random-round(1)"): "d1da0b25026deea9eb6b6455e20b0427e6751b36b7262fdc28541e8b92385cca",
-    (7, "wrong-claim"): "b6494b596295f980669589eb4716f7c61c586dd62815ed7777ae90ee1bff9752",
-    (7, "constant-poly"): "2241dbcc66a198c9326fdb0effabfde565e281b259eebc42d1a3e8d5e052ab68",
-    (7, "random-round"): "7950a1954f3c85b249936cacc87acf73fec32d1af49660298e540704e793ec8b",
-    (7, "random-round(1)"): "666fe0cf687b318751677c7b080b20e6e0fd2fcfd9a6afda7ad8f0fbfc1d5283",
+    (7, "wrong-claim"): "8d148a25e37db095fa04906bb902b4baa58b03613321a07514a69b67943d1897",
+    (7, "constant-poly"): "ad903779eaada2f30867d1ee595b531caf020525a3ef2dd86da8ecdc390d0797",
+    (7, "random-round"): "14399bc00164fcca0520230eafae19d4547e9a06abf6819eed5c1921251b96cd",
+    (7, "random-round(1)"): "adae600d845671f08cfbf5b1fb82220c9de6c42f418702f786451398d257099a",
 }
 
 
@@ -265,12 +265,12 @@ def test_soundness_report_bytes_pinned(case):
 
 # (n, m, digest of the Fiat-Shamir transcript) for seeded_true_formula(n, m, m)
 WIDE_TRANSCRIPT_DIGESTS = (
-    (2, 8, "fac63511ac426de21713fe7b68849294619fc30ac1aaaf5dafc760cfe5825273"),
-    (2, 16, "6924a8fe849e2c92c2880cb483b0a18ba4edcb1ac8a2575f76c730f4f42f128a"),
-    (2, 23, "a9148d9d0d9ebc7ba003306ab7ff6d8cb6d453448ed0d7c88d47be24aa23b5e3"),
-    (3, 8, "534bec29b358a64f730b40add05da869db2d9a70d4e3dd621594bda8c1ecf040"),
-    (3, 16, "e1b1e35f02e23cfdf2df3f6466af0a3e09ab9e5e09a1491ca3a9a24bdbf9ad24"),
-    (3, 23, "99e3f6ff6991f864be8f0379d1536422506a3995550bc0db84baed3af19016ec"),
+    (2, 8, "1c7f414231e3608563787e14f33bb6978b316ab20b652aa570daf8d8ad956859"),
+    (2, 16, "0c19013b09c71d04250ee680ad54064dad4a2daa8c07a2b0d91228781e918771"),
+    (2, 23, "791d920adc7e1e990636313076b190e4410aa34fb75faa3c26221afdaca7a24a"),
+    (3, 8, "c5080320174a38f68276acd2f42e1d5cdca469cfb849a828b95ebbe703ca6361"),
+    (3, 16, "266fb7696bdf60ea17a8fae166a3d5b813b741adce9577b51f219f32bb7a9ac9"),
+    (3, 23, "b6c63c80fee6136b75c509db7b64d83ad42eddea96a79c71a221ec8054857ba9"),
 )
 
 
@@ -296,7 +296,7 @@ def test_wide_transcript_bytes_pinned(monkeypatch):
 
 # SHA-256 over (exit code, stdout, stderr) of `verify-tqbf` on each one-bit
 # flip, then each truncation, of CORPUS[1]'s Fiat-Shamir file
-VERIFY_OUTPUTS_DIGEST = "acc1d31dd3852db2c73550849ef98682e7dd1642130792f552a88ecf3f806c09"
+VERIFY_OUTPUTS_DIGEST = "69ccfdda3b1043dd3fac1f8fd968acea5a17321c03f202eebfe77d52b28b18eb"
 
 
 def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
@@ -310,7 +310,7 @@ def test_verify_tqbf_outputs_pinned_on_every_flip_and_truncation(tmp_path):
         transcript.write_bytes(variant)
         digest.update(repr(_cli(argv)).encode())
         calls += 1
-    assert calls == 9 * len(data) == 1125
+    assert calls == 9 * len(data) == 1053
     assert digest.hexdigest() == VERIFY_OUTPUTS_DIGEST
 
 

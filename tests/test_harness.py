@@ -19,6 +19,9 @@ from seqproof.harness import (
     soundness_bound,
 )
 from seqproof.field import next_prime_at_least
+from seqproof.fiatshamir import InteractiveChallenges
+from seqproof.qbf import random_qbf
+from seqproof.sumcheck import build_operator_chain, cheat_prover
 
 
 def test_min_formula_vars_frozen():
@@ -183,8 +186,10 @@ def test_soundness_refuses_an_empty_statement_before_drawing(monkeypatch, capsys
     "strategies, message",
     [
         (("wrong-claim", "random-round(x)"), "unknown cheat strategy 'random-round(x)'"),
-        (("constant-poly", "random-round(99)"), "round 99 outside the chain of length 5"),
-        (("random-round(5)",), "round 5 outside the chain of length 5"),
+        # a k must fall inside the shortest chain on n = 2 variables, 2n = 4 rounds
+        (("constant-poly", "random-round(99)"), "round 99 outside a chain of 4 rounds"),
+        (("random-round(5)",), "round 5 outside a chain of 4 rounds"),
+        (("random-round(4)",), "round 4 outside a chain of 4 rounds"),
     ],
 )
 def test_soundness_refuses_a_bad_strategy_before_the_first_trial(monkeypatch, strategies, message):
@@ -195,6 +200,36 @@ def test_soundness_refuses_a_bad_strategy_before_the_first_trial(monkeypatch, st
     with pytest.raises(ValueError) as exc:
         exp_soundness(2, 2, 1009, trials=1000, strategies=strategies)
     assert str(exc.value) == message
+
+
+def test_soundness_refuses_a_round_past_the_shortest_chain_before_drawing(monkeypatch):
+    # at n = 3 a chain has 6 to 9 rounds: round 6 lies in some chains, not in all
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a formula was drawn")
+
+    monkeypatch.setattr(harness, "random_qbf", no_draw)
+    with pytest.raises(ValueError, match=r"^round 6 outside a chain of 6 rounds$"):
+        exp_soundness(3, 2, 1009, trials=1000, strategies=("wrong-claim", "random-round(6)"))
+
+
+def test_a_random_round_prover_cheats_on_every_chain_it_is_allowed_on():
+    # k = 5 < 2n = 6 at n = 3, so every formula's chain has round 5
+    class Counted(random.Random):
+        draws = 0
+
+        def randrange(self, *args):
+            self.draws += 1
+            return super().randrange(*args)
+
+    rng = random.Random(333)
+    lengths = set()
+    for i in range(500):
+        formula = random_qbf(rng, 3, 2)
+        lengths.add(len(build_operator_chain(formula)))
+        prover_rng = Counted(i)
+        cheat_prover("random-round(5)", formula, 1009, InteractiveChallenges(i), prover_rng)
+        assert prover_rng.draws > 0, formula
+    assert min(lengths) == 6
 
 
 def test_soundness_tests_its_prime_once(monkeypatch):

@@ -94,7 +94,8 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
     # message, the last round polynomial included
     absorbed = len(b"".join(encode_message(*f) for f in file_frames(transcript_to_bytes(tr))[1:]))
     for run in (proved, lengths):
-        assert len(run) == len(tr.polys) == 65
+        # 10 quantifier and 10 final-block rounds, and blocks 5 and 6, before universal x6 and x7
+        assert len(run) == len(tr.polys) == 31
         assert sum(run) == absorbed
 
 
@@ -121,7 +122,7 @@ def test_each_byte_read_is_hashed_once(monkeypatch):
     assert verify_transcript_bytes(formula, data)
     # the bytes hashed are all of the file's messages after the mode message
     absorbed = len(data) - len(MAGIC) - len(encode_message(TAG_MODE, b"fiat-shamir"))
-    assert len(lengths) == 65
+    assert len(lengths) == 31
     assert sum(lengths) == absorbed
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -14,7 +15,7 @@ from seqproof.fiatshamir import (
     TQBF_ORACLE,
 )
 from seqproof.noninteractive import fs_prove_tqbf, fs_verify_tqbf
-from seqproof.qbf import Quantifier, eval_qbf_bruteforce, parse_qbf, random_qbf
+from seqproof.qbf import Qbf, Quantifier, eval_qbf_bruteforce, parse_qbf, random_qbf
 from seqproof import sumcheck as sc
 from seqproof.sumcheck import (
     OpKind,
@@ -38,6 +39,8 @@ from seqproof.sumcheck import (
 EXISTS_TAUT = parse_qbf("p cnf 1 1\ne 1 0\n1 0\n")
 FORALL_TAUT = parse_qbf("p cnf 1 1\na 1 0\n1 0\n")
 ALT_TRUE = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
+# x2 universal: block 1 keeps its Lin round
+KEPT_BLOCK = parse_qbf("p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n")
 THREE_VAR = parse_qbf("p cnf 3 1\ne 1 0\ne 2 0\ne 3 0\n1 2 3 0\n")
 
 
@@ -59,27 +62,74 @@ def test_arithmetize_negation_and_padding():
 
 
 def test_chain_shape_small():
-    ops = build_operator_chain(ALT_TRUE)
-    assert ops == (
+    # a sum over x2 leaves the chain multilinear in x1: block 1 has no Lin round
+    assert build_operator_chain(ALT_TRUE) == (
         Operator(OpKind.PROD, 1, 1),
-        Operator(OpKind.LIN, 1, 1),
         Operator(OpKind.SUM, 2, 2),
+        Operator(OpKind.LIN, 1, 2),
+        Operator(OpKind.LIN, 2, 2),
+    )
+    assert build_operator_chain(KEPT_BLOCK) == (
+        Operator(OpKind.SUM, 1, 1),
+        Operator(OpKind.LIN, 1, 1),
+        Operator(OpKind.PROD, 2, 2),
         Operator(OpKind.LIN, 1, 2),
         Operator(OpKind.LIN, 2, 2),
     )
 
 
 def test_chain_length_formula():
+    # n quantifier and n final-block rounds, and i Lin rounds before each universal x_{i+1}, i < n
     rng = random.Random(0)
     for n in range(1, 11):
         f = random_qbf(rng, n, 2)
-        assert len(build_operator_chain(f)) == n * (n + 3) // 2
+        inner = sum(i for i in range(1, n) if f.quantifiers[i] is Quantifier.FORALL)
+        assert len(build_operator_chain(f)) == 2 * n + inner
+
+
+def _full_chain(quantifiers) -> tuple[Operator, ...]:
+    """Every block's Lin rounds: the quantifier for x_i, then the
+    re-linearization of x_1..x_i, for each i, n(n+3)/2 operators."""
+    ops = []
+    for i, q in enumerate(quantifiers, start=1):
+        ops.append(Operator(OpKind.SUM if q is Quantifier.EXISTS else OpKind.PROD, i, i))
+        ops += [Operator(OpKind.LIN, j, i) for j in range(1, i + 1)]
+    return tuple(ops)
+
+
+def test_the_chain_drops_exactly_the_blocks_before_an_existential():
+    for n in range(1, 7):
+        for prefix in itertools.product(Quantifier, repeat=n):
+            dropped = {i for i in range(1, n) if prefix[i] is Quantifier.EXISTS}
+            full = _full_chain(prefix)
+            expected = tuple(op for op in full if op.kind is not OpKind.LIN or op.block not in dropped)
+            assert len(full) - len(expected) == sum(dropped)
+            assert build_operator_chain(Qbf(n, prefix, ((1, 1, 1),))) == expected, prefix
+
+
+def test_a_dropped_block_is_the_identity():
+    # before a sum over x_{i+1} the full chain's block i gives what the
+    # chain from Q_{i+1} on gives, at any field point
+    rng = random.Random(1992)
+    checked = 0
+    for _ in range(12):
+        formula = random_qbf(rng, rng.randint(2, 4), rng.randint(1, 4))
+        full = _full_chain(formula.quantifiers)
+        p = default_prime(formula)
+        f = ArithPoly(formula, p)
+        for i in range(1, formula.num_vars):
+            if formula.quantifiers[i] is Quantifier.EXISTS:
+                block = full.index(Operator(OpKind.LIN, 1, i))
+                bindings = [rng.randrange(p) for _ in range(formula.num_vars)]
+                assert eval_chain(full, bindings, f, block) == eval_chain(full, bindings, f, block + i)
+                checked += 1
+    assert checked >= 10
 
 
 def test_round_degree_bounds():
-    ops = build_operator_chain(ALT_TRUE)  # n=2, m=2
-    bounds = [round_degree_bound(op, ALT_TRUE) for op in ops]
-    assert bounds == [1, 2, 1, 6, 6]
+    # n = 2, m = 2: an inner Lin round comes only before a universal x2
+    for formula, bounds in ((ALT_TRUE, [1, 1, 6, 6]), (KEPT_BLOCK, [1, 2, 1, 6, 6])):
+        assert [round_degree_bound(op, formula) for op in build_operator_chain(formula)] == bounds
 
 
 def test_eval_chain_frozen_values():
@@ -340,6 +390,10 @@ def test_cheat_strategy_parsing():
         cheat_prover("random-round(99)", EXISTS_TAUT, 223, InteractiveChallenges(0))
     t = cheat_prover("random-round", EXISTS_TAUT, 223, InteractiveChallenges(0))
     assert len(t.polys) == 2
+    # k is bounded by the formula's own chain: 4 rounds for ALT_TRUE, 5 for KEPT_BLOCK
+    with pytest.raises(ValueError, match=r"^round 4 outside a chain of 4 rounds$"):
+        cheat_prover("random-round(4)", ALT_TRUE, 37, InteractiveChallenges(0))
+    assert len(cheat_prover("random-round(4)", KEPT_BLOCK, 37, InteractiveChallenges(0)).polys) == 5
 
 
 @pytest.mark.parametrize(
@@ -381,7 +435,7 @@ def test_formulas_with_the_same_quantifiers_share_one_chain():
         formula = random_qbf(rng, 7, 1)
         ops = build_operator_chain(formula)
         assert ops == chain.__wrapped__(formula.quantifiers)
-        assert len(ops) == 7 * 10 // 2
+        assert len(ops) == 14 + sum(i for i in range(1, 7) if formula.quantifiers[i] is Quantifier.FORALL)
     assert chain.cache_info().currsize == sc.CHAIN_CACHE_ENTRIES
 
 
@@ -624,6 +678,33 @@ def test_final_block_rounds_at_the_literal_degree(formula, var, degree, coin_bou
     assert rounds == 4 * n
 
 
+def test_the_final_block_merges_groups_by_their_x_j_clauses(monkeypatch):
+    # MANY_SCALARS at x2's final round, x1 bound off {0, 1}: the eight
+    # scalar clauses put each suffix (x3, x4) in a group of its own, and the
+    # one x2 clause (x2, not x3, x1) is false at the two with x3 = 1, so the
+    # four groups merge into two x2-clause subsets.  Only the merge loop
+    # calls add, once per value t = 0..d_2 of each subset's row
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return a + b
+
+    formula = MANY_SCALARS
+    ops = build_operator_chain(formula)
+    k = ops.index(Operator(OpKind.LIN, 2, formula.num_vars))
+    p = default_prime(formula)
+    f = ArithPoly(formula, p)
+    bindings = [5, 6, 7, 8]
+    monkeypatch.setattr(sc, "add", counted)
+    s = compute_round_poly(ops, k, bindings, f, formula)
+    monkeypatch.undo()
+    assert f.degree(2) == 1
+    assert calls == 2 * (1 + 1)
+    assert s == _reference_round_poly(ops, k, bindings, f, formula)
+
+
 def _true_formula(n, m, seed):
     rng = random.Random(seed)
     formula = random_qbf(rng, n, m)
@@ -711,7 +792,7 @@ def test_prover_multiplies_clauses_within_budget(monkeypatch):
 
     monkeypatch.setattr(ArithPoly, "evaluate", counted)
     honest = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
-    for strategy in ("wrong-claim", "random-round(60)"):
+    for strategy in ("wrong-claim", "random-round(29)"):  # round 29: x6's final-block round
         cheat_prover(strategy, formula, p, InteractiveChallenges(7))
     assert clauses == 0
     assert sumcheck_verify(formula, p, honest).accepted
@@ -784,18 +865,21 @@ def test_eq_vectors_are_built_once_per_block(monkeypatch):
     p = default_prime(formula)
     t = sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
     assert sumcheck_verify(formula, p, t).accepted
-    # blocks 2..n-1 build eq(r_2..r_i) at their first Lin round; block 1's
-    # is empty, and the final block builds at most once
-    assert built[: formula.num_vars - 2] == list(range(1, formula.num_vars - 1))
-    assert len(built) <= formula.num_vars - 1
+    # each of blocks 2..n-1 that is kept, here blocks 3 and 5 before
+    # universal x4 and x6, builds eq(r_2..r_i) at its first Lin round;
+    # block 1's is empty, and the final block builds at most once
+    kept = [i - 1 for i in range(2, formula.num_vars) if formula.quantifiers[i] is Quantifier.FORALL]
+    assert kept == [2, 4]
+    assert built[: len(kept)] == kept
+    assert len(built) <= len(kept) + 1
 
 
 def test_one_proof_never_evicts_its_own_interpolation_bases():
     import seqproof.field as field
     from seqproof.sumcheck import MAX_PROTOCOL_VARS
 
-    # a proof interpolates at sizes 2 and 3, d_j + 1 per final-block round
-    # and 3m + 1 when bent: at most n + 3 per prime
+    # an honest proof interpolates only its final block, at d_j + 1 values
+    # each; a bent round interpolates at 2, 3 or 3m + 1: at most n + 3 per prime
     assert field.BASIS_CACHE_ENTRIES >= MAX_PROTOCOL_VARS + 3
     basis = field._inverse_vandermonde
     formula = _true_formula(8, 6, 808)
