@@ -14,9 +14,8 @@ import random
 from seqproof.noninteractive import (
     DecodeError,
     fs_prove_tqbf,
-    fs_verify_tqbf,
-    transcript_from_bytes,
     transcript_to_bytes,
+    verify_transcript_bytes,
 )
 from seqproof.qbf import parse_qbf
 
@@ -40,7 +39,7 @@ def main():
     again = transcript_to_bytes(fs_prove_tqbf(formula))
     print(f"proving twice gives identical bytes: {again == blob}")
 
-    verdict = fs_verify_tqbf(formula, transcript_from_bytes(blob))
+    verdict = verify_transcript_bytes(formula, blob)
     print(f"offline verification: accepted = {verdict.accepted}\n")
 
     rng = random.Random(13)
@@ -50,7 +49,7 @@ def main():
         broken = bytearray(blob)
         broken[pos] ^= 1 << rng.randrange(8)
         try:
-            v = fs_verify_tqbf(formula, transcript_from_bytes(bytes(broken)))
+            v = verify_transcript_bytes(formula, bytes(broken))
             outcome = "accepted!" if v.accepted else f"rejected ({v.reason})"
         except (DecodeError, ValueError) as exc:
             outcome = f"rejected at decode ({exc})"

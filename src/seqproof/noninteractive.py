@@ -94,17 +94,6 @@ def fs_prove_tqbf(formula: Qbf, p: int | None = None) -> Transcript:
     return sumcheck_prove(formula, p, FiatShamirChallenges(TQBF_ORACLE))
 
 
-def fs_verify_tqbf(formula: Qbf, transcript: Transcript) -> Verdict:
-    """Re-derive every challenge from the hash and check the transcript.
-
-    The prime travels with the transcript; an inadmissible one (wrong size,
-    composite) rejects.  Recorded challenges that do not match the
-    re-derived ones reject, so interactive transcripts fail here; a decoded
-    file's challenges are the ones its reader derived.
-    """
-    return sumcheck_verify(formula, transcript.p, transcript, FiatShamirChallenges(TQBF_ORACLE))
-
-
 class _Transcriber(RecordedChallenges):
     """Replays recorded challenges and encodes every message absorbed."""
 

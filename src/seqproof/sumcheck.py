@@ -49,7 +49,7 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import add, mul, sub
 
 from .field import MAX_PRIME, MAX_PRIME_TEXT, canonical, check_prime, lagrange_interpolate, next_prime_at_least, poly_eval, sqrt_mod
@@ -189,22 +189,18 @@ class ArithPoly:
         return vectors[start]
 
 
-# coordinate sets kept, one per (bits, width): a proof asks for at most n + 1
-# shapes, (n, 8) for its tables and (n - j, 8, 16 or 32) for final round j.
-# At n = 16 every shape that can be asked for, 49 of them, holds 8.0 MB of
-# ints in all, 3.2 MB in (16, 8) and (15, 32) alone, so the cache holds at
-# most 8.0 MB there whatever its bound; at n = 10, 0.1 MB.
-COORDINATE_CACHE_ENTRIES = 32
-
-
-@lru_cache(maxsize=COORDINATE_CACHE_ENTRIES)
+# coordinate sets kept, one per (bits, width), unbounded: a proof asks for at
+# most n + 1 shapes, (n, 8) for its tables and (n - j, 8, 16 or 32) for final
+# round j, and with n <= MAX_PROTOCOL_VARS that is at most 49 shapes, (bits <=
+# 16, 8) and (bits <= 15, 16 or 32).  All 49 hold 8.0 MB of ints, 3.2 MB in
+# (16, 8) and (15, 32) alone; at n = 10, 0.1 MB.
+@cache
 def _coordinate_sets(bits: int, width: int) -> tuple[int, ...]:
     """For each coordinate v of the cube {0,1}^bits, the points whose bit v
     is 1, as an int with one width-bit field per point: the low bit of
     field c (bit c*width) is bit v of c.  Its little-endian bytes repeat a
     block of 2^v clear then 2^v set fields; shifted down by 2^v fields, the
-    same int is the set where bit v is 0.  Built once per shape and kept in
-    an LRU cache of COORDINATE_CACHE_ENTRIES entries."""
+    same int is the set where bit v is 0.  Built once per shape and kept."""
     clear, one = bytes(width // 8), (1).to_bytes(width // 8, "little")
     return tuple(
         int.from_bytes((clear * (1 << v) + one * (1 << v)) * (1 << (bits - v - 1)), "little") for v in range(bits)
@@ -349,12 +345,11 @@ def compute_round_poly(ops, k: int, bindings, f: ArithPoly, formula: Qbf) -> tup
 # m <= 24 fits every pattern in 32
 _PATTERN_CODES = {8: "B", 16: "H", 32: "I"}
 
-# rows kept, one per (ups, downs, d): ups + downs <= 3 and d <= 72; a proof
-# asks for a few per final-block round
-ROW_CACHE_ENTRIES = 64
 
-
-@lru_cache(maxsize=ROW_CACHE_ENTRIES)
+# rows kept, one per (ups, downs, d), unbounded: 1 <= ups + downs <= 3 (a
+# clause's x_j literals) and d <= 72 (3m, with check_statement's m <= 24), so
+# 657 keys at most; a proof asks for a few per final-block round
+@cache
 def _x_row(ups: int, downs: int, d: int) -> tuple[int, ...]:
     """(1 - t)^ups * t^downs at t = 0..d: a clause's product of x_j misses,
     ups the occurrences of x_j and downs those of not x_j."""

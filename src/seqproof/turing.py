@@ -4,6 +4,9 @@ The tape alphabet is {0, 1, left-end mark}; cell 0 always holds the mark and
 is never overwritten, the head is clamped to [0, space).  Halting states are
 absorbing: a run stops at the first one, and its step count is the number
 of transitions the machine took, which is the delay-function cost model.
+
+A machine is a transition function, as the delay function's seeded rule is,
+or a rule table (`TmDescription.from_table`).
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ SYM_ONE = 1
 SYM_MARK = 2
 
 _SYM_TEXT = {SYM_ZERO: "0", SYM_ONE: "1", SYM_MARK: "^"}
-_TEXT_SYM = {v: k for k, v in _SYM_TEXT.items()}
-_TEXT_DIR = {"L": -1, "S": 0, "R": 1}
 
 # configuration-count guard for the halting decider: |Q| * S * 2^S
 MAX_DECIDER_BOUND = 1 << 28
@@ -156,56 +157,4 @@ def decide_spacehalt(desc: TmDescription, x: str, space: int) -> bool:
     config = initial_configuration(x, space)
     # a run stops at a halting state, so its last state halts iff some state did
     return desc.is_halting(tm_run(desc, config, bound).config.state)
-
-
-# ── explicit machine text format ───────────────────────────────────────────
-
-
-def parse_machine(text: str) -> TmDescription:
-    """Parse the explicit machine format.
-
-    Lines: 'states <count>', optional 'halt <q> ...', then rules
-    'q sym -> q2 sym2 d' with sym in {0,1,^} ('^' is the left-end mark) and
-    d in {L,S,R}.  '#' starts a comment.  State 0 is initial.
-    """
-    num_states = None
-    halt_states: set[int] = set()
-    rules: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "states":
-            if num_states is not None:
-                raise ValueError(f"line {line_no}: duplicate states line")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ValueError(f"line {line_no}: expected 'states <count>'")
-            num_states = int(parts[1])
-            continue
-        if parts[0] == "halt":
-            try:
-                halt_states.update(int(t) for t in parts[1:])
-            except ValueError:
-                raise ValueError(f"line {line_no}: non-integer halting state")
-            continue
-        if num_states is None:
-            raise ValueError(f"line {line_no}: rule before 'states' line")
-        if len(parts) != 6 or parts[2] != "->":
-            raise ValueError(f"line {line_no}: expected 'q sym -> q2 sym2 d'")
-        try:
-            q, q2 = int(parts[0]), int(parts[3])
-        except ValueError:
-            raise ValueError(f"line {line_no}: non-integer state")
-        if parts[1] not in _TEXT_SYM or parts[4] not in _TEXT_SYM:
-            raise ValueError(f"line {line_no}: symbols must be 0, 1 or ^")
-        if parts[5] not in _TEXT_DIR:
-            raise ValueError(f"line {line_no}: direction must be L, S or R")
-        key = (q, _TEXT_SYM[parts[1]])
-        if key in rules:
-            raise ValueError(f"line {line_no}: duplicate rule for {parts[0]} {parts[1]}")
-        rules[key] = (q2, _TEXT_SYM[parts[4]], _TEXT_DIR[parts[5]])
-    if num_states is None:
-        raise ValueError("missing 'states' line")
-    return TmDescription.from_table(num_states, rules, halt_states)
 

@@ -30,9 +30,9 @@ from seqproof.noninteractive import (
     fs_prove_tqbf,
     fs_vdf_verify,
     fs_vdf_open,
-    fs_verify_tqbf,
     transcript_from_bytes,
     transcript_to_bytes,
+    verify_transcript_bytes,
 )
 from seqproof.qbf import (
     QbfParseError,
@@ -59,7 +59,6 @@ from seqproof.turing import (
     TmDescription,
     decide_spacehalt,
     initial_configuration,
-    parse_machine,
     tm_run,
 )
 
@@ -129,7 +128,7 @@ def test_criterion_03_completeness(capsys):
         coins = InteractiveChallenges(random.Random(f"303:{i}"))
         if sumcheck_verify(f, p, sumcheck_prove(f, p, coins)).accepted:
             interactive += 1
-        if fs_verify_tqbf(f, fs_prove_tqbf(f)).accepted:
+        if verify_transcript_bytes(f, transcript_to_bytes(fs_prove_tqbf(f))).accepted:
             fiat_shamir += 1
     elapsed = time.perf_counter() - start
     ok = interactive == 50 and fiat_shamir == 50 and elapsed < 60.0
@@ -255,11 +254,15 @@ def test_criterion_09_tamper_rejection(capsys):
 
     rejected = 0
     for _ in range(50):
+        data = _flip(transcript_blob, rng)
         try:
-            verdict = fs_verify_tqbf(formula, transcript_from_bytes(_flip(transcript_blob, rng)))
+            verdict = verify_transcript_bytes(formula, data)
             rejected += not verdict.accepted
         except (DecodeError, QbfParseError, ValueError):
             rejected += 1
+            continue
+        # a flipped file that decodes is the encoding of what it decodes to
+        assert transcript_to_bytes(transcript_from_bytes(data)) == data
     for _ in range(50):
         try:
             rejected += not fs_vdf_verify(bundle_from_bytes(_flip(bundle_blob, rng))).accepted
@@ -282,14 +285,17 @@ def _reference_halts(desc: TmDescription, x: str, space: int) -> bool:
     return True
 
 
-_FILLER = "states 2\nhalt 1\n0 ^ -> 0 ^ R\n0 0 -> 0 1 R\n0 1 -> 1 1 S\n"
-_SCANNER = "states 2\nhalt 1\n0 ^ -> 0 ^ R\n0 0 -> 0 0 R\n0 1 -> 1 1 S\n"
-_RUNNER = "states 1\nhalt\n0 ^ -> 0 ^ R\n0 0 -> 0 0 R\n0 1 -> 0 1 R\n"
-_TOGGLER = (
-    "states 2\nhalt\n0 ^ -> 0 ^ R\n0 0 -> 1 1 S\n0 1 -> 1 0 S\n"
-    "1 0 -> 0 1 S\n1 1 -> 0 0 S\n"
+# rule tables (q, symbol) -> (q', symbol', direction); symbol 2 is the
+# left-end mark, and the direction is -1, 0 or +1 for left, stay, right
+_FILLER = TmDescription.from_table(2, {(0, 2): (0, 2, 1), (0, 0): (0, 1, 1), (0, 1): (1, 1, 0)}, {1})
+_SCANNER = TmDescription.from_table(2, {(0, 2): (0, 2, 1), (0, 0): (0, 0, 1), (0, 1): (1, 1, 0)}, {1})
+_RUNNER = TmDescription.from_table(1, {(0, 2): (0, 2, 1), (0, 0): (0, 0, 1), (0, 1): (0, 1, 1)}, ())
+_TOGGLER = TmDescription.from_table(
+    2,
+    {(0, 2): (0, 2, 1), (0, 0): (1, 1, 0), (0, 1): (1, 0, 0), (1, 0): (0, 1, 0), (1, 1): (0, 0, 0)},
+    (),
 )
-_INSTANT = "states 2\nhalt 1\n0 ^ -> 1 ^ S\n0 0 -> 1 0 S\n0 1 -> 1 1 S\n"
+_INSTANT = TmDescription.from_table(2, {(0, 2): (1, 2, 0), (0, 0): (1, 0, 0), (0, 1): (1, 1, 0)}, {1})
 
 
 def _random_table_machine(seed: int) -> TmDescription:
@@ -309,14 +315,14 @@ def test_criterion_10_spacehalt_decider(capsys):
     # The bounded decider must agree with exact cycle detection on 20
     # explicit machines, a mix of halting and looping runs.
     cases = [
-        (parse_machine(_FILLER), "001", 5),
-        (parse_machine(_FILLER), "", 3),
-        (parse_machine(_RUNNER), "10", 4),
-        (parse_machine(_SCANNER), "0001", 6),
-        (parse_machine(_SCANNER), "000", 6),
-        (parse_machine(_TOGGLER), "0", 3),
-        (parse_machine(_INSTANT), "11", 4),
-        (parse_machine(_FILLER), "0000", 6),
+        (_FILLER, "001", 5),
+        (_FILLER, "", 3),
+        (_RUNNER, "10", 4),
+        (_SCANNER, "0001", 6),
+        (_SCANNER, "000", 6),
+        (_TOGGLER, "0", 3),
+        (_INSTANT, "11", 4),
+        (_FILLER, "0000", 6),
     ]
     inputs = ("", "1", "01", "110")
     cases += [

@@ -6,6 +6,7 @@ module, so the steps run without installing the package.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 CI = ROOT / "ci"
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+ROADMAP = ROOT / "ROADMAP.md"
 MODULE = [sys.executable, "-m", "seqproof.cli"]
 SCRIPTS = ["console-script.sh", "proof-file.sh", "pinned-reports.sh"]
 
@@ -30,6 +32,25 @@ def test_the_workflow_calls_every_script():
     workflow = WORKFLOW.read_text()
     for script in SCRIPTS:
         assert f"ci/{script} seqproof" in workflow
+
+
+def _jobs() -> dict[str, str]:
+    """Each workflow job's text after its key line, by job name."""
+    parts = re.split(r"(?m)^  ([\w-]+):\n", WORKFLOW.read_text().split("\njobs:\n", 1)[1])
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def test_the_workflow_runs_the_roadmap_tier1_command():
+    (command,) = re.findall(r"(?m)^\*\*Tier-1 verify:\*\* `(.+)`$", ROADMAP.read_text())
+    runs = re.findall(r"(?m)^ +- run: (.+)$", _jobs()["tier1"])
+    assert [run for run in runs if "-m pytest" in run] == [command]
+
+
+def test_every_test_file_the_big_endian_job_names_exists():
+    # that job runs only on a runner, so a renamed file would show up only there
+    named = re.findall(r"tests/\S+\.py", _jobs()["big-endian"])
+    assert len(named) >= 5
+    assert [path for path in named if not (ROOT / path).is_file()] == []
 
 
 @pytest.mark.parametrize(

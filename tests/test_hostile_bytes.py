@@ -39,7 +39,6 @@ from seqproof.noninteractive import (
     bundle_to_bytes,
     fs_prove_tqbf,
     fs_vdf_open,
-    fs_verify_tqbf,
     open_bundle,
     transcript_from_bytes,
     transcript_to_bytes,
@@ -58,15 +57,21 @@ from seqproof.shvdf import (
     vdf_eval,
     vdf_open,
 )
-from seqproof.sumcheck import MAX_PROTOCOL_VARS, sumcheck_prove
+from seqproof.sumcheck import MAX_PROTOCOL_VARS, sumcheck_prove, sumcheck_verify
 
 FORMULA = parse_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
 GOLDEN = VdfParams(8, 16, 4, 8, b"golden")
 WIDE = VdfParams(80, 1 << 8, 8, 80, b"wide")
 
 
-def _transcript_verdict(transcript):
-    return fs_verify_tqbf(transcript.formula, transcript)
+def _transcript_verdict(transcript, data):
+    """The file verifier on a file that decodes, which must be the encoding
+    of what it decodes to; sumcheck_verify on the decoded transcript, which
+    re-derives every challenge from the hash, must agree."""
+    assert transcript_to_bytes(transcript) == data
+    verdict = verify_transcript_bytes(transcript.formula, data)
+    assert verdict == sumcheck_verify(transcript.formula, transcript.p, transcript)
+    return verdict
 
 
 def _file_verdict(data):
@@ -86,14 +91,14 @@ GOLDEN_TRANSCRIPTS = [
     ),
 ]
 
-# (decoder, verifier of what it decodes or None, golden files)
+# (decoder, verifier of what it decodes and the bytes it decoded, or None; golden files)
 CASES = {
     "transcript": (transcript_from_bytes, _transcript_verdict, GOLDEN_TRANSCRIPTS),
-    "transcript-file": (_file_verdict, lambda verdict: verdict, GOLDEN_TRANSCRIPTS),
+    "transcript-file": (_file_verdict, lambda verdict, _data: verdict, GOLDEN_TRANSCRIPTS),
     "bundle": (
         bundle_from_bytes,
         # the bundle's own coin as the verifier's, so interactive bundles reach the replay too
-        lambda bundle: verify_bundle(bundle, bundle.challenge),
+        lambda bundle, _data: verify_bundle(bundle, bundle.challenge),
         [
             bundle_to_bytes(fs_vdf_open(GOLDEN, "101")),
             bundle_to_bytes(open_bundle(vdf_eval(GOLDEN, "101"), "101", RecordedChallenges([12]))),
@@ -116,7 +121,7 @@ def _decode_and_check(name, data):
     except DecodeError:
         return
     if verify is not None:
-        verdict = verify(value)
+        verdict = verify(value, data)
         assert verdict.accepted in (True, False)
 
 
@@ -221,6 +226,6 @@ def test_a_bent_round_at_the_variable_cap_is_rejected_in_milliseconds():
     polys[k] = bent
     blob = transcript_to_bytes(dataclasses.replace(honest, polys=tuple(polys)))
     start = time.perf_counter()
-    verdict = fs_verify_tqbf(formula, transcript_from_bytes(blob))
+    verdict = verify_transcript_bytes(formula, blob)
     assert time.perf_counter() - start < 0.5
     assert verdict.reason == "final-check"

@@ -25,7 +25,6 @@ from seqproof.noninteractive import (
     fs_prove_tqbf,
     fs_vdf_open,
     fs_vdf_verify,
-    fs_verify_tqbf,
     load_bundle,
     load_transcript,
     save_bundle,
@@ -52,7 +51,7 @@ def _file(frames) -> bytes:
 def test_fs_prove_verify_roundtrip():
     tr = fs_prove_tqbf(ALT_TRUE, 37)
     assert tr.mode == "fiat-shamir"
-    assert fs_verify_tqbf(ALT_TRUE, tr)
+    assert sumcheck_verify(ALT_TRUE, 37, tr)
     # the whole object is a deterministic function of the statement
     assert fs_prove_tqbf(ALT_TRUE, 37) == tr
 
@@ -60,19 +59,19 @@ def test_fs_prove_verify_roundtrip():
 def test_fs_uses_default_prime():
     tr = fs_prove_tqbf(ALT_TRUE)
     assert tr.p == 37  # smallest prime >= 2^2 * 3^2
-    assert fs_verify_tqbf(ALT_TRUE, tr)
+    assert sumcheck_verify(ALT_TRUE, tr.p, tr)
 
 
 def test_fs_rejects_interactive_coins():
     tr = sumcheck_prove(ALT_TRUE, 37, InteractiveChallenges(5))
     assert tr.mode == "interactive"
-    verdict = fs_verify_tqbf(ALT_TRUE, tr)
+    verdict = sumcheck_verify(ALT_TRUE, 37, tr, FiatShamirChallenges(fiatshamir.TQBF_ORACLE))
     assert not verdict and verdict.reason == "challenge-mismatch"
 
 
 def test_fs_rejects_bad_prime():
     tr = fs_prove_tqbf(ALT_TRUE, 37)
-    verdict = fs_verify_tqbf(ALT_TRUE, dataclasses.replace(tr, p=36))
+    verdict = sumcheck_verify(ALT_TRUE, 36, dataclasses.replace(tr, p=36))
     assert verdict.reason == "statement-mismatch"
 
 
@@ -89,7 +88,7 @@ def test_each_absorbed_byte_is_hashed_once(monkeypatch):
     tr = fs_prove_tqbf(formula)
     proved = list(lengths)
     lengths.clear()
-    assert fs_verify_tqbf(formula, tr)
+    assert sumcheck_verify(formula, tr.p, tr)
     # the bytes the source absorbed are the file's messages after the mode
     # message, the last round polynomial included
     absorbed = len(b"".join(encode_message(*f) for f in file_frames(transcript_to_bytes(tr))[1:]))
@@ -141,7 +140,8 @@ def test_the_file_verifier_writes_the_formula_text_only_to_check_it(monkeypatch)
     assert verify_transcript_bytes(formula, data)
     assert written == [formula]  # the decoder's canonical-form check
     written.clear()
-    assert fs_verify_tqbf(formula, transcript_from_bytes(data))
+    t = transcript_from_bytes(data)
+    assert sumcheck_verify(formula, t.p, t)
     assert len(written) == 2  # that check, then the message the hashed source encodes
 
 
@@ -390,7 +390,7 @@ def test_transcript_tamper_sampling():
             rng.randrange(len(blob)),
             rng.randrange(1, 256),
             transcript_from_bytes,
-            lambda obj: fs_verify_tqbf(obj.formula, obj).accepted,
+            lambda obj: sumcheck_verify(obj.formula, obj.p, obj).accepted,
         )
         for _ in range(60)
     )

@@ -14,7 +14,7 @@ from seqproof.fiatshamir import (
     InteractiveChallenges,
     TQBF_ORACLE,
 )
-from seqproof.noninteractive import fs_prove_tqbf, fs_verify_tqbf
+from seqproof.noninteractive import fs_prove_tqbf
 from seqproof.qbf import Qbf, Quantifier, eval_qbf_bruteforce, parse_qbf, random_qbf
 from seqproof import sumcheck as sc
 from seqproof.sumcheck import (
@@ -442,11 +442,10 @@ def test_formulas_with_the_same_quantifiers_share_one_chain():
 def test_coordinate_sets_are_built_once_per_shape():
     kept = sc._coordinate_sets
     kept.cache_clear()
-    assert kept.cache_info().maxsize == sc.COORDINATE_CACHE_ENTRIES
-    # a soundness run at n = 2 asks for a handful of shapes thousands of times
+    # a soundness run at n = 2 asks for at most n + 1 shapes thousands of times
     exp_soundness(2, 2, 1009, trials=1000, seed=4, control_trials=5)
     info = kept.cache_info()
-    assert 0 < info.currsize == info.misses <= sc.COORDINATE_CACHE_ENTRIES
+    assert 0 < info.currsize == info.misses <= 3
     assert info.hits > 10 * info.misses
     # one proof asks for at most n + 1 shapes; a second proof of the shape builds none
     kept.cache_clear()
@@ -458,17 +457,61 @@ def test_coordinate_sets_are_built_once_per_shape():
     assert kept.cache_info().misses == shapes
 
 
-def test_the_coordinate_cache_stays_at_its_bound():
-    kept = sc._coordinate_sets
-    kept.cache_clear()
-    shapes = [(bits, width) for bits in range(6) for width in (8, 16, 32, 64, 128, 256)]
-    assert len(shapes) > sc.COORDINATE_CACHE_ENTRIES
-    for bits, width in shapes:
-        sets = kept(bits, width)
-        assert isinstance(sets, tuple) and len(sets) == bits
-        assert sets == kept.__wrapped__(bits, width)
-    assert kept.cache_info().currsize == sc.COORDINATE_CACHE_ENTRIES
-    assert kept(5, 256) == kept.__wrapped__(5, 256)
+# every shape _coordinate_sets can be asked for: (n, 8) for the tables, with
+# n <= MAX_PROTOCOL_VARS, and (n - j, 8, 16 or 32) for final round j >= 1
+COORDINATE_SHAPES = {(bits, 8) for bits in range(17)} | {(bits, w) for bits in range(16) for w in (16, 32)}
+# every key _x_row can be asked for: a clause's 1 to 3 x_j literals, ups of
+# x_j and downs of not x_j, and d_j <= 3m <= 72
+ROW_KEYS = {(ups, downs, d) for ups in range(4) for downs in range(4 - ups) if ups + downs for d in range(73)}
+
+
+def _most_clauses(n: int) -> int:
+    """The largest m that check_statement admits beside n variables."""
+    m = 1
+    while True:
+        try:
+            sc.check_statement(n, m + 1)
+        except ValueError:
+            return m
+        m += 1
+
+
+def test_the_unbounded_caches_are_asked_only_for_their_bounded_keys(monkeypatch):
+    assert len(COORDINATE_SHAPES) == 49 and len(ROW_KEYS) == 657
+    assert sc.MAX_PROTOCOL_VARS == 16 and _most_clauses(1) == 24
+    asked = {"shapes": [], "rows": []}
+    coordinate_sets, x_row = sc._coordinate_sets, sc._x_row
+
+    def spied_sets(bits, width):
+        asked["shapes"].append((bits, width))
+        return coordinate_sets(bits, width)
+
+    def spied_row(ups, downs, d):
+        asked["rows"].append((ups, downs, d))
+        return x_row(ups, downs, d)
+
+    monkeypatch.setattr(sc, "_coordinate_sets", spied_sets)
+    monkeypatch.setattr(sc, "_x_row", spied_row)
+    coordinate_sets.cache_clear()
+    x_row.cache_clear()
+    # n = 1..12 at a few clauses and at the most the prime cap admits, which
+    # forces 16- and 32-bit patterns
+    rng = random.Random(34)
+    formulas = [random_qbf(rng, n, m) for n in range(1, 13) for m in (3, _most_clauses(n))]
+    for i, formula in enumerate(formulas):
+        sumcheck_prove(formula, None, InteractiveChallenges(i))
+    assert set(asked["shapes"]) <= COORDINATE_SHAPES
+    assert set(asked["rows"]) <= ROW_KEYS
+    assert {w for _bits, w in asked["shapes"]} == {8, 16, 32}
+    assert coordinate_sets.cache_info().currsize == len(set(asked["shapes"]))
+    assert x_row.cache_info().currsize == len(set(asked["rows"]))
+    assert all(coordinate_sets(*shape) == coordinate_sets.__wrapped__(*shape) for shape in set(asked["shapes"]))
+    # each cache kept every entry: proving them all again builds nothing
+    built = (coordinate_sets.cache_info().misses, x_row.cache_info().misses)
+    for i, formula in enumerate(formulas):
+        sumcheck_prove(formula, None, InteractiveChallenges(i))
+    assert (coordinate_sets.cache_info().misses, x_row.cache_info().misses) == built
+    assert len(asked["shapes"]) > built[0] and len(asked["rows"]) > built[1]
 
 
 def _fields(points: int, bits: int, width: int) -> list[int]:
@@ -567,7 +610,8 @@ def test_chain_value_matches_the_exact_integer_chain():
             assert chain_value(f, p) == exact % p
             p = next_prime_at_least(p + 1)
         if truth:
-            assert fs_verify_tqbf(f, fs_prove_tqbf(f)).accepted
+            t = fs_prove_tqbf(f)
+            assert sumcheck_verify(f, t.p, t).accepted
             proved += 1
     assert proved >= 30
 

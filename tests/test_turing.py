@@ -8,20 +8,20 @@ from seqproof.turing import (
     TmDescription,
     decide_spacehalt,
     initial_configuration,
-    parse_machine,
     tm_run,
 )
 
-# fills 0s with 1s moving right, halts on the first 1
-M1_TEXT = """\
-states 2
-halt 1
-0 ^ -> 0 ^ R
-0 0 -> 0 1 R
-0 1 -> 1 1 S
-"""
+def m1_from_table():
+    """Fills 0s with 1s moving right, halts on the first 1."""
+    rules = {
+        (0, SYM_MARK): (0, SYM_MARK, 1),
+        (0, SYM_ZERO): (0, SYM_ONE, 1),
+        (0, SYM_ONE): (1, SYM_ONE, 0),
+    }
+    return TmDescription.from_table(2, rules, halt_states=(1,))
 
-M1 = parse_machine(M1_TEXT)
+
+M1 = m1_from_table()
 
 
 def looping_machine():
@@ -150,6 +150,8 @@ def test_table_validation():
         TmDescription.from_table(1, {(0, SYM_ZERO): (4, SYM_ZERO, 0)}, halt_states=())
     with pytest.raises(ValueError, match="direction"):
         TmDescription.from_table(1, {(0, SYM_ZERO): (0, SYM_ZERO, 2)}, halt_states=())
+    with pytest.raises(ValueError, match="unknown symbol"):
+        TmDescription.from_table(1, {(0, 3): (0, SYM_ZERO, 0)}, halt_states=())
 
 
 def test_decide_spacehalt_frozen_cases():
@@ -170,55 +172,3 @@ def test_pigeonhole_double_bound_spot_check():
     c = initial_configuration("0", space)
     res = tm_run(m, c, 2 * bound)
     assert not m.is_halting(res.config.state)
-
-
-LOOP_TEXT = """\
-states 1
-0 ^ -> 0 ^ R
-0 0 -> 0 0 R
-0 1 -> 0 1 R
-"""
-
-
-def m1_from_table():
-    rules = {
-        (0, SYM_MARK): (0, SYM_MARK, 1),
-        (0, SYM_ZERO): (0, SYM_ONE, 1),
-        (0, SYM_ONE): (1, SYM_ONE, 0),
-    }
-    return TmDescription.from_table(2, rules, halt_states=(1,))
-
-
-@pytest.mark.parametrize("text,machine", [(M1_TEXT, m1_from_table), (LOOP_TEXT, looping_machine)], ids=["M1", "loop"])
-def test_machine_text_runs_like_its_rule_table(text, machine):
-    parsed, table_built = parse_machine(text), machine()
-    for x, space in (("", 2), ("0", 3), ("001", 5), ("1", 4), ("0000", 5), ("0110", 6)):
-        for steps in range(space + 3):
-            runs = [tm_run(m, initial_configuration(x, space), steps) for m in (parsed, table_built)]
-            ends = [(r.config.state, r.config.tape, r.config.head, r.steps) for r in runs]
-            assert ends[0] == ends[1], (x, space, steps)
-        assert decide_spacehalt(parsed, x, space) == decide_spacehalt(table_built, x, space)
-
-
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("halt 1\n", "missing 'states'"),
-        ("0 ^ -> 0 ^ R\n", "before 'states'"),
-        ("states 2\nstates 2\n", "duplicate states"),
-        ("states x\n", "expected 'states"),
-        ("states 2\n0 ^ 0 ^ R\n", "expected 'q sym"),
-        ("states 2\n0 2 -> 0 0 R\n", "symbols must be"),
-        ("states 2\n0 ^ -> 0 ^ Q\n", "direction must be"),
-        ("states 2\n0 ^ -> 0 ^ R\n0 ^ -> 1 ^ R\n", "duplicate rule"),
-        ("states 2\nhalt q9\n", "non-integer halting"),
-        ("states 2\n0 ^ -> 5 ^ R\n", "out of range"),
-    ],
-)
-def test_machine_parse_errors(text, fragment):
-    with pytest.raises(ValueError, match=".*"):
-        parse_machine(text)
-    try:
-        parse_machine(text)
-    except ValueError as exc:
-        assert fragment in str(exc)
